@@ -22,7 +22,7 @@ from .graded_engine import (
     reduce_mod_power_ideal,
 )
 from .linalg import left_kernel, rank, rref
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _falling
 
 
 def multinomial(total: int, parts) -> int:
@@ -168,13 +168,6 @@ class SeriesSpec:
     @classmethod
     def geometric(cls, top: int) -> "SeriesSpec":
         return cls((Fraction(1),) * (top + 1))
-
-
-def _falling(q: int, p: int) -> int:
-    out = 1
-    for v in range(q - p + 1, q + 1):
-        out *= v
-    return out
 
 
 def series_annihilator_check(spec: GorensteinSpec, series: SeriesSpec) -> bool:

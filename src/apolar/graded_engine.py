@@ -11,7 +11,6 @@ apolarity annihilators at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import (
@@ -20,7 +19,7 @@ from .exponents import (
     box_monomials_of_degree,
     monomials_of_degree,
 )
-from .linalg import SpanBuilder, left_kernel, reduce_vector, rref
+from .linalg import SpanBuilder, _intify, left_kernel, reduce_vector, rref
 from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial
 
@@ -65,7 +64,9 @@ class GradedSlice:
         if ev in self._std_index:
             out[self._std_index[ev]] = Fraction(1)
             return out
-        row = self._row_of_pivot[ev]
+        row = self._row_of_pivot.get(ev)
+        if row is None:
+            raise DomainError("monomial is not of the slice's degree and context")
         for s, i in self._std_index.items():
             c = row[self._col_index[s]]
             if c:
@@ -80,10 +81,6 @@ class GradedSlice:
             for i, v in enumerate(self.reduce_monomial(ev)):
                 out[i] += c * v
         return out
-
-    def contains(self, vec) -> bool:
-        """Membership of a degree-e coefficient vector in the slice row space."""
-        return not any(reduce_vector(vec, self.reduced_rows, self._pivot_cols))
 
 
 class HomogeneousIdealPresentation:
@@ -101,7 +98,8 @@ class HomogeneousIdealPresentation:
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._slices: dict[int, GradedSlice] = {}
-        self._hilbert: list[int] | None = None
+        # I_e as built by _assemble_minimal, made a slice when first asked for
+        self._built: dict[int, SpanBuilder] = {}
 
     @classmethod
     def from_monomial_ideal(cls, ideal: MonomialIdeal) -> "HomogeneousIdealPresentation":
@@ -117,6 +115,11 @@ class HomogeneousIdealPresentation:
         if cached is not None:
             return cached
         basis = monomials_of_degree(self.ctx, e)
+        span = self._built.pop(e, None)
+        if span is not None:
+            sl = GradedSlice(e, basis, span.reduced, span.pivots)
+            self._slices[e] = sl
+            return sl
         col = {ev.coords: i for i, ev in enumerate(basis)}
         rows = []
         for g in self.generators:
@@ -138,24 +141,17 @@ class HomogeneousIdealPresentation:
 
     def hilbert_function(self, cutoff: int | None = None) -> list[int]:
         """Values of dim (R/I)_e from 0 until the first vanishing degree."""
-        if self._hilbert is not None:
-            return list(self._hilbert)
         if cutoff is None:
             cutoff = sum(g.homogeneous_degree() for g in self.generators) + self.ctx.dim
         values = []
-        e = 0
-        while True:
+        for e in range(cutoff + 1):
             h = self.slice(e).hilbert_value
             if h == 0:
-                break
+                return values
             values.append(h)
-            e += 1
-            if e > cutoff:
-                raise NotArtinianError(
-                    f"no vanishing slice up to degree {cutoff}; ideal is not artinian"
-                )
-        self._hilbert = values
-        return list(values)
+        raise NotArtinianError(
+            f"no vanishing slice up to degree {cutoff}; ideal is not artinian"
+        )
 
     def dimension(self, cutoff: int | None = None) -> int:
         return sum(self.hilbert_function(cutoff))
@@ -239,56 +235,55 @@ def _vector_to_polynomial(ctx: Context, vec, basis) -> Polynomial:
     """Primitive-integer polynomial from a coefficient vector, LEX-leading
     coefficient positive (columns are LEX-descending, so the first nonzero
     entry is the leading one)."""
-    fracs = [Fraction(v) for v in vec]
-    denoms = [f.denominator for f in fracs if f]
-    mult = lcm(*denoms) if denoms else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
+    ints = _intify(vec)
+    if next(v for v in ints if v) < 0:
         ints = [-v for v in ints]
     return Polynomial(ctx, {ev: c for ev, c in zip(basis, ints) if c})
 
 
-def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int) -> list[Polynomial]:
-    """Collect minimal generators from per-degree kernels.
+def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
+    """The ideal given by minimal generators collected from per-degree kernels.
 
     kernel_fn(e) must return a basis of the full degree-e piece of the ideal
     as coefficient vectors over the LEX-descending degree-e monomials.  In
     each degree the kernel is reduced against R_1 times the previous degree;
-    the surviving independent vectors become new generators.
+    the surviving independent vectors become new generators.  The span built
+    in degree e is then all of I_e, so the presentation keeps it as its
+    degree-e slice.
     """
-    d = ctx.dim
     gens: list[Polynomial] = []
-    prev_kernel: list[list[Fraction]] = []
+    built: dict[int, SpanBuilder] = {}
+    prev_basis: tuple[ExponentVector, ...] = ()
+    prev_rows: list[list[int]] = []
     for e in range(max_degree + 1):
         basis = monomials_of_degree(ctx, e)
         span = SpanBuilder(len(basis))
-        if e > 0 and prev_kernel:
-            prev_basis = monomials_of_degree(ctx, e - 1)
+        if prev_rows:
             col = {ev.coords: i for i, ev in enumerate(basis)}
-            for i in range(d):
-                for vec in prev_kernel:
-                    lifted = [Fraction(0)] * len(basis)
-                    for c, ev in zip(vec, prev_basis):
-                        if c:
-                            target = tuple(
-                                a + 1 if j == i else a for j, a in enumerate(ev.coords)
-                            )
-                            lifted[col[target]] = c
+            for i in range(ctx.dim):
+                # shift[j]: the column of x_i times the j-th degree-(e-1) monomial
+                shift = [
+                    col[tuple(a + (j == i) for j, a in enumerate(ev.coords))]
+                    for ev in prev_basis
+                ]
+                for row in prev_rows:
+                    lifted = [0] * len(basis)
+                    for j, c in zip(shift, row):
+                        lifted[j] = c
                     span.add(lifted)
         kernel = kernel_fn(e)
         for vec in kernel:
-            rem = reduce_vector(vec, span.reduced, span.pivots)
+            if len(span.pivots) == len(kernel):
+                break  # the span is already all of I_e
+            rem = reduce_vector(vec, span.rows, span.pivots)
             if any(rem):
                 gens.append(_vector_to_polynomial(ctx, rem, basis))
                 span.add(rem)
-        prev_kernel = kernel
-    return gens
+        built[e] = span
+        prev_basis, prev_rows = basis, span.rows
+    ideal = HomogeneousIdealPresentation(ctx, gens)
+    ideal._built = built
+    return ideal
 
 
 def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
@@ -347,9 +342,7 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
             rows.append(row)
         return left_kernel(rows, len(cols))
 
-    return HomogeneousIdealPresentation(
-        ctx, _assemble_minimal(ctx, kernel_fn, top + 1)
-    )
+    return _assemble_minimal(ctx, kernel_fn, top + 1)
 
 
 def ann_partial(
@@ -383,6 +376,4 @@ def ann_partial(
             rows.append(row)
         return left_kernel(rows, len(cols))
 
-    return HomogeneousIdealPresentation(
-        ctx, _assemble_minimal(ctx, kernel_fn, m_deg + 1)
-    )
+    return _assemble_minimal(ctx, kernel_fn, m_deg + 1)

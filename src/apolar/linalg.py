@@ -1,28 +1,49 @@
 """Exact rational row reduction with an integer core.
 
-Rows enter as rationals or integers, are scaled to primitive integer
-vectors, and are eliminated fraction-free with per-row content removal;
-pivots are normalized to 1 only at the boundary.  Pivoting is
-deterministic: the first nonzero column, scanning left to right.
+Rows enter as rationals or integers and are scaled to primitive integer
+vectors.  Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
+clearing column p of a row r against an echelon row with pivot a there
+replaces r by (a/g)*r - (r[p]/g)*row with g = gcd(a, r[p]), then divides r
+by its content.  Integer echelon rows are kept zero in every other row's
+pivot column, so each differs from its RREF row only by the pivot scalar;
+pivots are normalized to 1 only at the boundary (``rref`` output and
+``SpanBuilder.reduced``).  Pivoting is deterministic: the first nonzero
+column, scanning left to right.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 
 
+def _primitive(ints: list[int]) -> list[int]:
+    """An integer row divided by its content, the gcd of its entries."""
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def _intify(row) -> list[int]:
-    """Scale a rational row to a primitive integer row (content 1)."""
-    fracs = [Fraction(x) for x in row]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    """Scale a row of ints and Fractions to a primitive integer row (content 1)."""
+    if all(type(x) is int for x in row):
+        return _primitive(list(row))
+    mult = lcm(*[x.denominator for x in row])
+    return _primitive([x.numerator * (mult // x.denominator) for x in row])
+
+
+def _eliminate(vec: list[int], row: list[int], p: int) -> list[int]:
+    """The primitive row (a/g)*vec - (b/g)*row, which is zero in column p
+    (a = row[p], b = vec[p], g = gcd(a, b))."""
+    g = gcd(row[p], vec[p])
+    a, b = row[p] // g, vec[p] // g
+    return _primitive([a * x - b * y for x, y in zip(vec, row)])
+
+
+def _unit_pivots(rows: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
+    """Integer echelon rows divided by their pivots: the RREF rows."""
+    zero = Fraction(0)
+    return [[Fraction(v, r[p]) if v else zero for v in r] for r, p in zip(rows, pivots)]
 
 
 def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -31,42 +52,22 @@ def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     Returns the nonzero rows (each with pivot 1, zeros above and below every
     pivot) and the list of pivot column indices, in order.
     """
-    work = [_intify(r) for r in rows]
-    work = [r for r in work if any(r)]
+    work = [r for r in map(_intify, rows) if any(r)]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        base = work[r]
         for i in range(len(work)):
-            if i == r or not work[i][c]:
-                continue
-            f = work[i][c]
-            row = [piv * x - f * y for x, y in zip(work[i], base)]
-            g = 0
-            for v in row:
-                g = gcd(g, v)
-            if g > 1:
-                row = [v // g for v in row]
-            work[i] = row
+            if i != r and work[i][c]:
+                work[i] = _eliminate(work[i], work[r], c)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    work = work[:r]
-    reduced = []
-    for row, c in zip(work, pivots):
-        piv = row[c]
-        reduced.append([Fraction(v, piv) for v in row])
-    return reduced, pivots
+    return _unit_pivots(work, pivots), pivots
 
 
 def rank(rows, ncols: int) -> int:
@@ -98,13 +99,19 @@ def left_kernel(rows, ncols: int) -> list[list[Fraction]]:
     return nullspace(transpose, nrows)
 
 
-def reduce_vector(vec, reduced, pivots) -> list[Fraction]:
-    """Remainder of vec modulo the row space of an RREF matrix."""
-    out = [Fraction(x) for x in vec]
-    for row, p in zip(reduced, pivots):
+def reduce_vector(vec, rows, pivots) -> list[int]:
+    """Remainder of vec modulo the span of echelon rows (``SpanBuilder.rows``
+    or ``rref`` output, each zero in the other rows' pivot columns), as a
+    primitive integer vector; it is unique up to a nonzero scalar."""
+    out = _intify(vec)
+    for row, p in zip(rows, pivots):
         c = out[p]
-        if c:
-            out = [x - c * y for x, y in zip(out, row)]
+        if not c:
+            continue
+        if type(row[p]) is int:
+            out = _eliminate(out, row, p)
+        else:  # an rref row: Fraction entries, unit pivot
+            out = _intify([x - c * y for x, y in zip(out, row)])
     return out
 
 
@@ -113,36 +120,36 @@ def in_row_space(vec, reduced, pivots) -> bool:
 
 
 class SpanBuilder:
-    """Incrementally maintained RREF of a growing set of rows."""
+    """Incrementally maintained integer echelon form of a growing set of rows.
+
+    ``rows`` are primitive integer rows, ordered by their pivot columns
+    ``pivots``, each zero in every other row's pivot column: the RREF rows up
+    to their pivot scalars.  ``reduced`` is the RREF itself.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.reduced: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
     def add(self, vec) -> bool:
         """Add a vector to the span; returns True if it was independent."""
-        rem = reduce_vector(vec, self.reduced, self.pivots)
+        rem = reduce_vector(vec, self.rows, self.pivots)
         lead = next((i for i, x in enumerate(rem) if x), None)
         if lead is None:
             return False
-        inv = rem[lead]
-        rem = [x / inv for x in rem]
-        for row in self.reduced:
-            c = row[lead]
-            if c:
-                for i in range(self.ncols):
-                    row[i] -= c * rem[i]
-        at = next(
-            (k for k, p in enumerate(self.pivots) if p > lead), len(self.pivots)
-        )
-        self.reduced.insert(at, rem)
+        for k, row in enumerate(self.rows):
+            if row[lead]:
+                self.rows[k] = _eliminate(row, rem, lead)
+        at = bisect(self.pivots, lead)
+        self.rows.insert(at, rem)
         self.pivots.insert(at, lead)
         return True
 
     def contains(self, vec) -> bool:
-        return in_row_space(vec, self.reduced, self.pivots)
+        return in_row_space(vec, self.rows, self.pivots)
 
     @property
-    def dim(self) -> int:
-        return len(self.pivots)
+    def reduced(self) -> list[list[Fraction]]:
+        """The RREF of the span."""
+        return _unit_pivots(self.rows, self.pivots)

@@ -269,10 +269,14 @@ def decompose(ideal: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal]:
         raise DomainError("decompose requires a nonempty docle")
     j = saturate(ideal)
     h = inverse_ideal(m)
-    assert intersect(j, h) == ideal
-    assert h.is_zero_dimensional
-    assert _docle_or_empty(h) == m
-    assert not _docle_or_empty(j).elems
+    if intersect(j, h) != ideal:
+        raise RuntimeError("decompose postcondition failed: J cap H != I")
+    if not h.is_zero_dimensional:
+        raise RuntimeError("decompose postcondition failed: H is not zero-dimensional")
+    if _docle_or_empty(h) != m:
+        raise RuntimeError("decompose postcondition failed: docle(H) != docle(I)")
+    if _docle_or_empty(j).elems:
+        raise RuntimeError("decompose postcondition failed: docle(J) is not empty")
     return j, h
 
 

@@ -7,11 +7,13 @@ from apolar import (
     Context,
     DomainError,
     ExponentVector,
+    GorensteinSpec,
     HomogeneousIdealPresentation,
     MonomialIdeal,
     NotArtinianError,
     Polynomial,
     ann_partial,
+    antipodal,
     colon_power_ideal,
     ideal_equals,
     monomials_of_degree,
@@ -70,6 +72,23 @@ def test_hilbert_not_artinian():
         as_pres("(x)").hilbert_function()
     with pytest.raises(NotArtinianError):
         HomogeneousIdealPresentation(CTX, []).hilbert_function()
+
+
+def test_hilbert_function_honours_cutoff_after_an_earlier_call():
+    used = as_pres("(x^2, y^2)")
+    assert used.hilbert_function() == [1, 2, 1]
+    with pytest.raises(NotArtinianError):
+        used.hilbert_function(1)
+    with pytest.raises(NotArtinianError):
+        as_pres("(x^2, y^2)").hilbert_function(1)
+    assert used.hilbert_function(3) == [1, 2, 1]
+
+
+def test_reduce_monomial_rejects_other_degrees():
+    sl = as_pres("(x^2, y^2)").slice(2)
+    assert sl.reduce_monomial(ExponentVector(CTX, (1, 1))) == [1]
+    with pytest.raises(DomainError):
+        sl.reduce_monomial(ExponentVector(CTX, (1, 0)))
 
 
 def test_colon_power_fixtures():
@@ -206,3 +225,38 @@ def test_slice_counts_match_oracle_small_inputs():
         hilbert = ideal.hilbert_function()
         total = brute_quotient_dim(list(ideal.generators), len(hilbert) + 1)
         assert total == sum(hilbert)
+
+
+LADDER_P = "x1^3*x2^2*x3 + x1*x2^4*x3 + x1^2*x2*x3^3 + x2^3*x3^3"
+
+
+def _assert_slices_match_generators(ideal, top):
+    rebuilt = HomogeneousIdealPresentation(ideal.ctx, ideal.generators)
+    for e in range(top + 2):
+        assert rebuilt.slice(e).reduced_rows == ideal.slice(e).reduced_rows, e
+
+
+def test_slices_from_the_build_match_slices_from_generators():
+    # colon_power_ideal and ann_partial keep the spans found while extracting
+    # generators as their slices; they must equal the RREF of the Macaulay
+    # matrices of those generators.
+    rng = random.Random(64)
+    specs = [random_spec(rng, dims=(2, 3), max_k=4) for _ in range(20)]
+    ctx3 = Context.of_dim(3)
+    specs += [GorensteinSpec(k, parse_polynomial(LADDER_P, ctx3)) for k in (5, 6)]
+    for spec in specs:
+        _assert_slices_match_generators(spec.colon_ideal(), spec.top_degree)
+        ann = ann_partial(antipodal(spec), spec.ctx)
+        _assert_slices_match_generators(ann, spec.top_degree)
+
+
+def test_ladder_generators_are_pinned():
+    ctx = Context.of_dim(3)
+    ideal = colon_power_ideal(6, parse_polynomial(LADDER_P, ctx))
+    assert [str(g) for g in ideal.generators] == [
+        "x1^4 - x1^2*x2^2 + x2^4",
+        "x3^5",
+        "x1^3*x2*x3 - x1*x2^3*x3 - x1^2*x3^3 + x2^2*x3^3",
+        "-x1^4*x2 + x1^2*x2^3",
+        "x1^3*x2^2 - x1^2*x2*x3^2 + x1*x3^4",
+    ]

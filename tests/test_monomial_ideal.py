@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import apolar
 from apolar import (
     AmbientMismatchError,
     Antichain,
@@ -237,6 +242,33 @@ def test_decompose_recovers_constructed_pairs():
         hits += 1
         i = intersect(j, h)
         assert decompose(i) == (j, h)
+
+
+_BROKEN_SATURATE = """
+import sys
+import apolar.monomial_ideal as mi
+from apolar import Context, ExponentVector, MonomialIdeal
+assert sys.flags.optimize
+ctx = Context.of_dim(2)
+ideal = MonomialIdeal.from_generators(
+    ctx, [ExponentVector(ctx, (2, 0)), ExponentVector(ctx, (1, 1))]
+)
+mi.saturate = lambda i: i  # J = I keeps docle(J) nonempty
+try:
+    mi.decompose(ideal)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_decompose_postconditions_survive_optimize():
+    src = str(Path(apolar.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_SATURATE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert "docle(J) is not empty" in proc.stdout
 
 
 def test_closure_fixtures():
