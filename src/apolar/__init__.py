@@ -60,7 +60,6 @@ from .monomial_ideal import (
 from .parsing import parse_antichain, parse_ideal, parse_monomial, parse_polynomial
 from .polynomial import (
     Polynomial,
-    Rational,
     annihilates,
     contraction_action,
     diff_action,

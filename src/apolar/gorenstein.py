@@ -183,53 +183,36 @@ def series_annihilator_check(spec: GorensteinSpec, series: SeriesSpec) -> bool:
         raise DomainError(f"need series coefficients a_0..a_{top}")
     coeffs = series.coeffs[: top + 1]
 
-    # Reduction tables: degree n -> {exponent coords -> coordinates over the
-    # standard monomials of degree n}.
-    tables = {}
+    # F[j] = a_n * multinomial(n, j) * (coset of x^j over the standard
+    # monomials of degree n = |j|): the x^j-coefficient of f(t_1 xbar_1 + ...).
+    F = {}
     for n in range(top + 1):
         sl = ideal.slice(n)
-        tables[n] = {
-            j.coords: sl.reduce_monomial(j)
-            for j in monomials_of_degree(spec.ctx, n)
-        }
+        for j in monomials_of_degree(spec.ctx, n):
+            scale = coeffs[n] * multinomial(n, j.coords)
+            F[j.coords] = [scale * v for v in sl.reduce_monomial(j)]
 
-    # Power boundary: (t_1 xbar_1 + ...)^n is nonzero iff n <= top.
-    if not any(any(v) for v in tables[top].values()):
+    # Power boundary: (t_1 xbar_1 + ...)^n is nonzero iff n <= top (F[j] is a
+    # nonzero multiple of the coset of x^j).
+    if not any(any(F[j.coords]) for j in monomials_of_degree(spec.ctx, top)):
         return False
     if ideal.slice(top + 1).standard_monomials:
         return False
 
-    d = spec.d
     for e in range(top + 1):
         basis = monomials_of_degree(spec.ctx, e)
-        columns: dict[tuple, int] = {}
-        raw_rows = []
-        for m in basis:
-            row: dict[tuple, Fraction] = {}
-            for n in range(e, top + 1):
-                scale = coeffs[n]
-                for j, red in tables[n].items():
-                    if any(jc < mc for jc, mc in zip(j, m.coords)):
-                        continue
-                    fall = 1
-                    for jc, mc in zip(j, m.coords):
-                        fall = fall * _falling(jc, mc)
-                    c = scale * multinomial(n, j) * fall
-                    tkey = tuple(jc - mc for jc, mc in zip(j, m.coords))
-                    for pos, v in enumerate(red):
-                        if v:
-                            key = (tkey, pos)
-                            columns.setdefault(key, len(columns))
-                            row[key] = row.get(key, Fraction(0)) + c * v
-            raw_rows.append(row)
-        ncols = len(columns)
+        # Row m: x^m(d/dt) applied to f, one block of columns per t-monomial
+        # t^u (|u| <= top - e), holding falling(u + m, m) * F[u + m].
         rows = []
-        for row in raw_rows:
-            vec = [Fraction(0)] * ncols
-            for key, v in row.items():
-                vec[columns[key]] = v
-            rows.append(vec)
-        kernel = left_kernel(rows, ncols)
+        for m in basis:
+            row = []
+            for n in range(e, top + 1):
+                for u in monomials_of_degree(spec.ctx, n - e):
+                    j = tuple(uc + mc for uc, mc in zip(u.coords, m.coords))
+                    fall = math.prod(map(_falling, j, m.coords))
+                    row.extend(fall * v for v in F[j])
+            rows.append(row)
+        kernel = left_kernel(rows, len(rows[0]))
         reduced, _ = rref(kernel, len(basis))
         if tuple(tuple(r) for r in reduced) != ideal.slice(e).reduced_rows:
             return False

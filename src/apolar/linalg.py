@@ -1,14 +1,14 @@
 """Exact rational row reduction with an integer core.
 
-Rows enter as rationals or integers and are scaled to primitive integer
-vectors.  Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
-clearing column p of a row r against an echelon row with pivot a there
-replaces r by (a/g)*r - (r[p]/g)*row with g = gcd(a, r[p]), then divides r
-by its content.  Integer echelon rows are kept zero in every other row's
-pivot column, so each differs from its RREF row only by the pivot scalar;
-pivots are normalized to 1 only at the boundary (``rref`` output and
-``SpanBuilder.reduced``).  Pivoting is deterministic: the first nonzero
-column, scanning left to right.
+There is one elimination loop, ``SpanBuilder.add``; ``rref``, ``rank``,
+``nullspace`` and ``left_kernel`` run on it.  Rows enter as rationals or
+integers and are scaled to primitive integer vectors.  Elimination is
+fraction-free (Bareiss, Math. Comp. 22, 1968): clearing column p of a row r
+against an echelon row with pivot a there replaces r by
+(a/g)*r - (r[p]/g)*row with g = gcd(a, r[p]), then divides r by its content.
+Integer echelon rows are kept zero in every other row's pivot column, so
+each is its RREF row times the pivot; ``rref`` is the echelon form of the
+span of its rows, which is unique, normalized to unit pivots.
 """
 
 from __future__ import annotations
@@ -40,34 +40,20 @@ def _eliminate(vec: list[int], row: list[int], p: int) -> list[int]:
     return _primitive([a * x - b * y for x, y in zip(vec, row)])
 
 
-def _unit_pivots(rows: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
-    """Integer echelon rows divided by their pivots: the RREF rows."""
-    zero = Fraction(0)
-    return [[Fraction(v, r[p]) if v else zero for v in r] for r, p in zip(rows, pivots)]
-
-
 def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q.
+    """Reduced row echelon form over Q: the RREF of the span of ``rows``.
 
     Returns the nonzero rows (each with pivot 1, zeros above and below every
-    pivot) and the list of pivot column indices, in order.
+    pivot) and the list of pivot column indices, in order.  The rows are fed
+    to a ``SpanBuilder`` one at a time; once the span has full rank every
+    later row reduces to zero, so the rest are skipped.
     """
-    work = [r for r in map(_intify, rows) if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                work[i] = _eliminate(work[i], work[r], c)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
+    span = SpanBuilder(ncols)
+    for row in rows:
+        if len(span.pivots) == ncols:
             break
-    return _unit_pivots(work, pivots), pivots
+        span.add(row)
+    return span.reduced, span.pivots
 
 
 def rank(rows, ncols: int) -> int:
@@ -120,7 +106,8 @@ def in_row_space(vec, reduced, pivots) -> bool:
 
 
 class SpanBuilder:
-    """Incrementally maintained integer echelon form of a growing set of rows.
+    """Incrementally maintained integer echelon form of a growing set of
+    rows; ``add`` is the module's one elimination loop.
 
     ``rows`` are primitive integer rows, ordered by their pivot columns
     ``pivots``, each zero in every other row's pivot column: the RREF rows up
@@ -151,5 +138,7 @@ class SpanBuilder:
 
     @property
     def reduced(self) -> list[list[Fraction]]:
-        """The RREF of the span."""
-        return _unit_pivots(self.rows, self.pivots)
+        """The RREF of the span: the integer rows divided by their pivots."""
+        zero = Fraction(0)
+        return [[Fraction(v, r[p]) if v else zero for v in r]
+                for r, p in zip(self.rows, self.pivots)]

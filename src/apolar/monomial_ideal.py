@@ -91,10 +91,6 @@ class MonomialIdeal:
         return len(self.gens) == 1 and self.gens[0].degree == 0
 
     @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
-    @property
     def is_zero_dimensional(self) -> bool:
         """True iff every variable occurs as a pure power generator."""
         d = self.ctx.dim

@@ -20,8 +20,6 @@ from .exponents import (
     unit_vector,
 )
 
-Rational = Fraction
-
 
 class Polynomial:
     """A finitely supported map from exponent vectors to rationals."""

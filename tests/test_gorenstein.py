@@ -9,6 +9,7 @@ from apolar import (
     DomainError,
     ExponentVector,
     GorensteinSpec,
+    HomogeneousIdealPresentation,
     Polynomial,
     SeriesSpec,
     antipodal,
@@ -19,6 +20,7 @@ from apolar import (
     pairing_is_nondegenerate,
     pairing_matrix,
     parse_polynomial,
+    power_ideal,
     random_spec,
     series_annihilator_check,
     verify_gorenstein_ann,
@@ -194,15 +196,26 @@ def test_series_annihilator_fixtures():
         series_annihilator_check(SPEC1, SeriesSpec((1, 1)))
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_series_annihilator_power_boundaries(k):
+    # SPEC1 has top degree 3.  Swap in (x^k, y^k), whose quotient has top
+    # degree 2k - 2: for k=2, (t.xbar)^3 vanishes; for k=4, degree 4 of the
+    # quotient is nonzero.  Either way the check must fail.
+    spec = GorensteinSpec(4, parse_polynomial("x*y^2 + x^2*y + x^3", CTX))
+    spec._colon = HomogeneousIdealPresentation.from_monomial_ideal(power_ideal(CTX, k))
+    assert not series_annihilator_check(spec, SeriesSpec.exponential(3))
+
+
 def test_series_annihilator_random():
-    rng = random.Random(73)
-    for _ in range(10):
-        spec = random_spec(rng, dims=(2,), max_k=3)
-        top = spec.top_degree
-        series = SeriesSpec(
-            tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(top + 1))
-        )
-        assert series_annihilator_check(spec, series)
+    for dims in [(2,), (2, 3)]:
+        rng = random.Random(73)
+        for _ in range(10):
+            spec = random_spec(rng, dims=dims, max_k=3)
+            top = spec.top_degree
+            series = SeriesSpec(
+                tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(top + 1))
+            )
+            assert series_annihilator_check(spec, series)
 
 
 def test_search_tooling_reproducible():
