@@ -44,15 +44,16 @@ def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q: the RREF of the span of ``rows``.
 
     Returns the nonzero rows (each with pivot 1, zeros above and below every
-    pivot) and the list of pivot column indices, in order.  The rows are fed
-    to a ``SpanBuilder`` one at a time; once the span has full rank every
-    later row reduces to zero, so the rest are skipped.
+    pivot) and the list of pivot column indices, in order.  The nonzero rows
+    are fed to a ``SpanBuilder`` one at a time; once the span has full rank
+    every later row reduces to zero, so the rest are skipped.
     """
     span = SpanBuilder(ncols)
     for row in rows:
         if len(span.pivots) == ncols:
             break
-        span.add(row)
+        if any(row):
+            span.add(row)
     return span.reduced, span.pivots
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import inf
 
 from .errors import AmbientMismatchError, DomainError
 from .exponents import Context, ExponentVector, leq, lex_key, zero_vector
@@ -28,7 +29,8 @@ class Antichain:
         sorted_elems = tuple(sorted(set(self.elems), key=lex_key))
         object.__setattr__(self, "elems", sorted_elems)
         for a, b in itertools.combinations(sorted_elems, 2):
-            if leq(a, b) or leq(b, a):
+            # LEX order puts a proper divisor first, so only a | b can hold.
+            if all(x <= y for x, y in zip(a.coords, b.coords)):
                 raise DomainError(f"comparable pair in antichain: {a}, {b}")
 
     @classmethod
@@ -63,14 +65,15 @@ class MonomialIdeal:
 
     @classmethod
     def from_generators(cls, ctx: Context, raw, whole_poset: bool = False) -> "MonomialIdeal":
-        gens = list(set(raw))
-        for g in gens:
+        # A proper divisor has a smaller degree, so in degree order each
+        # vector need only be checked against the minimal ones kept so far.
+        minimal = []
+        for g in sorted(set(raw), key=lambda g: g.degree):
             if g.ctx != ctx:
                 raise AmbientMismatchError("generator from a different context")
-        minimal = [
-            g for g in gens
-            if not any(h != g and leq(h, g) for h in gens)
-        ]
+            c = g.coords
+            if not any(all(x <= y for x, y in zip(h.coords, c)) for h in minimal):
+                minimal.append(g)
         minimal.sort(key=lex_key)
         return cls(ctx, tuple(minimal), whole_poset)
 
@@ -133,54 +136,49 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_generators(a.ctx, lcms)
 
 
-def _membership_grid(ideal: MonomialIdeal, box: tuple[int, ...]):
-    """Flat boolean table of upset membership over prod([0, box_i])."""
-    d = ideal.ctx.dim
-    sizes = [b + 1 for b in box]
-    strides = [0] * d
-    acc = 1
-    for i in range(d - 1, -1, -1):
-        strides[i] = acc
-        acc *= sizes[i]
-    table = [False] * acc
-    gen_idx = set()
-    for g in ideal.gens:
-        if all(c <= b for c, b in zip(g.coords, box)):
-            gen_idx.add(sum(c * s for c, s in zip(g.coords, strides)))
-    for idx, coords in enumerate(itertools.product(*(range(s) for s in sizes))):
-        if idx in gen_idx:
-            table[idx] = True
-            continue
-        for i in range(d):
-            if coords[i] and table[idx - strides[i]]:
-                table[idx] = True
-                break
-    return table, strides
+def _fold_splits(codes, pivots) -> list[tuple]:
+    """Fold the split step over ``pivots``, starting from an antichain of codes.
+
+    A code a stands for the irreducible ideal m^a = (x_i^a_i : a_i finite),
+    +inf coding an absent variable, and a list of codes for their
+    intersection.  Adding a generator x^g leaves m^a alone if it already
+    holds x^g (some g_i >= a_i); otherwise m^a + (x^g) is the intersection of
+    the m^a with a_i replaced by g_i, one for each i with g_i != 0.  A code
+    below another is redundant and dropped, so the result is the irredundant
+    irreducible decomposition (Miller-Sturmfels, Combinatorial Commutative
+    Algebra, ch. 5; Roune, JSC 44, 2009).  ``inverse_ideal`` folds the same
+    step with every coordinate negated.
+    """
+    for g in pivots:
+        stay, cut = [], []
+        for a in codes:
+            (stay if any(x >= y for x, y in zip(g, a)) else cut).append(a)
+        codes = list(stay)
+        for i, x in enumerate(g):
+            if not x:
+                continue
+            # g_j < a_j for every cut a, so a code split at i can lie below
+            # only another split at i or a kept code c with c_i = g_i; it
+            # equals no kept code, as that code would lie below a.
+            split = {a[:i] + (x,) + a[i + 1:] for a in cut}
+            above = [c for c in stay if c[i] == x] + list(split)
+            codes += [
+                b for b in split
+                if not any(b != c and all(y <= z for y, z in zip(b, c)) for c in above)
+            ]
+    return codes
 
 
 def _docle_or_empty(ideal: MonomialIdeal) -> Antichain:
-    """The docle as an antichain; empty for the zero and unit ideals."""
-    if ideal.is_zero or ideal.is_unit:
-        return Antichain(ideal.ctx, ())
-    d = ideal.ctx.dim
-    # Candidate grid: each coordinate of a docle point is g_i - 1 for some
-    # generator g with g_i >= 1.
-    candidates = []
-    for i in range(d):
-        vals = sorted({g.coords[i] - 1 for g in ideal.gens if g.coords[i] >= 1})
-        if not vals:
-            return Antichain(ideal.ctx, ())
-        candidates.append(vals)
-    box = tuple(max(g.coords[i] for g in ideal.gens) for i in range(d))
-    table, strides = _membership_grid(ideal, box)
-    found = []
-    for coords in itertools.product(*candidates):
-        idx = sum(c * s for c, s in zip(coords, strides))
-        if table[idx]:
-            continue
-        if all(table[idx + strides[i]] for i in range(d)):
-            found.append(ExponentVector(ideal.ctx, coords))
-    return Antichain(ideal.ctx, tuple(found))
+    """The docle as an antichain; empty for the zero and unit ideals.
+
+    Docle points are the irreducible components m^a of the ideal with every
+    a_i finite, shifted by -1.
+    """
+    codes = _fold_splits([(inf,) * ideal.ctx.dim], [g.coords for g in ideal.gens])
+    return Antichain(ideal.ctx, tuple(
+        ExponentVector(ideal.ctx, tuple(x - 1 for x in a)) for a in codes if inf not in a
+    ))
 
 
 def docle(ideal: MonomialIdeal) -> Antichain:
@@ -195,24 +193,20 @@ def docle(ideal: MonomialIdeal) -> Antichain:
 def inverse_ideal(antichain: Antichain) -> MonomialIdeal:
     """The unique zero-dimensional monomial ideal with the given docle.
 
-    Computed as the intersection over points s of the irreducible ideals
-    (x1^(s1+1), ..., xd^(sd+1)).
+    This is the intersection over points s of the irreducible ideals
+    m^(s+1) = (x1^(s1+1), ..., xd^(sd+1)).  Starting from the unit ideal,
+    each m^(s+1) keeps the generators already in it and splits every other
+    generator h into the d lcms with x_i^(s_i+1); negated, that is the
+    split step of the docle, and the minimal generators are the maximal codes.
     """
     if not antichain.elems:
         raise DomainError("inverse ideal of an empty antichain is undefined")
     ctx = antichain.ctx
-    d = ctx.dim
-    result = None
-    for s in antichain.elems:
-        irred = MonomialIdeal.from_generators(
-            ctx,
-            [
-                ExponentVector(ctx, tuple(s.coords[i] + 1 if i == j else 0 for i in range(d)))
-                for j in range(d)
-            ],
-        )
-        result = irred if result is None else intersect(result, irred)
-    return result
+    codes = _fold_splits(
+        [(0,) * ctx.dim], [tuple(-c - 1 for c in s.coords) for s in antichain.elems]
+    )
+    gens = [ExponentVector(ctx, tuple(-x for x in a)) for a in codes]
+    return MonomialIdeal(ctx, tuple(sorted(gens, key=lex_key)))
 
 
 def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:

@@ -61,8 +61,9 @@ def test_rref_is_canonical_for_row_space():
         m = rand_matrix(rng, 4, 5)
         shuffled = m[:]
         rng.shuffle(shuffled)
-        mixed = shuffled + [
-            [a + b for a, b in zip(shuffled[0], shuffled[-1])]
+        mixed = [[0] * 5] + shuffled + [
+            [a + b for a, b in zip(shuffled[0], shuffled[-1])],
+            [Fraction(0)] * 5,
         ]
         assert rref(m, 5) == rref(mixed, 5)
 

@@ -6,6 +6,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import apolar
 from apolar import (
@@ -96,6 +97,56 @@ def test_docle_matches_oracle_on_random_ideals():
             i.ctx, tuple(max(g.coords[k] for g in i.gens) + 1 for k in range(d))
         )
         assert docle(i) == brute_docle(i, box)
+
+
+@st.composite
+def monomial_ideals(draw, zero_dimensional=False):
+    """A proper nonzero ideal, d = 1..4, small enough for ``brute_docle``."""
+    d = draw(st.integers(1, 4))
+    ctx = Context.of_dim(d)
+    coord = st.integers(0, 5 if d <= 2 else 3)
+    gens = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=2 * d + 2))
+    if zero_dimensional:
+        gens += [tuple(draw(coord) + 1 if j == i else 0 for j in range(d)) for i in range(d)]
+    i = MonomialIdeal.from_generators(ctx, [ExponentVector(ctx, g) for g in gens])
+    assume(not i.is_unit)
+    return i
+
+
+@st.composite
+def antichains(draw):
+    d = draw(st.integers(1, 4))
+    ctx = Context.of_dim(d)
+    points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * d), min_size=1, max_size=6))
+    return Antichain.maxima(ctx, [ExponentVector(ctx, p) for p in points])
+
+
+@given(monomial_ideals())
+def test_docle_matches_oracle_property(i):
+    d = i.ctx.dim
+    box = ExponentVector(
+        i.ctx, tuple(max(g.coords[k] for g in i.gens) + 1 for k in range(d))
+    )
+    assert docle(i) == brute_docle(i, box)
+
+
+@given(antichains())
+def test_docle_of_inverse_ideal_property(m):
+    assert docle(inverse_ideal(m)) == m
+
+
+@given(monomial_ideals(zero_dimensional=True))
+def test_inverse_ideal_of_docle_is_closure_property(i):
+    assert inverse_ideal(docle(i)) == closure(i)
+
+
+def test_docle_flat_in_exponent_size():
+    # A membership table over the generator box would have 10^12 cells here.
+    n, a = 10**6, 10**3
+    i = ideal(CTX, (n, 0), (a, a + 7), (0, n))
+    m = docle(i)
+    assert m == Antichain(CTX, (ev(CTX, n - 1, a + 6), ev(CTX, a - 1, n - 1)))
+    assert inverse_ideal(m) == closure(i)
 
 
 def test_docle_size_bound():
