@@ -1,8 +1,11 @@
 """Power-series freedom of the dual generator.
 
 The dual polynomial recovering a Gorenstein colon ideal can be replaced by
-f(t1 xbar1 + ... + td xbard) for any truncated power series f with nonzero
-coefficients; the annihilator comes out the same degree by degree.
+f(s), s = t1 xbar1 + ... + td xbard, for any truncated power series f with
+nonzero coefficients; the annihilator comes out the same degree by degree.
+The reason: a degree-e operator g(d/dt) sends f(s) to f^(e)(s) * gbar, and
+f^(e)(s) is a unit (constant term a_e e!, s nilpotent), so only the power
+boundaries s^M != 0 and s^(M+1) = 0 (M the top degree) are left to check.
 """
 
 import random

@@ -17,12 +17,12 @@ from .errors import DomainError
 from .exponents import Context, ExponentVector, lex_key, monomials_of_degree
 from .graded_engine import (
     HomogeneousIdealPresentation,
+    _reduced_mod_power,
     ann_partial,
     colon_power_ideal,
-    reduce_mod_power_ideal,
 )
-from .linalg import left_kernel, rank, rref
-from .polynomial import Polynomial, _falling
+from .linalg import rank
+from .polynomial import Polynomial
 
 
 def multinomial(total: int, parts) -> int:
@@ -43,13 +43,7 @@ class GorensteinSpec:
     """
 
     def __init__(self, k: int, p: Polynomial, dual_ctx: Context | None = None):
-        if k < 1:
-            raise DomainError("power exponent k must be >= 1")
-        if p.homogeneous_degree() is None:
-            raise DomainError("p must be nonzero")
-        reduced = reduce_mod_power_ideal(p, k)
-        if reduced.is_zero:
-            raise DomainError("p lies in the power ideal (x_1^k, ..., x_d^k)")
+        reduced = _reduced_mod_power(k, p)
         self.ctx = p.ctx
         self.k = k
         self.p = reduced
@@ -171,52 +165,24 @@ class SeriesSpec:
 
 
 def series_annihilator_check(spec: GorensteinSpec, series: SeriesSpec) -> bool:
-    """Verify I = {g : g(d/dt) f(t_1 xbar_1 + ... + t_d xbar_d) = 0} degree by
-    degree, plus the vanishing boundary of the powers of t_1 xbar_1 + ....
+    """Verify I = {g : g(d/dt) f(s) = 0}, s = t_1 xbar_1 + ... + t_d xbar_d,
+    for f = a_0 + a_1 z + ... + a_M z^M, M the top quotient degree (longer
+    coefficient lists are truncated).
 
-    Requires the truncated coefficients a_0, ..., a_M (M the top quotient
-    degree); longer lists are truncated.
+    Lemma: for g of degree e <= M, g(d/dt) f(s) = f^(e)(s) gbar, since
+    d/dt_i f(s) = f'(s) xbar_i.  f^(e)(s) has constant term a_e e! != 0 and s
+    is nilpotent in (R/I)[t], so it is a unit: the annihilator's degree-e
+    piece is I_e for every series with nonzero coefficients.  Left are the
+    power boundaries s^M != 0 and s^(M+1) = 0, i.e. (R/I)_M != 0 and
+    (R/I)_(M+1) = 0.  ``oracle.brute_series_check`` is the literal expansion.
     """
     ideal = spec.colon_ideal()
     top = spec.top_degree
     if len(series.coeffs) < top + 1:
         raise DomainError(f"need series coefficients a_0..a_{top}")
-    coeffs = series.coeffs[: top + 1]
-
-    # F[j] = a_n * multinomial(n, j) * (coset of x^j over the standard
-    # monomials of degree n = |j|): the x^j-coefficient of f(t_1 xbar_1 + ...).
-    F = {}
-    for n in range(top + 1):
-        sl = ideal.slice(n)
-        for j in monomials_of_degree(spec.ctx, n):
-            scale = coeffs[n] * multinomial(n, j.coords)
-            F[j.coords] = [scale * v for v in sl.reduce_monomial(j)]
-
-    # Power boundary: (t_1 xbar_1 + ...)^n is nonzero iff n <= top (F[j] is a
-    # nonzero multiple of the coset of x^j).
-    if not any(any(F[j.coords]) for j in monomials_of_degree(spec.ctx, top)):
+    if not ideal.slice(top).standard_monomials:
         return False
-    if ideal.slice(top + 1).standard_monomials:
-        return False
-
-    for e in range(top + 1):
-        basis = monomials_of_degree(spec.ctx, e)
-        # Row m: x^m(d/dt) applied to f, one block of columns per t-monomial
-        # t^u (|u| <= top - e), holding falling(u + m, m) * F[u + m].
-        rows = []
-        for m in basis:
-            row = []
-            for n in range(e, top + 1):
-                for u in monomials_of_degree(spec.ctx, n - e):
-                    j = tuple(uc + mc for uc, mc in zip(u.coords, m.coords))
-                    fall = math.prod(map(_falling, j, m.coords))
-                    row.extend(fall * v for v in F[j])
-            rows.append(row)
-        kernel = left_kernel(rows, len(rows[0]))
-        reduced, _ = rref(kernel, len(basis))
-        if tuple(tuple(r) for r in reduced) != ideal.slice(e).reduced_rows:
-            return False
-    return True
+    return not ideal.slice(top + 1).standard_monomials
 
 
 def pairing_matrix(spec: GorensteinSpec, i: int) -> list[list[Fraction]]:

@@ -19,7 +19,7 @@ from .exponents import (
     box_monomials_of_degree,
     monomials_of_degree,
 )
-from .linalg import SpanBuilder, _intify, left_kernel, reduce_vector, rref
+from .linalg import SpanBuilder, left_kernel, reduce_vector, rref
 from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial
 
@@ -39,7 +39,6 @@ class GradedSlice:
         self.reduced_rows: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(r) for r in reduced_rows
         )
-        self._pivot_cols: tuple[int, ...] = tuple(pivots)
         pivot_set = set(pivots)
         self.pivot_monomials: frozenset[ExponentVector] = frozenset(
             self.monomial_basis[c] for c in pivots
@@ -232,13 +231,12 @@ def ideal_equals(a: HomogeneousIdealPresentation, b: HomogeneousIdealPresentatio
 
 
 def _vector_to_polynomial(ctx: Context, vec, basis) -> Polynomial:
-    """Primitive-integer polynomial from a coefficient vector, LEX-leading
-    coefficient positive (columns are LEX-descending, so the first nonzero
-    entry is the leading one)."""
-    ints = _intify(vec)
-    if next(v for v in ints if v) < 0:
-        ints = [-v for v in ints]
-    return Polynomial(ctx, {ev: c for ev, c in zip(basis, ints) if c})
+    """Polynomial from a primitive integer vector (a ``reduce_vector``
+    remainder), LEX-leading coefficient made positive (columns are
+    LEX-descending, so the first nonzero entry is the leading one)."""
+    if next(v for v in vec if v) < 0:
+        vec = [-v for v in vec]
+    return Polynomial(ctx, {ev: c for ev, c in zip(basis, vec) if c})
 
 
 def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
@@ -288,8 +286,7 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
 
 def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
     """(x_1^k, ..., x_d^k)."""
-    if k < 1:
-        raise DomainError("power exponent k must be >= 1")
+    _reduced_mod_power(k)
     d = ctx.dim
     return MonomialIdeal.from_generators(
         ctx,
@@ -308,6 +305,21 @@ def reduce_mod_power_ideal(p: Polynomial, k: int) -> Polynomial:
     )
 
 
+def _reduced_mod_power(k: int, p: Polynomial | None = None) -> Polynomial | None:
+    """Check k >= 1 and, if p is given, that p is nonzero and outside
+    (x_1^k, ..., x_d^k); return p reduced modulo that ideal."""
+    if k < 1:
+        raise DomainError("power exponent k must be >= 1")
+    if p is None:
+        return None
+    if p.homogeneous_degree() is None:
+        raise DomainError("p must be nonzero")
+    reduced = reduce_mod_power_ideal(p, k)
+    if reduced.is_zero:
+        raise DomainError("p lies in the power ideal (x_1^k, ..., x_d^k)")
+    return reduced
+
+
 def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     """The quotient ideal ((x_1^k, ..., x_d^k) : p) for homogeneous p.
 
@@ -315,17 +327,10 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     quotient R/(x_1^k, ..., x_d^k); minimal generators are extracted along
     the way.  The result is artinian Gorenstein.
     """
-    if k < 1:
-        raise DomainError("power exponent k must be >= 1")
+    p_red = _reduced_mod_power(k, p)
     ctx = p.ctx
-    d = ctx.dim
-    n = p.homogeneous_degree()
-    if n is None:
-        raise DomainError("p must be nonzero")
-    p_red = reduce_mod_power_ideal(p, k)
-    if p_red.is_zero:
-        raise DomainError("p lies in the power ideal (x_1^k, ..., x_d^k)")
-    top = d * (k - 1) - n  # top degree of R/I
+    n = p_red.homogeneous_degree()
+    top = ctx.dim * (k - 1) - n  # top degree of R/I
     p_terms = list(p_red._terms.items())
 
     def kernel_fn(e: int) -> list[list[Fraction]]:

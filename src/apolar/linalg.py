@@ -87,23 +87,14 @@ def left_kernel(rows, ncols: int) -> list[list[Fraction]]:
 
 
 def reduce_vector(vec, rows, pivots) -> list[int]:
-    """Remainder of vec modulo the span of echelon rows (``SpanBuilder.rows``
-    or ``rref`` output, each zero in the other rows' pivot columns), as a
+    """Remainder of vec modulo the span of integer echelon rows
+    (``SpanBuilder.rows``, each zero in the other rows' pivot columns), as a
     primitive integer vector; it is unique up to a nonzero scalar."""
     out = _intify(vec)
     for row, p in zip(rows, pivots):
-        c = out[p]
-        if not c:
-            continue
-        if type(row[p]) is int:
+        if out[p]:
             out = _eliminate(out, row, p)
-        else:  # an rref row: Fraction entries, unit pivot
-            out = _intify([x - c * y for x, y in zip(out, row)])
     return out
-
-
-def in_row_space(vec, reduced, pivots) -> bool:
-    return not any(reduce_vector(vec, reduced, pivots))
 
 
 class SpanBuilder:
@@ -133,9 +124,6 @@ class SpanBuilder:
         self.rows.insert(at, rem)
         self.pivots.insert(at, lead)
         return True
-
-    def contains(self, vec) -> bool:
-        return in_row_space(vec, self.rows, self.pivots)
 
     @property
     def reduced(self) -> list[list[Fraction]]:

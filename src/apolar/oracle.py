@@ -9,10 +9,11 @@ instances only.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import DomainError, NotArtinianError
-from .exponents import Context, ExponentVector, leq
+from .exponents import Context, ExponentVector, leq, monomials_of_degree
 from .monomial_ideal import Antichain, MonomialIdeal
 from .polynomial import Polynomial, diff_action
 
@@ -90,8 +91,6 @@ def _kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
 def brute_ann(q: Polynomial, max_deg: int, operator_ctx: Context | None = None) -> dict[int, list[Polynomial]]:
     """Kernel bases of the differentiation maps, one degree at a time,
     recomputed by applying the action to every basis monomial."""
-    from .exponents import monomials_of_degree
-
     top = q.homogeneous_degree()
     if top is None:
         raise DomainError("annihilator of the zero polynomial is undefined")
@@ -118,10 +117,23 @@ def brute_ann(q: Polynomial, max_deg: int, operator_ctx: Context | None = None) 
     return kernels
 
 
+def _ideal_rows(gens, ctx: Context, e: int) -> list[list[Fraction]]:
+    """Coefficient rows of every monomial multiple of a generator in degree e,
+    over the degree-e monomials in ``monomials_of_degree`` order."""
+    basis = monomials_of_degree(ctx, e)
+    rows = []
+    for g in gens:
+        dg = g.homogeneous_degree()
+        if dg > e:
+            continue
+        for m in monomials_of_degree(ctx, e - dg):
+            prod = Polynomial.monomial(m) * g
+            rows.append([prod.coeff(ev) for ev in basis])
+    return rows
+
+
 def brute_quotient_dim(generators, cutoff: int) -> int:
     """dim_K R/I by per-degree rank counting over a spanning set."""
-    from .exponents import monomials_of_degree
-
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         raise NotArtinianError("the zero ideal has an infinite-dimensional quotient")
@@ -130,18 +142,53 @@ def brute_quotient_dim(generators, cutoff: int) -> int:
         g.homogeneous_degree()
     total = 0
     for e in range(cutoff + 1):
-        basis = monomials_of_degree(ctx, e)
-        index = {ev: i for i, ev in enumerate(basis)}
-        rows = []
-        for g in gens:
-            dg = g.homogeneous_degree()
-            if dg > e:
-                continue
-            for m in monomials_of_degree(ctx, e - dg):
-                prod = Polynomial.monomial(m) * g
-                rows.append([prod.coeff(ev) for ev in basis])
-        standard = len(basis) - len(_echelon(rows) if rows else [])
+        standard = len(monomials_of_degree(ctx, e)) - len(_echelon(_ideal_rows(gens, ctx, e)))
         if standard == 0:
             return total
         total += standard
     raise NotArtinianError(f"quotient still nonzero at degree {cutoff}")
+
+
+def brute_series_check(spec, coeffs) -> bool:
+    """``series_annihilator_check`` by the literal construction, for a plain
+    coefficient tuple a_0, ..., a_M (M the top degree of R/I; zeros allowed).
+
+    f(s) = sum_n a_n s^n with s = t_1 xbar_1 + ... + t_d xbar_d has t^j
+    coefficient F[j] = a_n multinomial(n, j) xbar^j, n = |j|, a coset of R/I.
+    Row m of degree e is x^m(d/dt) f(s): a block per t^u (|u| <= M - e)
+    holding falling(u + m, m) F[u + m].  Its left kernel must be I_e, a_M s^M
+    must be nonzero and s^(M+1) zero.
+    """
+    ctx, top = spec.ctx, spec.top_degree
+    if len(coeffs) < top + 1:
+        raise DomainError(f"need series coefficients a_0..a_{top}")
+    gens = spec.colon_ideal().generators
+    ideal_rref = [_echelon(_ideal_rows(gens, ctx, n)) for n in range(top + 2)]
+    F = {}
+    for n in range(top + 1):
+        basis = monomials_of_degree(ctx, n)
+        pivot_row = {next(i for i, x in enumerate(r) if x): r for r in ideal_rref[n]}
+        free = [c for c in range(len(basis)) if c not in pivot_row]
+        for c, j in enumerate(basis):
+            coset = ([-pivot_row[c][f] for f in free] if c in pivot_row
+                     else [Fraction(int(f == c)) for f in free])
+            w = Fraction(coeffs[n]) * math.factorial(n)
+            w /= math.prod(map(math.factorial, j.coords))
+            F[j.coords] = [w * v for v in coset]
+    if not any(any(F[j.coords]) for j in monomials_of_degree(ctx, top)):
+        return False
+    if len(ideal_rref[top + 1]) < len(monomials_of_degree(ctx, top + 1)):
+        return False
+    for e in range(top + 1):
+        rows = []
+        for m in monomials_of_degree(ctx, e):
+            row = []
+            for n in range(e, top + 1):
+                for u in monomials_of_degree(ctx, n - e):
+                    j = tuple(uc + mc for uc, mc in zip(u.coords, m.coords))
+                    fall = math.prod(map(math.perm, j, m.coords))
+                    row.extend(fall * v for v in F[j])
+            rows.append(row)
+        if _echelon(_kernel(rows, len(rows[0]))) != ideal_rref[e]:
+            return False
+    return True

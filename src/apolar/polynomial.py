@@ -9,6 +9,7 @@ instance x-operators acting on t-targets) as long as the dimensions agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 from .errors import AmbientMismatchError, DomainError
 from .exponents import (
@@ -158,14 +159,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _falling(q: int, p: int) -> int:
-    """q! / (q-p)! as an exact integer."""
-    out = 1
-    for v in range(q - p + 1, q + 1):
-        out *= v
-    return out
-
-
 def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial:
     if op.ctx.dim != target.ctx.dim:
         raise AmbientMismatchError("action across different ambient dimensions")
@@ -179,7 +172,7 @@ def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial
             c = a * b
             if with_coeffs:
                 for qi, pi in zip(q.coords, p.coords):
-                    c *= _falling(qi, pi)
+                    c *= perm(qi, pi)
             acc[rest] = acc.get(rest, Fraction(0)) + c
     return Polynomial(target.ctx, acc)
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 from apolar.linalg import (
     SpanBuilder,
-    in_row_space,
     left_kernel,
     nullspace,
     rank,
@@ -93,12 +92,14 @@ def test_left_kernel_property():
 
 
 def test_reduce_vector_and_membership():
-    rows = [[1, 0, 2], [0, 1, 3]]
-    reduced, pivots = rref(rows, 3)
-    assert in_row_space([1, 1, 5], reduced, pivots)
-    assert not in_row_space([0, 0, 1], reduced, pivots)
-    rem = reduce_vector([1, 1, 6], reduced, pivots)
-    assert rem == [0, 0, 1]
+    span = SpanBuilder(3)
+    for row in [[1, 0, 2], [0, 1, 3]]:
+        span.add(row)
+    assert not any(reduce_vector([1, 1, 5], span.rows, span.pivots))
+    assert any(reduce_vector([0, 0, 1], span.rows, span.pivots))
+    assert reduce_vector([1, 1, 6], span.rows, span.pivots) == [0, 0, 1]
+    halves = [Fraction(1, 2), Fraction(1, 2), Fraction(3)]
+    assert reduce_vector(halves, span.rows, span.pivots) == [0, 0, 1]
 
 
 def test_span_builder_matches_rref():
@@ -113,4 +114,4 @@ def test_span_builder_matches_rref():
         assert builder.pivots == pivots
         assert [list(r) for r in builder.reduced] == [list(r) for r in reduced]
         for v in vecs:
-            assert builder.contains(v)
+            assert not any(reduce_vector(v, builder.rows, builder.pivots))

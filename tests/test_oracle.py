@@ -1,16 +1,26 @@
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from apolar import (
     Context,
     DomainError,
     ExponentVector,
+    GorensteinSpec,
     HomogeneousIdealPresentation,
     MonomialIdeal,
     NotArtinianError,
+    SeriesSpec,
     parse_ideal,
     parse_polynomial,
+    random_spec,
+    series_annihilator_check,
 )
-from apolar.oracle import brute_ann, brute_docle, brute_quotient_dim
+from apolar.oracle import brute_ann, brute_docle, brute_quotient_dim, brute_series_check
+
+from support import rand_zero_dim_ideal
 
 CTX = Context.of_dim(2)
 TCTX = CTX.dual()
@@ -65,3 +75,39 @@ def test_brute_quotient_dim_cutoff():
         brute_quotient_dim(list(
             HomogeneousIdealPresentation.from_monomial_ideal(pres).generators
         ), 6)
+
+
+def test_brute_series_check_fixtures():
+    spec = GorensteinSpec(4, parse_polynomial("x*y^2 + x^2*y + x^3", Context(("x", "y"))))
+    assert spec.top_degree == 3
+    assert brute_series_check(spec, (1, 1, Fraction(1, 2), Fraction(1, 6)))
+    assert brute_series_check(spec, (2, -1, 3, 1, 0))  # truncated at a_3
+    # a_M = 0: the degree-M part of f(s) vanishes, so the boundary fails.
+    assert not brute_series_check(spec, (1, 1, 1, 0))
+    with pytest.raises(DomainError):
+        brute_series_check(spec, (1, 1))
+
+
+def test_brute_series_check_matches_series_annihilator_check():
+    # Colon ideals give True; swapped-in artinian monomial ideals give True
+    # exactly when their socle degree is the spec's top degree.
+    rng = random.Random(41)
+    verdicts = Counter()
+    for d in (2, 3):
+        for swap in (False, True):
+            for _ in range(8):
+                spec = random_spec(rng, dims=(d,), max_k=3)
+                if swap:
+                    ideal = rand_zero_dim_ideal(rng, d, max_coord=3)
+                    spec._colon = HomogeneousIdealPresentation.from_monomial_ideal(ideal)
+                top = spec.top_degree
+                wild = tuple(
+                    Fraction(rng.choice([1, -1]) * rng.randint(1, 5), rng.randint(1, 3))
+                    for _ in range(top + 1)
+                )
+                for series in (SeriesSpec.exponential(top), SeriesSpec.geometric(top),
+                               SeriesSpec(wild)):
+                    verdict = series_annihilator_check(spec, series)
+                    assert brute_series_check(spec, series.coeffs) == verdict, spec
+                    verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
