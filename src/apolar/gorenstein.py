@@ -17,12 +17,13 @@ from .errors import DomainError
 from .exponents import Context, ExponentVector, lex_key, monomials_of_degree
 from .graded_engine import (
     HomogeneousIdealPresentation,
+    _catalecticant,
     _reduced_mod_power,
     ann_partial,
     colon_power_ideal,
 )
-from .linalg import rank
-from .polynomial import Polynomial
+from .linalg import SpanBuilder, rank
+from .polynomial import Polynomial, diff_action
 
 
 def multinomial(total: int, parts) -> int:
@@ -112,8 +113,44 @@ def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
 
 
 def verify_gorenstein_ann(spec: GorensteinSpec) -> bool:
-    """((x_1^k, ..., x_d^k) : p) == Ann(antipodal(p)), slice by slice."""
-    return spec.colon_ideal().equals(ann_partial(antipodal(spec), spec.ctx))
+    """((x_1^k, ..., x_d^k) : p) == Ann(antipodal(p)), by an inverse-system
+    certificate; Ann(antipodal(p)) is never built.
+
+    With I the colon ideal, F = antipodal(p) and M = deg F (Macaulay duality;
+    Iarrobino-Kanev, LNM 1721, ch. 1-2), three exact checks decide I = Ann(F):
+
+    1. every generator g of I has g(d/dt) F = 0.  Ann(F) is an ideal, so
+       I is contained in Ann(F);
+    2. I_(M+1) = R_(M+1), as Ann(F) holds every form of degree > M;
+    3. for e <= M, the catalecticant Cat_e(F): R_e -> S_(M-e) has rank
+       dim (R/Ann F)_e, which is at most h_I(e) by step 1, with equality iff
+       I_e = Ann(F)_e.  Cat_e and Cat_(M-e) differ by a nonzero column
+       scaling and a transpose (entry (m, u) is c_(m+u) (m+u)!/u!), so their
+       ranks agree: for e <= M/2 it suffices to find max(h_I(e), h_I(M-e))
+       independent rows of Cat_e.
+    """
+    return _is_annihilator_of(spec.colon_ideal(), antipodal(spec))
+
+
+def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bool:
+    """I == Ann(f) for a homogeneous ideal I and a nonzero form f, by the
+    three checks of ``verify_gorenstein_ann``."""
+    if not all(diff_action(g, f).is_zero for g in ideal.generators):
+        return False
+    top = f.homogeneous_degree()
+    if ideal.slice(top + 1).hilbert_value:
+        return False
+    for e in range(top // 2 + 1):
+        need = max(ideal.slice(e).hilbert_value, ideal.slice(top - e).hilbert_value)
+        rows, ncols = _catalecticant(f, ideal.ctx, e)
+        span = SpanBuilder(ncols)
+        for row in rows:
+            if len(span.pivots) == need:
+                break
+            span.add(row)
+        if len(span.pivots) < need:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

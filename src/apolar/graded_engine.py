@@ -11,6 +11,7 @@ apolarity annihilators at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm, perm
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import (
@@ -22,6 +23,11 @@ from .exponents import (
 from .linalg import SpanBuilder, left_kernel, reduce_vector, rref
 from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial
+
+# The most columns, binomial(e + d - 1, d - 1) at the top degree e, that a
+# build by colon_power_ideal or ann_partial may reach; larger requests are
+# refused before any allocation.
+MAX_SLICE_COLUMNS = 5000
 
 
 class GradedSlice:
@@ -247,8 +253,16 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     each degree the kernel is reduced against R_1 times the previous degree;
     the surviving independent vectors become new generators.  The span built
     in degree e is then all of I_e, so the presentation keeps it as its
-    degree-e slice.
+    degree-e slice.  Raises ``DomainError`` before building anything when the
+    degree-``max_degree`` slice has more than ``MAX_SLICE_COLUMNS`` columns.
     """
+    d = ctx.dim
+    columns = comb(max_degree + d - 1, d - 1)
+    if columns > MAX_SLICE_COLUMNS:
+        raise DomainError(
+            f"degree-{max_degree} slice in {d} variables has {columns} columns, "
+            f"above the limit of {MAX_SLICE_COLUMNS}"
+        )
     gens: list[Polynomial] = []
     built: dict[int, SpanBuilder] = {}
     prev_basis: tuple[ExponentVector, ...] = ()
@@ -364,21 +378,37 @@ def ann_partial(
     ctx = operator_ctx or Context.of_dim(q.ctx.dim)
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
-    from .polynomial import diff_action
 
     def kernel_fn(e: int) -> list[list[Fraction]]:
-        if e > m_deg:
-            cols: tuple[ExponentVector, ...] = ()
-        else:
-            cols = monomials_of_degree(q.ctx, m_deg - e)
-        col = {ev: i for i, ev in enumerate(cols)}
-        rows = []
-        for m in monomials_of_degree(ctx, e):
-            image = diff_action(Polynomial.monomial(m), q)
-            row = [Fraction(0)] * len(cols)
-            for ev, c in image._terms.items():
-                row[col[ev]] = c
-            rows.append(row)
-        return left_kernel(rows, len(cols))
+        return left_kernel(*_catalecticant(q, ctx, e))
 
     return _assemble_minimal(ctx, kernel_fn, m_deg + 1)
+
+
+def _catalecticant(f: Polynomial, ctx: Context, e: int) -> tuple[list[list[int]], int]:
+    """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
+    m -> m(d/dt) f, with f scaled by the lcm of its denominators; returns its
+    rows and its number of columns.
+
+    One row per degree-e monomial m of ``ctx`` and one column per
+    degree-(deg f - e) monomial of f's context, both LEX-descending.  A term
+    c*t^s of f with s >= m puts c * prod perm(s_i, m_i) in row m, column s - m.
+    """
+    top = f.homogeneous_degree()
+    cols = monomials_of_degree(f.ctx, top - e) if e <= top else ()
+    col = {ev.coords: i for i, ev in enumerate(cols)}
+    mult = lcm(*[c.denominator for c in f._terms.values()])
+    terms = [(ev.coords, c.numerator * (mult // c.denominator)) for ev, c in f._terms.items()]
+    rows = []
+    for m in monomials_of_degree(ctx, e):
+        mc = m.coords
+        row = [0] * len(cols)
+        for s, c in terms:
+            u = tuple(a - b for a, b in zip(s, mc))
+            if min(u) < 0:
+                continue
+            for a, b in zip(s, mc):
+                c *= perm(a, b)
+            row[col[u]] = c
+        rows.append(row)
+    return rows, len(cols)

@@ -65,17 +65,13 @@ class MonomialIdeal:
 
     @classmethod
     def from_generators(cls, ctx: Context, raw, whole_poset: bool = False) -> "MonomialIdeal":
-        # A proper divisor has a smaller degree, so in degree order each
-        # vector need only be checked against the minimal ones kept so far.
-        minimal = []
-        for g in sorted(set(raw), key=lambda g: g.degree):
+        by_coords = {}
+        for g in raw:
             if g.ctx != ctx:
                 raise AmbientMismatchError("generator from a different context")
-            c = g.coords
-            if not any(all(x <= y for x, y in zip(h.coords, c)) for h in minimal):
-                minimal.append(g)
-        minimal.sort(key=lex_key)
-        return cls(ctx, tuple(minimal), whole_poset)
+            by_coords[g.coords] = g
+        minimal = [by_coords[c] for c in _minimal(by_coords)]
+        return cls(ctx, tuple(sorted(minimal, key=lex_key)), whole_poset)
 
     @classmethod
     def zero(cls, ctx: Context) -> "MonomialIdeal":
@@ -128,12 +124,22 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection, via componentwise max (lcm) of generator pairs."""
     if a.ctx != b.ctx:
         raise AmbientMismatchError("intersection across contexts")
-    lcms = [
-        ExponentVector(a.ctx, tuple(max(x, y) for x, y in zip(g.coords, h.coords)))
-        for g in a.gens
-        for h in b.gens
-    ]
-    return MonomialIdeal.from_generators(a.ctx, lcms)
+    lcms = {tuple(map(max, g.coords, h.coords)) for g in a.gens for h in b.gens}
+    gens = [ExponentVector(a.ctx, c) for c in _minimal(lcms)]
+    return MonomialIdeal(a.ctx, tuple(sorted(gens, key=lex_key)))
+
+
+def _minimal(points) -> list[tuple]:
+    """The componentwise-minimal tuples of a finite set of coordinate tuples.
+
+    A proper divisor has a smaller degree, so in degree order each tuple need
+    only be checked against the minimal ones kept so far.
+    """
+    minimal = []
+    for c in sorted(set(points), key=sum):
+        if not any(all(x <= y for x, y in zip(h, c)) for h in minimal):
+            minimal.append(c)
+    return minimal
 
 
 def _fold_splits(codes, pivots) -> list[tuple]:

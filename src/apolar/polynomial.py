@@ -17,7 +17,6 @@ from .exponents import (
     ExponentVector,
     add as ev_add,
     lex_key,
-    sub_checked,
     unit_vector,
 )
 
@@ -162,19 +161,24 @@ class Polynomial:
 def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial:
     if op.ctx.dim != target.ctx.dim:
         raise AmbientMismatchError("action across different ambient dimensions")
-    acc: dict[ExponentVector, Fraction] = {}
+    acc: dict[tuple[int, ...], Fraction] = {}
+    target_terms = [(q.coords, b) for q, b in target._terms.items()]
     for p, a in op._terms.items():
-        p_in_target = ExponentVector(target.ctx, p.coords)
-        for q, b in target._terms.items():
-            rest = sub_checked(q, p_in_target)
-            if rest is None:
+        pc = p.coords
+        for qc, b in target_terms:
+            rest = tuple(x - y for x, y in zip(qc, pc))
+            if min(rest) < 0:
                 continue
             c = a * b
             if with_coeffs:
-                for qi, pi in zip(q.coords, p.coords):
-                    c *= perm(qi, pi)
-            acc[rest] = acc.get(rest, Fraction(0)) + c
-    return Polynomial(target.ctx, acc)
+                weight = 1
+                for qi, pi in zip(qc, pc):
+                    weight *= perm(qi, pi)
+                c *= weight
+            acc[rest] = acc.get(rest, 0) + c
+    return Polynomial(
+        target.ctx, {ExponentVector(target.ctx, r): c for r, c in acc.items()}
+    )
 
 
 def diff_action(op: Polynomial, target: Polynomial) -> Polynomial:

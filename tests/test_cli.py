@@ -183,3 +183,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "{x1^2*x2}"
+
+
+def test_oversized_colon_power_is_refused():
+    import subprocess
+    import sys
+
+    # Its top slice would have binomial(359, 8) columns; the size guard
+    # refuses it before any matrix is built.
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolar", "colon-power", "--vars", "9", "--k", "40",
+         "--p", "x1"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert "above the limit" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from apolar import (
     HomogeneousIdealPresentation,
     Polynomial,
     SeriesSpec,
+    ann_partial,
     antipodal,
     dual_socle_poly,
     monomial_iff_test,
@@ -19,13 +21,16 @@ from apolar import (
     multinomial,
     pairing_is_nondegenerate,
     pairing_matrix,
+    parse_ideal,
     parse_polynomial,
     power_ideal,
     random_spec,
     series_annihilator_check,
     verify_gorenstein_ann,
 )
+from apolar.gorenstein import _is_annihilator_of
 from apolar.linalg import rank
+from support import rand_zero_dim_ideal
 
 CTX = Context(("x", "y"))
 TCTX = CTX.dual()
@@ -100,6 +105,82 @@ def test_verify_gorenstein_ann_fixtures():
     assert verify_gorenstein_ann(SPEC1)
     assert verify_gorenstein_ann(SPEC2)
     assert verify_gorenstein_ann(SPEC3)
+
+
+def _certified(ideal, f) -> bool:
+    """The certificate's verdict on I == Ann(f), checked against comparing I
+    slice by slice with Ann(f) built by ``ann_partial``."""
+    verdict = _is_annihilator_of(ideal, f)
+    assert verdict == ideal.equals(ann_partial(f, ideal.ctx)), (str(ideal), str(f))
+    return verdict
+
+
+def _monomial_pres(text):
+    return HomogeneousIdealPresentation.from_monomial_ideal(parse_ideal(text, CTX))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        "t1^2*t2 + t1*t2^2 + t2^3",  # multinomial weights dropped
+        "4*t1^2*t2 + 3*t1*t2^2 + t2^3",  # one coefficient perturbed
+    ],
+)
+def test_certificate_rejects_a_wrong_dual_form(f):
+    assert antipodal(SPEC1) == parse_polynomial("3*t1^2*t2 + 3*t1*t2^2 + t2^3", TCTX)
+    assert _certified(SPEC1.colon_ideal(), antipodal(SPEC1))
+    assert not _certified(SPEC1.colon_ideal(), parse_polynomial(f, TCTX))
+
+
+def test_certificate_checks_degree_top_plus_one():
+    # Ann(t1^4) = (x^5, y): (y) kills t1^4 and agrees with it up to degree 4,
+    # the catalecticant ranks included, but misses x^5.
+    spec = GorensteinSpec(5, parse_polynomial("y^4", CTX))
+    f = antipodal(spec)
+    assert f == parse_polynomial("t1^4", TCTX) and spec.top_degree == 4
+    assert _certified(spec.colon_ideal(), f)
+    short = _monomial_pres("(y)")
+    assert short.slice(5).hilbert_value == 1
+    assert not _certified(short, f)
+
+
+def test_certificate_checks_catalecticant_ranks():
+    # Ann(t1^2*t2) = (x^3, y^2).  (x^3, x*y^2, y^3) kills t1^2*t2 and holds
+    # all of R_4, but misses y^2: rank Cat_2 = 2 < h(2) = 3.
+    f = parse_polynomial("t1^2*t2", TCTX)
+    assert _certified(_monomial_pres("(x^3, y^2)"), f)
+    short = _monomial_pres("(x^3, x*y^2, y^3)")
+    assert short.slice(4).hilbert_value == 0
+    assert not _certified(short, f)
+
+
+def test_certificate_matches_the_slice_comparison():
+    rng = random.Random(72)
+    verdicts = Counter()
+    for _ in range(40):
+        spec = random_spec(rng, dims=(1, 2, 3), max_k=4)
+        ideal, f = spec.colon_ideal(), antipodal(spec)
+        unweighted = Polynomial(
+            f.ctx,
+            {ExponentVector(f.ctx, tuple(spec.k - 1 - c for c in ev.coords)): a
+             for ev, a in spec.p.terms()},
+        )
+        ev = rng.choice(sorted(f.support(), key=lambda e: e.coords))
+        perturbed = Polynomial(f.ctx, {**f._terms, ev: 2 * f.coeff(ev)})
+        swapped = HomogeneousIdealPresentation.from_monomial_ideal(
+            rand_zero_dim_ideal(rng, spec.d, max_coord=spec.top_degree + 2)
+        )
+        # I without its first minimal generator, plus all of R_(top+1): it
+        # kills f and holds R_(top+1), so only the ranks can tell it from I.
+        dropped = HomogeneousIdealPresentation(
+            spec.ctx,
+            ideal.generators[1:]
+            + tuple(map(Polynomial.monomial, monomials_of_degree(spec.ctx, spec.top_degree + 1))),
+        )
+        assert _certified(ideal, f)
+        for pair in ((ideal, unweighted), (ideal, perturbed), (swapped, f), (dropped, f)):
+            verdicts[_certified(*pair)] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 40, verdicts
 
 
 def test_monomial_iff_fixtures():

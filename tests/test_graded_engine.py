@@ -22,6 +22,7 @@ from apolar import (
     power_ideal,
     random_spec,
 )
+from apolar.graded_engine import MAX_SLICE_COLUMNS, _assemble_minimal
 from apolar.oracle import brute_ann, brute_quotient_dim
 
 CTX = Context(("x", "y"))
@@ -260,3 +261,48 @@ def test_ladder_generators_are_pinned():
         "-x1^4*x2 + x1^2*x2^3",
         "x1^3*x2^2 - x1^2*x2*x3^2 + x1*x3^4",
     ]
+
+
+def test_ann_partial_generators_are_pinned():
+    # Strings captured before catalecticant rows were built from F's terms.
+    ctx = Context.of_dim(3)
+    spec = GorensteinSpec(6, parse_polynomial(LADDER_P, ctx))
+    assert [str(g) for g in ann_partial(antipodal(spec), ctx).generators] == [
+        "x1^4 - x1^2*x2^2 + x2^4",
+        "x3^5",
+        "x1^3*x2*x3 - x1*x2^3*x3 - x1^2*x3^3 + x2^2*x3^3",
+        "-x1^4*x2 + x1^2*x2^3",
+        "x1^3*x2^2 - x1^2*x2*x3^2 + x1*x3^4",
+    ]
+    q = parse_polynomial("t1^2*t2^3*t3", ctx.dual())
+    assert [str(g) for g in ann_partial(q, ctx).generators] == ["x3^2", "x1^3", "x2^4"]
+    q = parse_polynomial("1/2*t1^3*t2 - 2/3*t1*t2^2*t3 + t3^4", ctx.dual())
+    assert [str(g) for g in ann_partial(q, ctx).generators] == [
+        "4*x1^2 + 9*x2*x3",
+        "x1^2*x3",
+        "x1*x3^2",
+        "x2^3",
+        "18*x1*x2^2 + x3^3",
+    ]
+
+
+class _KernelReached(Exception):
+    pass
+
+
+def _kernel_reached(e):
+    raise _KernelReached
+
+
+def test_size_guard_refuses_before_any_kernel():
+    # The d=5, k=4 verify rung (top degree 11) builds up to degree 12, with
+    # binomial(16, 4) = 1,820 columns; it must be admitted.
+    with pytest.raises(_KernelReached):
+        _assemble_minimal(Context.of_dim(5), _kernel_reached, 12)
+    # In 2 variables degree e has e + 1 columns.
+    with pytest.raises(_KernelReached):
+        _assemble_minimal(CTX, _kernel_reached, MAX_SLICE_COLUMNS - 1)
+    with pytest.raises(DomainError, match="above the limit"):
+        _assemble_minimal(CTX, _kernel_reached, MAX_SLICE_COLUMNS)
+    with pytest.raises(DomainError, match="above the limit"):
+        colon_power_ideal(40, parse_polynomial("x1", Context.of_dim(9)))
