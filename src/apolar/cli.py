@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import monomial_ideal as mi
 from . import oracle
@@ -26,6 +25,7 @@ from .gorenstein import (
 )
 from .graded_engine import HomogeneousIdealPresentation, ann_partial, colon_power_ideal
 from .parsing import parse_antichain, parse_ideal, parse_polynomial
+from .parsing import parse_naturals, parse_rationals
 
 SCHEMA = 1
 
@@ -41,10 +41,6 @@ def _context(args) -> Context:
     if not args.vars:
         raise DomainError("one of --vars or --vars-names is required")
     return Context.of_dim(args.vars)
-
-
-def _dual_context(ctx: Context) -> Context:
-    return ctx.dual("t")
 
 
 def _monomial_ideal(text: str, ctx: Context) -> mi.MonomialIdeal:
@@ -74,8 +70,7 @@ def _rename(chain: mi.Antichain, ctx: Context) -> mi.Antichain:
 
 
 def _spec(args, ctx: Context) -> GorensteinSpec:
-    p = parse_polynomial(args.p, ctx)
-    return GorensteinSpec(args.k, p, dual_ctx=_dual_context(ctx))
+    return GorensteinSpec(args.k, parse_polynomial(args.p, ctx))
 
 
 def cmd_docle(args, ctx):
@@ -113,7 +108,7 @@ def cmd_inverse_system(args, ctx):
         raise DomainError(
             "inverse-system output is finite only for zero-dimensional ideals"
         )
-    chain = _rename(mi.docle(ideal), _dual_context(ctx))
+    chain = _rename(mi.docle(ideal), ctx.dual("t"))
     return str(chain), _antichain_payload(chain)
 
 
@@ -156,7 +151,7 @@ def cmd_colon_power(args, ctx):
 
 
 def cmd_ann(args, ctx):
-    q = parse_polynomial(args.q, _dual_context(ctx))
+    q = parse_polynomial(args.q, ctx.dual("t"))
     pres = ann_partial(q, ctx)
     return str(pres), {"generators": [str(g) for g in pres.generators]}
 
@@ -183,16 +178,12 @@ def cmd_monomial_iff(args, ctx):
         "ann_of_socle_equals_ideal": result.ann_of_socle_equals_ideal,
         "agree": result.agree,
     }
-    text = (
-        f"is_monomial_ideal={result.is_monomial_ideal} "
-        f"socle_monomial={result.socle_monomial} "
-        f"ann_of_socle_equals_ideal={result.ann_of_socle_equals_ideal}"
-    )
+    text = " ".join(f"{key}={value}" for key, value in list(payload.items())[:3])
     return text, payload
 
 
 def cmd_series_check(args, ctx):
-    coeffs = tuple(Fraction(c.strip()) for c in args.coeffs.split(","))
+    coeffs = parse_rationals(args.coeffs)
     holds = series_annihilator_check(_spec(args, ctx), SeriesSpec(coeffs))
     return str(holds).lower(), {"holds": holds}
 
@@ -250,11 +241,11 @@ def cmd_staircase(args, ctx):
 def cmd_oracle(args, ctx):
     if args.oracle_op == "docle":
         ideal = _monomial_ideal(args.ideal, ctx)
-        box = ExponentVector(ctx, tuple(int(v) for v in args.box.split(",")))
+        box = ExponentVector(ctx, parse_naturals(args.box))
         chain = oracle.brute_docle(ideal, box)
         return str(chain), _antichain_payload(chain)
     if args.oracle_op == "ann":
-        q = parse_polynomial(args.q, _dual_context(ctx))
+        q = parse_polynomial(args.q, ctx.dual("t"))
         kernels = oracle.brute_ann(q, args.max_deg, ctx)
         payload = {
             str(e): [str(p) for p in polys] for e, polys in kernels.items()
@@ -294,9 +285,6 @@ def _add_common(sub):
         "--vars-names", help="comma-separated variable names, e.g. 'x,y'"
     )
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument(
-        "--max-degree", type=int, default=None, help="artinian detection cutoff"
-    )
     sub.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -332,57 +320,50 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("intersect", cmd_intersect, "intersection of two monomial ideals")
     p.add_argument("ideal")
     p.add_argument("other")
-    p = add("hilbert", cmd_hilbert, "Hilbert function of an artinian quotient")
-    p.add_argument("ideal")
-    p = add("socle", cmd_socle, "socle classes of an artinian quotient")
-    p.add_argument("ideal")
-    p = add("initial-ideal", cmd_initial_ideal, "LEX initial ideal (artinian)")
-    p.add_argument("ideal")
-    p = add("colon-power", cmd_colon_power, "((x1^k, ..., xd^k) : p)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", required=True)
+    for name, handler, help_text in (
+        ("hilbert", cmd_hilbert, "Hilbert function of an artinian quotient"),
+        ("socle", cmd_socle, "socle classes of an artinian quotient"),
+        ("initial-ideal", cmd_initial_ideal, "LEX initial ideal (artinian)"),
+    ):
+        p = add(name, handler, help_text)
+        p.add_argument("ideal")
+        p.add_argument("--max-degree", type=int, help="artinian detection cutoff")
     p = add("ann", cmd_ann, "apolarity annihilator of a t-polynomial")
     p.add_argument("--q", required=True)
-    p = add("antipodal", cmd_antipodal, "antipodal polynomial of (d, k, p)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p = add(
-        "gorenstein-check",
-        cmd_gorenstein_check,
-        "colon ideal equals annihilator of the antipodal polynomial",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p = add("monomial-iff", cmd_monomial_iff, "monomial iff annihilator test")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p = add("series-check", cmd_series_check, "power series annihilator check")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", required=True)
+    for name, handler, help_text in (
+        ("colon-power", cmd_colon_power, "((x1^k, ..., xd^k) : p)"),
+        ("antipodal", cmd_antipodal, "antipodal polynomial of (d, k, p)"),
+        ("gorenstein-check", cmd_gorenstein_check,
+         "colon ideal equals annihilator of the antipodal polynomial"),
+        ("monomial-iff", cmd_monomial_iff, "monomial iff annihilator test"),
+        ("series-check", cmd_series_check, "power series annihilator check"),
+    ):
+        p = add(name, handler, help_text)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--p", required=True)
     p.add_argument("--coeffs", required=True, help="comma-separated a_0..a_M")
     p = add("staircase", cmd_staircase, "d=2 staircase diagram (ASCII or SVG)")
     p.add_argument("ideal")
     p.add_argument("--svg", action="store_true")
     p = sub.add_parser("oracle", help="brute-force reference computations (debugging)")
     osub = p.add_subparsers(dest="oracle_op", required=True)
-    op = osub.add_parser("docle", help="definition-level docle scan")
-    _add_common(op)
-    op.set_defaults(handler=cmd_oracle)
+
+    def add_oracle(name, help_text):
+        op = osub.add_parser(name, help=help_text)
+        _add_common(op)
+        op.set_defaults(handler=cmd_oracle)
+        return op
+
+    op = add_oracle("docle", "definition-level docle scan")
     op.add_argument("ideal")
     op.add_argument("--box", required=True, help="comma-separated bounding box")
-    op = osub.add_parser("ann", help="annihilator kernels by direct differentiation")
-    _add_common(op)
-    op.set_defaults(handler=cmd_oracle)
+    op = add_oracle("ann", "annihilator kernels by direct differentiation")
     op.add_argument("--q", required=True, help="t-polynomial")
     op.add_argument("--max-deg", type=int, required=True)
-    op = osub.add_parser("dim", help="quotient dimension by rank counting")
-    _add_common(op)
-    op.set_defaults(handler=cmd_oracle)
+    op = add_oracle("dim", "quotient dimension by rank counting")
     op.add_argument("ideal")
     op.add_argument("--cutoff", type=int, default=40)
-    op = osub.add_parser("slice", help="JSON dump of one graded slice")
-    _add_common(op)
-    op.set_defaults(handler=cmd_oracle)
+    op = add_oracle("slice", "JSON dump of one graded slice")
     op.add_argument("ideal")
     op.add_argument("--degree", type=int, required=True)
     return parser

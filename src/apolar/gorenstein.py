@@ -43,7 +43,7 @@ class GorensteinSpec:
     coordinate >= k vanish in the quotient and are dropped on construction.
     """
 
-    def __init__(self, k: int, p: Polynomial, dual_ctx: Context | None = None):
+    def __init__(self, k: int, p: Polynomial):
         reduced = _reduced_mod_power(k, p)
         self.ctx = p.ctx
         self.k = k
@@ -52,9 +52,7 @@ class GorensteinSpec:
         self.d = self.ctx.dim
         self.top_degree: int = self.d * (k - 1) - self.p_degree
         self.leading_exponent: ExponentVector = max(reduced.support(), key=lex_key)
-        self.dual_ctx = dual_ctx or self.ctx.dual("t")
-        if self.dual_ctx.dim != self.d:
-            raise DomainError("dual context dimension mismatch")
+        self.dual_ctx = self.ctx.dual("t")
         self._colon: HomogeneousIdealPresentation | None = None
 
     @property
@@ -84,27 +82,27 @@ def antipodal(spec: GorensteinSpec) -> Polynomial:
     return Polynomial(spec.dual_ctx, terms)
 
 
+def _socle_functional(spec: GorensteinSpec) -> dict[tuple[int, ...], Fraction]:
+    """phi(x^j) for every degree-M exponent j, M the top degree: the
+    coordinate of x^j's class on the socle monomial, read from the ideal's
+    own top slice.  phi gives both the dual generator and the pairings."""
+    sl = spec.colon_ideal().slice(spec.top_degree)
+    if sl.standard_monomials != (spec.socle_monomial,):
+        raise DomainError("top graded piece is not spanned by the socle monomial")
+    return {j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis}
+
+
 def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
     """(t_1 xbar_1 + ... + t_d xbar_d)^M read off against the socle monomial.
 
-    Expanded by the multinomial theorem, with every x-monomial reduced in the
-    quotient by the colon ideal; the result is normalized so its LEX-largest
-    term agrees with the antipodal polynomial exactly.
+    Expanded by the multinomial theorem, each x^j weighted by the socle
+    functional phi(x^j); the result is normalized so its LEX-largest term
+    agrees with the antipodal polynomial exactly.
     """
-    ideal = spec.colon_ideal()
-    sl = ideal.slice(spec.top_degree)
-    std = sl.standard_monomials
-    if len(std) != 1 or std[0] != spec.socle_monomial:
-        raise DomainError(
-            "top graded piece is not spanned by the socle monomial"
-        )
-    raw = {}
-    for j in monomials_of_degree(spec.ctx, spec.top_degree):
-        c = sl.reduce_monomial(j)[0]
-        if c:
-            weight = multinomial(spec.top_degree, j.coords)
-            raw[ExponentVector(spec.dual_ctx, j.coords)] = weight * c
-    raw_poly = Polynomial(spec.dual_ctx, raw)
+    raw_poly = Polynomial(spec.dual_ctx, {
+        ExponentVector(spec.dual_ctx, j): multinomial(spec.top_degree, j) * c
+        for j, c in _socle_functional(spec).items() if c
+    })
     lead = max(raw_poly.support(), key=lex_key)
     reference = antipodal(spec).coeff(lead)
     if reference == 0:
@@ -224,33 +222,24 @@ def series_annihilator_check(spec: GorensteinSpec, series: SeriesSpec) -> bool:
 
 def pairing_matrix(spec: GorensteinSpec, i: int) -> list[list[Fraction]]:
     """Matrix of the multiplication pairing (R/I)_i x (R/I)_(M-i) -> (R/I)_M
-    in the standard monomial bases, read against the socle monomial."""
+    in the standard monomial bases: entry (r, c) is phi(r*c), phi the socle
+    functional."""
     if not 0 <= i <= spec.top_degree:
         raise DomainError("pairing degree out of range")
+    phi = _socle_functional(spec)
     ideal = spec.colon_ideal()
-    top_slice = ideal.slice(spec.top_degree)
-    rows_basis = ideal.slice(i).standard_monomials
-    cols_basis = ideal.slice(spec.top_degree - i).standard_monomials
-    out = []
-    for r in rows_basis:
-        row = []
-        for c in cols_basis:
-            prod = ExponentVector(
-                spec.ctx, tuple(a + b for a, b in zip(r.coords, c.coords))
-            )
-            red = top_slice.reduce_monomial(prod)
-            row.append(red[0] if red else Fraction(0))
-        out.append(row)
-    return out
+    cols = [c.coords for c in ideal.slice(spec.top_degree - i).standard_monomials]
+    return [
+        [phi[tuple(a + b for a, b in zip(r.coords, c))] for c in cols]
+        for r in ideal.slice(i).standard_monomials
+    ]
 
 
 def pairing_is_nondegenerate(spec: GorensteinSpec, i: int) -> bool:
+    # pairing_matrix checks (R/I)_M != 0, so neither basis is empty
     matrix = pairing_matrix(spec, i)
-    rows = len(matrix)
-    cols = len(matrix[0]) if matrix else 0
-    if rows == 0 or cols == 0:
-        return rows == cols
-    return rank(matrix, cols) == min(rows, cols)
+    cols = len(matrix[0])
+    return rank(matrix, cols) == min(len(matrix), cols)
 
 
 def random_spec(rng, dims=(2, 3), max_k: int = 4, max_support: int = 4) -> GorensteinSpec:

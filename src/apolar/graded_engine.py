@@ -24,10 +24,20 @@ from .linalg import SpanBuilder, left_kernel, reduce_vector, rref
 from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial
 
-# The most columns, binomial(e + d - 1, d - 1) at the top degree e, that a
-# build by colon_power_ideal or ann_partial may reach; larger requests are
-# refused before any allocation.
+# The most columns, binomial(e + d - 1, d - 1) in degree e, that a slice may
+# have, whether built from generators or by colon_power_ideal / ann_partial
+# (up to their top degree); larger requests are refused before allocation.
 MAX_SLICE_COLUMNS = 5000
+
+
+def _check_slice_size(ctx: Context, e: int) -> None:
+    """Refuse a degree-e slice with more than ``MAX_SLICE_COLUMNS`` columns."""
+    columns = comb(e + ctx.dim - 1, ctx.dim - 1)
+    if columns > MAX_SLICE_COLUMNS:
+        raise DomainError(
+            f"degree-{e} slice in {ctx.dim} variables has {columns} columns, "
+            f"above the limit of {MAX_SLICE_COLUMNS}"
+        )
 
 
 class GradedSlice:
@@ -119,6 +129,7 @@ class HomogeneousIdealPresentation:
         cached = self._slices.get(e)
         if cached is not None:
             return cached
+        _check_slice_size(self.ctx, e)
         basis = monomials_of_degree(self.ctx, e)
         span = self._built.pop(e, None)
         if span is not None:
@@ -160,9 +171,6 @@ class HomogeneousIdealPresentation:
 
     def dimension(self, cutoff: int | None = None) -> int:
         return sum(self.hilbert_function(cutoff))
-
-    def top_degree(self, cutoff: int | None = None) -> int:
-        return len(self.hilbert_function(cutoff)) - 1
 
     def socle(self, cutoff: int | None = None) -> list["SocleClass"]:
         """Per-degree kernel of multiplication by the variables on R/I."""
@@ -256,13 +264,7 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     degree-e slice.  Raises ``DomainError`` before building anything when the
     degree-``max_degree`` slice has more than ``MAX_SLICE_COLUMNS`` columns.
     """
-    d = ctx.dim
-    columns = comb(max_degree + d - 1, d - 1)
-    if columns > MAX_SLICE_COLUMNS:
-        raise DomainError(
-            f"degree-{max_degree} slice in {d} variables has {columns} columns, "
-            f"above the limit of {MAX_SLICE_COLUMNS}"
-        )
+    _check_slice_size(ctx, max_degree)
     gens: list[Polynomial] = []
     built: dict[int, SpanBuilder] = {}
     prev_basis: tuple[ExponentVector, ...] = ()

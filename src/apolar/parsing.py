@@ -9,6 +9,8 @@ Grammar (whitespace insensitive)::
     coeff     := INT ("/" INT)?
     factors   := factor ("*"? factor)*
     factor    := VAR ("^" INT)?
+    rationals := ("+"|"-")? coeff ("," ("+"|"-")? coeff)*
+    naturals  := INT ("," INT)*
 
 Variable tokens are matched greedily against the context's declared names,
 so single-letter alphabets allow implicit products like ``xy``.  A unicode
@@ -27,10 +29,10 @@ from .polynomial import Polynomial
 
 
 class _Scanner:
-    def __init__(self, text: str, ctx: Context):
+    def __init__(self, text: str, ctx: Context | None = None):
         self.text = text.replace("−", "-").replace("–", "-")
         self.ctx = ctx
-        self.names = sorted(ctx.names, key=len, reverse=True)
+        self.names = sorted(ctx.names, key=len, reverse=True) if ctx else []
         self.pos = 0
 
     def skip_ws(self) -> None:
@@ -62,6 +64,15 @@ class _Scanner:
         if self.pos == start:
             raise ParseError("expected an integer", start)
         return int(self.text[start:self.pos])
+
+    def read_fraction(self) -> Fraction:
+        """coeff, with a nonzero denominator."""
+        num = self.read_int()
+        at = self.pos
+        den = self.read_int() if self.try_char("/") else 1
+        if den == 0:
+            raise ParseError("zero denominator", at)
+        return Fraction(num, den)
 
     def try_variable(self) -> int | None:
         """Greedy match of a declared variable name; returns its index."""
@@ -103,14 +114,9 @@ def _parse_factors(sc: _Scanner) -> tuple[int, ...] | None:
 
 def _parse_term(sc: _Scanner) -> tuple[Fraction, tuple[int, ...]]:
     coeff = Fraction(1)
-    have_coeff = False
-    if sc.peek().isdigit():
-        num = sc.read_int()
-        den = 1
-        if sc.try_char("/"):
-            den = sc.read_int()
-        coeff = Fraction(num, den)
-        have_coeff = True
+    have_coeff = sc.peek().isdigit()
+    if have_coeff:
+        coeff = sc.read_fraction()
         sc.try_char("*")
     exps = _parse_factors(sc)
     if exps is None:
@@ -122,9 +128,7 @@ def _parse_term(sc: _Scanner) -> tuple[Fraction, tuple[int, ...]]:
 
 def _parse_poly(sc: _Scanner, stop: str) -> Polynomial:
     terms: dict[ExponentVector, Fraction] = {}
-    sign = -1 if sc.try_char("-") else 1
-    if sign == 1:
-        sc.try_char("+")
+    sign = -1 if sc.try_char("-+") == "-" else 1
     while True:
         coeff, exps = _parse_term(sc)
         ev = ExponentVector(sc.ctx, exps)
@@ -200,3 +204,27 @@ def parse_ideal(text: str, ctx: Context):
         gens = [next(iter(p.support())) for p in polys]
         return MonomialIdeal.from_generators(ctx, gens)
     return HomogeneousIdealPresentation(ctx, polys)
+
+
+def _number_list(text: str, read) -> tuple:
+    sc = _Scanner(text)
+    values = [read(sc)]
+    while sc.try_char(","):
+        values.append(read(sc))
+    if not sc.at_end():
+        sc.fail_here("trailing input after list")
+    return tuple(values)
+
+
+def _rational(sc: _Scanner) -> Fraction:
+    return (-1 if sc.try_char("-+") == "-" else 1) * sc.read_fraction()
+
+
+def parse_rationals(text: str) -> tuple[Fraction, ...]:
+    """rationals: a comma-separated list such as ``1, -1/2, 1/6``."""
+    return _number_list(text, _rational)
+
+
+def parse_naturals(text: str) -> tuple[int, ...]:
+    """naturals: a comma-separated list of nonnegative integers."""
+    return _number_list(text, _Scanner.read_int)

@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 from apolar.cli import main
 
@@ -201,3 +205,50 @@ def test_oversized_colon_power_is_refused():
     assert proc.returncode == 1
     assert "above the limit" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "ideal, vars_",
+    [
+        ("(x1^20)", "6"),  # not artinian; degree 12 has 6,188 columns
+        # artinian up to degree 20; degree 4 has 8,855 columns
+        ("(" + ", ".join(f"x{i}^2" for i in range(1, 21)) + ")", "20"),
+    ],
+)
+def test_oversized_parsed_presentation_is_refused(ideal, vars_):
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolar", "hilbert", "--vars", vars_, ideal],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert "columns, above the limit of 5000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, offset",
+    [
+        (["series-check", "--k", "4", "--p", "x1", "--coeffs", "1,abc"], 2),
+        (["series-check", "--k", "4", "--p", "x1", "--coeffs", "1/0,1,1"], 1),
+        (["series-check", "--k", "4", "--p", "x1", "--coeffs", ","], 0),
+        (["oracle", "docle", "(x1^3, x2^2)", "--box", "4,a"], 2),
+    ],
+)
+def test_bad_option_values_are_parse_errors(capsys, argv, offset):
+    code, _, err = run(capsys, *argv, "--vars", "2")
+    assert code == 2
+    assert err.startswith("parse error: ") and f"at offset {offset}" in err
+
+
+def test_max_degree_only_where_read(capsys):
+    code, out, _ = run(
+        capsys, "hilbert", "--vars-names", "x,y", "--max-degree", "4", "(x^3, y^2 - x*y)"
+    )
+    assert (code, out) == (0, "[1, 2, 2, 1] dim=6")
+    code, _, err = run(capsys, "hilbert", "--vars", "2", "--max-degree", "2", "(x1^3, x2^2)")
+    assert code == 1 and "not artinian" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["docle", "--vars", "2", "(x1^3, x2^2)", "--max-degree", "3"])
+    assert exc.value.code == 2

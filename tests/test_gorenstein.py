@@ -28,7 +28,7 @@ from apolar import (
     series_annihilator_check,
     verify_gorenstein_ann,
 )
-from apolar.gorenstein import _is_annihilator_of
+from apolar.gorenstein import _is_annihilator_of, _socle_functional
 from apolar.linalg import rank
 from support import rand_zero_dim_ideal
 
@@ -256,6 +256,60 @@ def test_hilbert_symmetry_and_pairing_fixtures():
             assert len(matrix) == h[i] and len(matrix[0]) == h[top - i]
             assert rank(matrix, h[top - i]) == min(h[i], h[top - i])
             assert pairing_is_nondegenerate(spec, i)
+
+
+def test_socle_functional_on_random_specs():
+    # With K = (k-1, ..., k-1) and mu the LEX-largest exponent of p, the
+    # binomials a_mu x^(K-q) - a_q x^(K-mu) lie in I, so phi(x^(K-q)) is
+    # a_q / a_mu; every other degree-M monomial lies in I.
+    rng = random.Random(74)
+    for _ in range(60):
+        spec = random_spec(rng, dims=(1, 2, 3), max_k=4)
+        top = spec.colon_ideal().slice(spec.top_degree)
+        assert top.standard_monomials == (spec.socle_monomial,)
+        a_mu = spec.p.coeff(spec.leading_exponent)
+        expected = {
+            tuple(spec.k - 1 - c for c in q.coords): a / a_mu for q, a in spec.p.terms()
+        }
+        phi = _socle_functional(spec)
+        degree_m = monomials_of_degree(spec.ctx, spec.top_degree)
+        assert set(phi) == {ev.coords for ev in degree_m}
+        assert phi == {j: expected.get(j, 0) for j in phi}
+
+
+def _reference_pairing(spec, i):
+    """Each entry reduced on its own in the top slice."""
+    ideal = spec.colon_ideal()
+    top = ideal.slice(spec.top_degree)
+    return [
+        [
+            top.reduce_monomial(
+                ExponentVector(spec.ctx, tuple(a + b for a, b in zip(r.coords, c.coords)))
+            )[0]
+            for c in ideal.slice(spec.top_degree - i).standard_monomials
+        ]
+        for r in ideal.slice(i).standard_monomials
+    ]
+
+
+def test_pairing_matrix_matches_per_entry_reduction():
+    rng = random.Random(75)
+    for _ in range(40):
+        spec = random_spec(rng, dims=(1, 2, 3), max_k=4)
+        for i in range(spec.top_degree + 1):
+            assert pairing_matrix(spec, i) == _reference_pairing(spec, i)
+    with pytest.raises(DomainError, match="out of range"):
+        pairing_matrix(SPEC1, SPEC1.top_degree + 1)
+
+
+def test_two_dimensional_top_slice_is_refused():
+    # (x^3, y^3) has quotient basis x^2*y, x*y^2 in degree 3, SPEC1's top.
+    spec = GorensteinSpec(4, parse_polynomial("x*y^2 + x^2*y + x^3", CTX))
+    spec._colon = _monomial_pres("(x^3, y^3)")
+    assert len(spec.colon_ideal().slice(spec.top_degree).standard_monomials) == 2
+    for call in (dual_socle_poly, lambda s: pairing_matrix(s, 1)):
+        with pytest.raises(DomainError, match="not spanned by the socle monomial"):
+            call(spec)
 
 
 def test_series_spec_validation():

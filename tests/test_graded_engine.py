@@ -306,3 +306,18 @@ def test_size_guard_refuses_before_any_kernel():
         _assemble_minimal(CTX, _kernel_reached, MAX_SLICE_COLUMNS)
     with pytest.raises(DomainError, match="above the limit"):
         colon_power_ideal(40, parse_polynomial("x1", Context.of_dim(9)))
+
+
+def test_size_guard_refuses_a_slice_from_generators(monkeypatch):
+    # Not artinian; binomial(17, 5) = 6,188 columns in degree 12.
+    pres = as_pres("(x1^20)", Context.of_dim(6))
+    with pytest.raises(DomainError, match="degree-12 slice in 6 variables has 6188"):
+        pres.hilbert_function()
+    assert pres.slice(11).hilbert_value == 4368
+    # The refusal comes before the degree's monomials are listed.
+    monkeypatch.setattr(
+        "apolar.graded_engine.monomials_of_degree",
+        lambda *args: pytest.fail("monomials listed before the size guard"),
+    )
+    with pytest.raises(DomainError, match="above the limit"):
+        pres.slice(12)

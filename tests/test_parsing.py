@@ -15,6 +15,7 @@ from apolar import (
     parse_monomial,
     parse_polynomial,
 )
+from apolar.parsing import parse_naturals, parse_rationals
 
 XY = Context(("x", "y"))
 IDX = Context.of_dim(2)
@@ -107,3 +108,19 @@ def test_trailing_junk_rejected():
         parse_polynomial("x + y)", XY)
     with pytest.raises(ParseError):
         parse_ideal("(x) y", XY)
+
+
+def test_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError, match="zero denominator at offset 5"):
+        parse_polynomial("x + 1/0*y", XY)
+
+
+def test_number_lists():
+    assert parse_rationals(" 1, -1/2, +3/6 ") == (1, Fraction(-1, 2), Fraction(1, 2))
+    assert parse_naturals("4, 0,12") == (4, 0, 12)
+    for text, offset in (("1,abc", 2), ("1/0", 1), (",", 0), ("1 2", 2), ("", 0)):
+        with pytest.raises(ParseError) as exc:
+            parse_rationals(text)
+        assert exc.value.position == offset
+    with pytest.raises(ParseError):
+        parse_naturals("4,-1")
