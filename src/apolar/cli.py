@@ -28,6 +28,9 @@ from .parsing import parse_antichain, parse_ideal, parse_polynomial
 from .parsing import parse_naturals, parse_rationals
 
 SCHEMA = 1
+# The most cells a staircase diagram may have; larger ones are refused
+# before the grid is drawn.
+MAX_STAIRCASE_CELLS = 100_000
 
 
 def _context(args) -> Context:
@@ -195,6 +198,11 @@ def _staircase_grid(ideal: mi.MonomialIdeal):
     doc = {e.coords for e in chain.elems}
     width = max([g.coords[0] for g in ideal.gens] + [x for x, _ in doc] + [2]) + 2
     height = max([g.coords[1] for g in ideal.gens] + [y for _, y in doc] + [2]) + 2
+    if width * height > MAX_STAIRCASE_CELLS:
+        raise DomainError(
+            f"staircase diagram has {width} x {height} cells, "
+            f"above the limit of {MAX_STAIRCASE_CELLS}"
+        )
     cells = []
     for y in range(height):
         row = []

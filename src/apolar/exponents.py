@@ -13,6 +13,11 @@ from functools import lru_cache
 
 from .errors import AmbientMismatchError, DomainError
 
+# Entries kept by each monomial-list cache below, least recently used dropped
+# first; a Gorenstein computation touches a few dozen, so a long-lived
+# process stays bounded without re-listing anything a computation reuses.
+CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class Context:
@@ -131,7 +136,7 @@ def sub_checked(a: ExponentVector, b: ExponentVector) -> ExponentVector | None:
     return ExponentVector(a.ctx, diff)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     if parts == 1:
         return ((total,),)
@@ -142,7 +147,7 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def monomials_of_degree(ctx: Context, n: int) -> tuple[ExponentVector, ...]:
     """All exponent vectors of total degree n, LEX-descending (leading first)."""
     evs = [ExponentVector(ctx, c) for c in _compositions(n, ctx.dim)]
@@ -150,7 +155,7 @@ def monomials_of_degree(ctx: Context, n: int) -> tuple[ExponentVector, ...]:
     return tuple(evs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def box_monomials_of_degree(ctx: Context, n: int, cap: int) -> tuple[ExponentVector, ...]:
     """Degree-n exponent vectors with every coordinate <= cap, LEX-descending."""
     return tuple(

@@ -75,18 +75,14 @@ class GradedSlice:
     def reduce_monomial(self, ev: ExponentVector) -> list[Fraction]:
         """Coordinates of the coset of a degree-e monomial over the standard
         monomials."""
-        out = [Fraction(0)] * len(self.standard_monomials)
         if ev in self._std_index:
+            out = [Fraction(0)] * len(self.standard_monomials)
             out[self._std_index[ev]] = Fraction(1)
             return out
         row = self._row_of_pivot.get(ev)
         if row is None:
             raise DomainError("monomial is not of the slice's degree and context")
-        for s, i in self._std_index.items():
-            c = row[self._col_index[s]]
-            if c:
-                out[i] = -c
-        return out
+        return [-row[self._col_index[s]] for s in self.standard_monomials]
 
     def reduce_polynomial(self, poly: Polynomial) -> list[Fraction]:
         out = [Fraction(0)] * len(self.standard_monomials)
@@ -113,8 +109,6 @@ class HomogeneousIdealPresentation:
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._slices: dict[int, GradedSlice] = {}
-        # I_e as built by _assemble_minimal, made a slice when first asked for
-        self._built: dict[int, SpanBuilder] = {}
 
     @classmethod
     def from_monomial_ideal(cls, ideal: MonomialIdeal) -> "HomogeneousIdealPresentation":
@@ -126,33 +120,24 @@ class HomogeneousIdealPresentation:
     def slice(self, e: int) -> GradedSlice:
         if e < 0:
             raise DomainError("slice degree must be >= 0")
-        cached = self._slices.get(e)
-        if cached is not None:
-            return cached
+        if e in self._slices:
+            return self._slices[e]
         _check_slice_size(self.ctx, e)
         basis = monomials_of_degree(self.ctx, e)
-        span = self._built.pop(e, None)
-        if span is not None:
-            sl = GradedSlice(e, basis, span.reduced, span.pivots)
-            self._slices[e] = sl
-            return sl
         col = {ev.coords: i for i, ev in enumerate(basis)}
         rows = []
         for g in self.generators:
             dg = g.homogeneous_degree()
             if dg > e:
                 continue
-            g_terms = list(g._terms.items())
+            g_terms = _integer_terms(g)
             for m in monomials_of_degree(self.ctx, e - dg):
                 row = [0] * len(basis)
                 mc = m.coords
-                for ev, c in g_terms:
-                    target = tuple(a + b for a, b in zip(mc, ev.coords))
-                    row[col[target]] = c
+                for s, c in g_terms:
+                    row[col[tuple(a + b for a, b in zip(mc, s))]] = c
                 rows.append(row)
-        reduced, pivots = rref(rows, len(basis))
-        sl = GradedSlice(e, basis, reduced, pivots)
-        self._slices[e] = sl
+        sl = self._slices[e] = GradedSlice(e, basis, *rref(rows, len(basis)))
         return sl
 
     def hilbert_function(self, cutoff: int | None = None) -> list[int]:
@@ -192,7 +177,8 @@ class HomogeneousIdealPresentation:
                     blocks.extend(nxt.reduce_monomial(shifted))
                 rows.append(blocks)
             for vec in left_kernel(rows, d * width):
-                classes.append(SocleClass(e, std, tuple(vec)))
+                free = next(v for v in reversed(vec) if v)
+                classes.append(SocleClass(e, std, [Fraction(v, free) for v in vec]))
         return classes
 
     def socle_dimension(self, cutoff: int | None = None) -> int:
@@ -266,7 +252,7 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     """
     _check_slice_size(ctx, max_degree)
     gens: list[Polynomial] = []
-    built: dict[int, SpanBuilder] = {}
+    slices: dict[int, GradedSlice] = {}
     prev_basis: tuple[ExponentVector, ...] = ()
     prev_rows: list[list[int]] = []
     for e in range(max_degree + 1):
@@ -293,10 +279,11 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
             if any(rem):
                 gens.append(_vector_to_polynomial(ctx, rem, basis))
                 span.add(rem)
-        built[e] = span
+        del kernel  # as large as the slice: free it before making the slice
+        slices[e] = GradedSlice(e, basis, span.reduced, span.pivots)
         prev_basis, prev_rows = basis, span.rows
     ideal = HomogeneousIdealPresentation(ctx, gens)
-    ideal._built = built
+    ideal._slices = slices
     return ideal
 
 
@@ -347,19 +334,18 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     ctx = p.ctx
     n = p_red.homogeneous_degree()
     top = ctx.dim * (k - 1) - n  # top degree of R/I
-    p_terms = list(p_red._terms.items())
+    p_terms = _integer_terms(p_red)
 
-    def kernel_fn(e: int) -> list[list[Fraction]]:
+    def kernel_fn(e: int) -> list[list[int]]:
         cols = box_monomials_of_degree(ctx, e + n, k - 1)
         col = {ev.coords: i for i, ev in enumerate(cols)}
         rows = []
         for m in monomials_of_degree(ctx, e):
-            row = [Fraction(0)] * len(cols)
-            for q, a in p_terms:
-                s = tuple(x + y for x, y in zip(m.coords, q.coords))
-                idx = col.get(s)
+            row = [0] * len(cols)
+            for s, a in p_terms:
+                idx = col.get(tuple(x + y for x, y in zip(m.coords, s)))
                 if idx is not None:
-                    row[idx] += a
+                    row[idx] = a
             rows.append(row)
         return left_kernel(rows, len(cols))
 
@@ -381,10 +367,16 @@ def ann_partial(
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
 
-    def kernel_fn(e: int) -> list[list[Fraction]]:
+    def kernel_fn(e: int) -> list[list[int]]:
         return left_kernel(*_catalecticant(q, ctx, e))
 
     return _assemble_minimal(ctx, kernel_fn, m_deg + 1)
+
+
+def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
+    """f's (exponent, coefficient) pairs, scaled to integers by the lcm of f's denominators."""
+    mult = lcm(*[c.denominator for c in f._terms.values()])
+    return [(ev.coords, c.numerator * (mult // c.denominator)) for ev, c in f._terms.items()]
 
 
 def _catalecticant(f: Polynomial, ctx: Context, e: int) -> tuple[list[list[int]], int]:
@@ -399,8 +391,7 @@ def _catalecticant(f: Polynomial, ctx: Context, e: int) -> tuple[list[list[int]]
     top = f.homogeneous_degree()
     cols = monomials_of_degree(f.ctx, top - e) if e <= top else ()
     col = {ev.coords: i for i, ev in enumerate(cols)}
-    mult = lcm(*[c.denominator for c in f._terms.values()])
-    terms = [(ev.coords, c.numerator * (mult // c.denominator)) for ev, c in f._terms.items()]
+    terms = _integer_terms(f)
     rows = []
     for m in monomials_of_degree(ctx, e):
         mc = m.coords

@@ -8,7 +8,8 @@ against an echelon row with pivot a there replaces r by
 (a/g)*r - (r[p]/g)*row with g = gcd(a, r[p]), then divides r by its content.
 Integer echelon rows are kept zero in every other row's pivot column, so
 each is its RREF row times the pivot; ``rref`` is the echelon form of the
-span of its rows, which is unique, normalized to unit pivots.
+span of its rows, which is unique, normalized to unit pivots.  Kernel
+vectors are integer vectors read off the integer rows.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ def _primitive(ints: list[int]) -> list[int]:
 
 def _intify(row) -> list[int]:
     """Scale a row of ints and Fractions to a primitive integer row (content 1)."""
-    if all(type(x) is int for x in row):
-        return _primitive(list(row))
-    mult = lcm(*[x.denominator for x in row])
-    return _primitive([x.numerator * (mult // x.denominator) for x in row])
+    try:
+        return _primitive(list(row))  # gcd refuses a Fraction
+    except TypeError:
+        mult = lcm(*[x.denominator for x in row])
+        return _primitive([x.numerator * (mult // x.denominator) for x in row])
 
 
 def _eliminate(vec: list[int], row: list[int], p: int) -> list[int]:
@@ -40,20 +42,25 @@ def _eliminate(vec: list[int], row: list[int], p: int) -> list[int]:
     return _primitive([a * x - b * y for x, y in zip(vec, row)])
 
 
-def rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q: the RREF of the span of ``rows``.
-
-    Returns the nonzero rows (each with pivot 1, zeros above and below every
-    pivot) and the list of pivot column indices, in order.  The nonzero rows
-    are fed to a ``SpanBuilder`` one at a time; once the span has full rank
-    every later row reduces to zero, so the rest are skipped.
-    """
+def _span(rows, ncols: int) -> "SpanBuilder":
+    """A ``SpanBuilder`` fed the nonzero rows one at a time; once the span has
+    full rank every later row reduces to zero, so the rest are skipped."""
     span = SpanBuilder(ncols)
     for row in rows:
         if len(span.pivots) == ncols:
             break
         if any(row):
             span.add(row)
+    return span
+
+
+def rref(rows, ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Reduced row echelon form over Q: the RREF of the span of ``rows``.
+
+    Returns the nonzero rows as tuples (each with pivot 1, zeros above and
+    below every pivot) and the list of pivot column indices, in order.
+    """
+    span = _span(rows, ncols)
     return span.reduced, span.pivots
 
 
@@ -61,29 +68,29 @@ def rank(rows, ncols: int) -> int:
     return len(rref(rows, ncols)[1])
 
 
-def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0}, one vector per free column, in column order."""
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
+def nullspace(rows, ncols: int) -> list[list[int]]:
+    """Basis of {x : A x = 0}, one primitive integer vector per free column f,
+    in column order: a positive multiple of f's RREF basis vector (1 at f,
+    minus the RREF's column f at the pivots), so its last nonzero is at f."""
+    span = _span(rows, ncols)
+    pivot_set = set(span.pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[free]
-        basis.append(vec)
+        hits = [(p, row[free], row[p]) for row, p in zip(span.rows, span.pivots) if row[free]]
+        mult = lcm(*[a for _, _, a in hits])
+        vec = [0] * ncols
+        vec[free] = mult
+        for p, b, a in hits:
+            vec[p] = -b * (mult // a)
+        basis.append(_primitive(vec))
     return basis
 
 
-def left_kernel(rows, ncols: int) -> list[list[Fraction]]:
-    """Basis of {c : sum_i c_i row_i = 0}."""
-    nrows = len(rows)
-    if nrows == 0:
-        return []
-    transpose = [[rows[i][c] for i in range(nrows)] for c in range(ncols)]
-    return nullspace(transpose, nrows)
+def left_kernel(rows, ncols: int) -> list[list[int]]:
+    """Basis of {c : sum_i c_i row_i = 0}, as ``nullspace`` of the transpose."""
+    return nullspace(list(zip(*rows)), len(rows))
 
 
 def reduce_vector(vec, rows, pivots) -> list[int]:
@@ -126,8 +133,8 @@ class SpanBuilder:
         return True
 
     @property
-    def reduced(self) -> list[list[Fraction]]:
+    def reduced(self) -> list[tuple[Fraction, ...]]:
         """The RREF of the span: the integer rows divided by their pivots."""
         zero = Fraction(0)
-        return [[Fraction(v, r[p]) if v else zero for v in r]
+        return [tuple([Fraction(v, r[p]) if v else zero for v in r])
                 for r, p in zip(self.rows, self.pivots)]

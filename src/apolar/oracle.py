@@ -17,6 +17,9 @@ from .exponents import Context, ExponentVector, leq, monomials_of_degree
 from .monomial_ideal import Antichain, MonomialIdeal
 from .polynomial import Polynomial, diff_action
 
+# The most points, prod(b_i + 1), of a box that brute_docle scans.
+MAX_BOX_POINTS = 1_000_000
+
 
 def brute_docle(ideal: MonomialIdeal, box: ExponentVector) -> Antichain:
     """Scan every point below box for the docle conditions, literally."""
@@ -24,6 +27,11 @@ def brute_docle(ideal: MonomialIdeal, box: ExponentVector) -> Antichain:
     for g in ideal.gens:
         if not leq(g, box):
             raise DomainError(f"box {box} does not dominate generator {g}")
+    points = math.prod(b + 1 for b in box.coords)
+    if points > MAX_BOX_POINTS:
+        raise DomainError(
+            f"box {box} has {points} points, above the limit of {MAX_BOX_POINTS}"
+        )
     found = []
     ranges = [range(b + 1) for b in box.coords]
     for coords in itertools.product(*ranges):

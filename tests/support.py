@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
-from apolar import Antichain, Context, ExponentVector, MonomialIdeal
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from apolar import (
+    Antichain,
+    Context,
+    ExponentVector,
+    GorensteinSpec,
+    MonomialIdeal,
+    Polynomial,
+)
+from apolar.exponents import box_monomials_of_degree
 
 
 def rand_point(rng, ctx, max_coord):
@@ -41,3 +53,17 @@ def rand_proper_ideal(rng, d, max_coord=6, max_gens=5) -> MonomialIdeal:
         ideal = MonomialIdeal.from_generators(ctx, gens)
         if not ideal.is_unit and not ideal.is_zero:
             return ideal
+
+
+@st.composite
+def gorenstein_specs(draw, dims=(1, 2, 3), max_k=4):
+    """A spec (d, k, p) with p of up to four terms inside the box [0, k-1]^d
+    and small nonzero rational coefficients, so GorensteinSpec accepts it."""
+    d = draw(st.sampled_from(dims))
+    k = draw(st.integers(1, max_k))
+    ctx = Context.of_dim(d)
+    pool = box_monomials_of_degree(ctx, draw(st.integers(0, d * (k - 1))), k - 1)
+    support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    numerator = st.integers(-6, 6).filter(bool)
+    coeff = st.builds(Fraction, numerator, st.integers(1, 4))
+    return GorensteinSpec(k, Polynomial(ctx, {ev: draw(coeff) for ev in support}))

@@ -252,3 +252,25 @@ def test_max_degree_only_where_read(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["docle", "--vars", "2", "(x1^3, x2^2)", "--max-degree", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        # about 10^10 grid cells
+        (["staircase", "--vars", "2", "(x1^100000, x2^100000)"], "limit of 100000"),
+        # about 8 * 10^9 box points
+        (["oracle", "docle", "--vars", "3", "(x1^2, x2^2, x3^2)", "--box", "2000,2000,2000"],
+         "limit of 1000000"),
+    ],
+)
+def test_unbounded_requests_are_refused_before_allocating(argv, limit):
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolar", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and limit in proc.stderr
+    assert "Traceback" not in proc.stderr

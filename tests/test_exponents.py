@@ -123,3 +123,20 @@ def test_monomials_of_degree_descending():
     keys = [lex_key(m) for m in ms]
     assert keys == sorted(keys, reverse=True)
     assert unit_vector(CTX2, 0).coords == (1, 0)
+
+
+def test_monomial_caches_are_bounded():
+    from apolar import exponents
+
+    line = Context.of_dim(1)
+    caches = (exponents._compositions, exponents.monomials_of_degree,
+              exponents.box_monomials_of_degree)
+    try:
+        for n in range(exponents.CACHE_SIZE + 10):
+            assert monomials_of_degree(line, n)[0].coords == (n,)
+            assert exponents.box_monomials_of_degree(line, n, n)[0].coords == (n,)
+        for cache in caches:
+            assert cache.cache_info().currsize <= exponents.CACHE_SIZE
+    finally:
+        for cache in caches:
+            cache.cache_clear()

@@ -30,7 +30,8 @@ from apolar import (
 )
 from apolar.gorenstein import _is_annihilator_of, _socle_functional
 from apolar.linalg import rank
-from support import rand_zero_dim_ideal
+from hypothesis import given
+from support import gorenstein_specs, rand_zero_dim_ideal
 
 CTX = Context(("x", "y"))
 TCTX = CTX.dual()
@@ -181,6 +182,14 @@ def test_certificate_matches_the_slice_comparison():
         for pair in ((ideal, unweighted), (ideal, perturbed), (swapped, f), (dropped, f)):
             verdicts[_certified(*pair)] += 1
     assert verdicts[True] >= 10 and verdicts[False] >= 40, verdicts
+
+
+@given(gorenstein_specs())
+def test_certificate_agrees_with_the_slice_comparison_on_generated_specs(spec):
+    by_slices = GorensteinSpec(spec.k, spec.p).colon_ideal().equals(
+        ann_partial(antipodal(spec), spec.ctx)
+    )
+    assert verify_gorenstein_ann(spec) is by_slices is True
 
 
 def test_monomial_iff_fixtures():

@@ -24,6 +24,8 @@ from apolar import (
 )
 from apolar.graded_engine import MAX_SLICE_COLUMNS, _assemble_minimal
 from apolar.oracle import brute_ann, brute_quotient_dim
+from hypothesis import given
+from support import gorenstein_specs
 
 CTX = Context(("x", "y"))
 TCTX = CTX.dual()
@@ -120,6 +122,16 @@ def test_socle_fixtures():
     assert got == {(1, "x"), (1, "y")}
     assert fat.socle_dimension() == 2
     assert I1.socle_dimension() == 1
+
+
+def test_socle_with_a_fractional_class_is_pinned():
+    # Captured from the rational-kernel engine; the other socle fixtures
+    # have monomial classes only.
+    ideal = parse_ideal("(x^3, y^3, 3*x^2*y - 2*x*y^2)", CTX)
+    assert [f"degree {c.degree}: {c}" for c in ideal.socle()] == [
+        "degree 2: x^2 - 2/3*x*y + 4/9*y^2",
+        "degree 3: x^2*y",
+    ]
 
 
 def test_initial_monomials_fixtures():
@@ -321,3 +333,41 @@ def test_size_guard_refuses_a_slice_from_generators(monkeypatch):
     )
     with pytest.raises(DomainError, match="above the limit"):
         pres.slice(12)
+
+
+def _slice_text(sl):
+    return sl.reduced_rows, sl.pivot_monomials, sl.standard_monomials
+
+
+@given(gorenstein_specs())
+def test_slices_do_not_depend_on_call_order(spec):
+    colon = spec.colon_ideal()
+    top = spec.top_degree + 1
+    others = (
+        ann_partial(antipodal(spec), spec.ctx),
+        HomogeneousIdealPresentation.from_monomial_ideal(colon.initial_monomials()),
+    )
+    for other in others:
+        read_first = HomogeneousIdealPresentation(spec.ctx, colon.generators)
+        compared_first = HomogeneousIdealPresentation(spec.ctx, colon.generators)
+        before = [_slice_text(read_first.slice(e)) for e in range(top + 1)]
+        verdict = compared_first.equals(other)
+        assert read_first.equals(other) == verdict == colon.equals(other)
+        after = [_slice_text(compared_first.slice(e)) for e in range(top + 1)]
+        assert before == after == [_slice_text(colon.slice(e)) for e in range(top + 1)]
+
+
+@given(gorenstein_specs())
+def test_hilbert_function_does_not_depend_on_cutoff_or_order(spec):
+    gens = spec.colon_ideal().generators
+    values = HomogeneousIdealPresentation(spec.ctx, gens).hilbert_function()
+    vanishing = len(values)
+    plain_first = HomogeneousIdealPresentation(spec.ctx, gens)
+    cut_first = HomogeneousIdealPresentation(spec.ctx, gens)
+    assert plain_first.hilbert_function() == values
+    assert plain_first.hilbert_function(vanishing) == values
+    assert cut_first.hilbert_function(vanishing + 2) == values
+    assert cut_first.hilbert_function() == values
+    for ideal in (plain_first, cut_first, HomogeneousIdealPresentation(spec.ctx, gens)):
+        with pytest.raises(NotArtinianError):
+            ideal.hilbert_function(vanishing - 1)

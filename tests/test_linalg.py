@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from apolar.linalg import (
     SpanBuilder,
     left_kernel,
@@ -115,3 +117,37 @@ def test_span_builder_matches_rref():
         assert [list(r) for r in builder.reduced] == [list(r) for r in reduced]
         for v in vecs:
             assert not any(reduce_vector(v, builder.rows, builder.pivots))
+
+
+@st.composite
+def rational_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+def _assert_integer_rref_kernel(matrix, ncols, kernel):
+    """Each kernel vector is a list of ints killing the matrix, one per free
+    column of the RREF, and is that column's RREF basis vector times its
+    (positive) entry at the free column."""
+    reduced, pivots = rref(matrix, ncols)
+    free_columns = [c for c in range(ncols) if c not in pivots]
+    assert len(kernel) == len(free_columns) == ncols - len(pivots)
+    for vec, free in zip(kernel, free_columns):
+        assert type(vec) is list and all(type(x) is int for x in vec)
+        for row in matrix:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+        want = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, p in zip(reduced, pivots):
+            want[p] = -row[free]
+        assert vec[free] > 0
+        assert [Fraction(x, vec[free]) for x in vec] == want
+
+
+@given(rational_matrices())
+def test_kernels_are_integer_multiples_of_rref_basis_vectors(matrix):
+    rows, ncols = matrix
+    _assert_integer_rref_kernel(rows, ncols, nullspace(rows, ncols))
+    transpose = [[row[c] for row in rows] for c in range(ncols)]
+    _assert_integer_rref_kernel(transpose, len(rows), left_kernel(rows, ncols))
