@@ -125,7 +125,7 @@ def verify_gorenstein_ann(spec: GorensteinSpec) -> bool:
        I_e = Ann(F)_e.  Cat_e and Cat_(M-e) differ by a nonzero column
        scaling and a transpose (entry (m, u) is c_(m+u) (m+u)!/u!), so their
        ranks agree: for e <= M/2 it suffices to find max(h_I(e), h_I(M-e))
-       independent rows of Cat_e.
+       independent columns of Cat_e.
     """
     return _is_annihilator_of(spec.colon_ideal(), antipodal(spec))
 
@@ -143,10 +143,10 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
         rows, ncols = _catalecticant(f, ideal.ctx, e)
         span = SpanBuilder(ncols)
         for row in rows:
-            if len(span.pivots) == need:
+            if len(span.rows) == need:
                 break
             span.add(row)
-        if len(span.pivots) < need:
+        if len(span.rows) < need:
             return False
     return True
 

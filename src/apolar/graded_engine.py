@@ -11,16 +11,14 @@ apolarity annihilators at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, perm
+from functools import cached_property, lru_cache
+from math import comb, lcm, perm, prod
+from operator import add, sub
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
-from .exponents import (
-    Context,
-    ExponentVector,
-    box_monomials_of_degree,
-    monomials_of_degree,
-)
-from .linalg import SpanBuilder, left_kernel, reduce_vector, rref
+from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree, unit_vector
+from .exponents import add as ev_add
+from .linalg import _ZERO, ReducedRows, SpanBuilder, _nullspace, left_kernel, reduce_vector, rref
 from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial
 
@@ -34,64 +32,90 @@ def _check_slice_size(ctx: Context, e: int) -> None:
     """Refuse a degree-e slice with more than ``MAX_SLICE_COLUMNS`` columns."""
     columns = comb(e + ctx.dim - 1, ctx.dim - 1)
     if columns > MAX_SLICE_COLUMNS:
-        raise DomainError(
-            f"degree-{e} slice in {ctx.dim} variables has {columns} columns, "
-            f"above the limit of {MAX_SLICE_COLUMNS}"
-        )
+        raise DomainError(f"degree-{e} slice in {ctx.dim} variables has {columns} columns, "
+                          f"above the limit of {MAX_SLICE_COLUMNS}")
 
 
 class GradedSlice:
     """The degree-e piece of a homogeneous ideal, row reduced.
 
     ``monomial_basis`` lists the degree-e monomials LEX-descending; all row
-    and coordinate vectors in this module follow that column order.
-    ``pivot_monomials`` is the degree-e piece of the LEX initial ideal and
-    ``standard_monomials`` its complement, a basis of (R/I)_e.
+    and coordinate vectors in this module follow that column order.  The
+    slice keeps its integer echelon rows (a ``linalg.ReducedRows``) and makes
+    the rest on first read: the RREF ``reduced_rows``, ``pivot_monomials``
+    (the degree-e piece of the LEX initial ideal) and ``standard_monomials``.
     """
 
-    def __init__(self, degree: int, monomial_basis, reduced_rows, pivots):
+    def __init__(self, degree: int, monomial_basis, reduced_rows: ReducedRows):
         self.degree = degree
         self.monomial_basis: tuple[ExponentVector, ...] = tuple(monomial_basis)
-        self.reduced_rows: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(r) for r in reduced_rows
-        )
-        pivot_set = set(pivots)
-        self.pivot_monomials: frozenset[ExponentVector] = frozenset(
-            self.monomial_basis[c] for c in pivots
-        )
-        self.standard_monomials: tuple[ExponentVector, ...] = tuple(
-            ev for c, ev in enumerate(self.monomial_basis) if c not in pivot_set
-        )
-        self._col_index = {ev: i for i, ev in enumerate(self.monomial_basis)}
-        self._std_index = {ev: i for i, ev in enumerate(self.standard_monomials)}
-        self._row_of_pivot = {
-            self.monomial_basis[c]: row for row, c in zip(self.reduced_rows, pivots)
-        }
+        self._rows, self._pivots = reduced_rows, reduced_rows.pivots
 
     @property
     def hilbert_value(self) -> int:
-        return len(self.standard_monomials)
+        return len(self.monomial_basis) - len(self._pivots)
+
+    @cached_property
+    def reduced_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(self._rows)
+
+    @cached_property
+    def pivot_monomials(self) -> frozenset[ExponentVector]:
+        return frozenset(self.monomial_basis[c] for c in self._pivots)
+
+    @cached_property
+    def _std_columns(self) -> list[int]:
+        pivots = set(self._pivots)
+        return [c for c in range(len(self.monomial_basis)) if c not in pivots]
+
+    @cached_property
+    def standard_monomials(self) -> tuple[ExponentVector, ...]:
+        return tuple(self.monomial_basis[c] for c in self._std_columns)
+
+    @cached_property
+    def _cosets(self) -> dict[ExponentVector, tuple[dict[int, int], int]]:
+        """Each monomial's integer RREF row and pivot entry; a standard x^c is -x^c over 1."""
+        out = {ev: ({c: -1}, 1) for c, ev in enumerate(self.monomial_basis)}
+        for row, p in zip(self._rows.rows, self._pivots):
+            out[self.monomial_basis[p]] = row, row[p]
+        return out
 
     def reduce_monomial(self, ev: ExponentVector) -> list[Fraction]:
-        """Coordinates of the coset of a degree-e monomial over the standard
-        monomials."""
-        if ev in self._std_index:
-            out = [Fraction(0)] * len(self.standard_monomials)
-            out[self._std_index[ev]] = Fraction(1)
-            return out
-        row = self._row_of_pivot.get(ev)
-        if row is None:
+        """Coordinates of a degree-e monomial's coset over the standard monomials."""
+        if ev not in self._cosets:
             raise DomainError("monomial is not of the slice's degree and context")
-        return [-row[self._col_index[s]] for s in self.standard_monomials]
+        row, a = self._cosets[ev]
+        return [Fraction(-row[c], a) if c in row else _ZERO for c in self._std_columns]
 
     def reduce_polynomial(self, poly: Polynomial) -> list[Fraction]:
-        out = [Fraction(0)] * len(self.standard_monomials)
+        out = [_ZERO] * len(self._std_columns)
         for ev, c in poly.terms():
             if ev.degree != self.degree:
                 raise DomainError("polynomial degree does not match the slice")
             for i, v in enumerate(self.reduce_monomial(ev)):
                 out[i] += c * v
         return out
+
+
+class _Multiples:
+    """The rows m*g of degree e's Macaulay matrix (g a generator, m a monomial):
+    a sized iterable of dense integer rows, each made when it is reached."""
+
+    def __init__(self, ctx: Context, generators, e: int):
+        self.col = {ev.coords: i for i, ev in enumerate(monomials_of_degree(ctx, e))}
+        self.blocks = [(_integer_terms(g), monomials_of_degree(ctx, e - g.homogeneous_degree()))
+                       for g in generators if g.homogeneous_degree() <= e]
+
+    def __len__(self) -> int:
+        return sum(len(ms) for _, ms in self.blocks)
+
+    def __iter__(self):
+        for terms, ms in self.blocks:
+            for m in ms:
+                row = [0] * len(self.col)
+                for s, c in terms:
+                    row[self.col[tuple(map(add, m.coords, s))]] = c
+                yield row
 
 
 class HomogeneousIdealPresentation:
@@ -103,10 +127,9 @@ class HomogeneousIdealPresentation:
         for g in generators:
             if g.ctx != ctx:
                 raise AmbientMismatchError("generator from a different context")
-            if g.is_zero:
-                continue
-            g.homogeneous_degree()  # raises DomainError when inhomogeneous
-            gens.append(g)
+            if not g.is_zero:
+                g.homogeneous_degree()  # raises DomainError when inhomogeneous
+                gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._slices: dict[int, GradedSlice] = {}
 
@@ -124,21 +147,9 @@ class HomogeneousIdealPresentation:
             return self._slices[e]
         _check_slice_size(self.ctx, e)
         basis = monomials_of_degree(self.ctx, e)
-        col = {ev.coords: i for i, ev in enumerate(basis)}
-        rows = []
-        for g in self.generators:
-            dg = g.homogeneous_degree()
-            if dg > e:
-                continue
-            g_terms = _integer_terms(g)
-            for m in monomials_of_degree(self.ctx, e - dg):
-                row = [0] * len(basis)
-                mc = m.coords
-                for s, c in g_terms:
-                    row[col[tuple(a + b for a, b in zip(mc, s))]] = c
-                rows.append(row)
-        sl = self._slices[e] = GradedSlice(e, basis, *rref(rows, len(basis)))
-        return sl
+        reduced, _ = rref(_Multiples(self.ctx, self.generators, e), len(basis))
+        self._slices[e] = GradedSlice(e, basis, reduced)
+        return self._slices[e]
 
     def hilbert_function(self, cutoff: int | None = None) -> list[int]:
         """Values of dim (R/I)_e from 0 until the first vanishing degree."""
@@ -150,9 +161,7 @@ class HomogeneousIdealPresentation:
             if h == 0:
                 return values
             values.append(h)
-        raise NotArtinianError(
-            f"no vanishing slice up to degree {cutoff}; ideal is not artinian"
-        )
+        raise NotArtinianError(f"no vanishing slice up to degree {cutoff}; ideal is not artinian")
 
     def dimension(self, cutoff: int | None = None) -> int:
         return sum(self.hilbert_function(cutoff))
@@ -160,23 +169,12 @@ class HomogeneousIdealPresentation:
     def socle(self, cutoff: int | None = None) -> list["SocleClass"]:
         """Per-degree kernel of multiplication by the variables on R/I."""
         hilbert = self.hilbert_function(cutoff)
-        d = self.ctx.dim
+        units = [unit_vector(self.ctx, i) for i in range(self.ctx.dim)]
         classes: list[SocleClass] = []
         for e in range(len(hilbert)):
-            std = self.slice(e).standard_monomials
-            nxt = self.slice(e + 1)
-            width = len(nxt.standard_monomials)
-            rows = []
-            for s in std:
-                blocks: list[Fraction] = []
-                for i in range(d):
-                    shifted = ExponentVector(
-                        self.ctx,
-                        tuple(c + 1 if j == i else c for j, c in enumerate(s.coords)),
-                    )
-                    blocks.extend(nxt.reduce_monomial(shifted))
-                rows.append(blocks)
-            for vec in left_kernel(rows, d * width):
+            std, nxt = self.slice(e).standard_monomials, self.slice(e + 1)
+            rows = [[x for u in units for x in nxt.reduce_monomial(ev_add(s, u))] for s in std]
+            for vec in left_kernel(rows, len(units) * nxt.hilbert_value):
                 free = next(v for v in reversed(vec) if v)
                 classes.append(SocleClass(e, std, [Fraction(v, free) for v in vec]))
         return classes
@@ -186,19 +184,18 @@ class HomogeneousIdealPresentation:
 
     def initial_monomials(self, cutoff: int | None = None) -> MonomialIdeal:
         """The LEX initial ideal, assembled from slice pivots (artinian only)."""
-        hilbert = self.hilbert_function(cutoff)
-        pivots = []
-        for e in range(len(hilbert) + 1):
-            pivots.extend(self.slice(e).pivot_monomials)
+        top = len(self.hilbert_function(cutoff))
+        pivots = [ev for e in range(top + 1) for ev in self.slice(e).pivot_monomials]
         return MonomialIdeal.from_generators(self.ctx, pivots)
 
     def equals(self, other: "HomogeneousIdealPresentation") -> bool:
-        """Slice-by-slice row space equality through the last generator degree."""
+        """Slice-by-slice row space equality through the last generator degree,
+        compared on the slices' integer echelon rows."""
         if self.ctx != other.ctx:
             raise AmbientMismatchError("ideal comparison across contexts")
         top = max(self.max_generator_degree(), other.max_generator_degree())
         for e in range(top + 1):
-            if self.slice(e).reduced_rows != other.slice(e).reduced_rows:
+            if self.slice(e)._rows != other.slice(e)._rows:
                 return False
         return True
 
@@ -218,9 +215,7 @@ class SocleClass:
 
     def polynomial(self) -> Polynomial:
         ctx = self.basis_monomials[0].ctx
-        return Polynomial(
-            ctx, {ev: c for ev, c in zip(self.basis_monomials, self.coords) if c}
-        )
+        return Polynomial(ctx, {ev: c for ev, c in zip(self.basis_monomials, self.coords) if c})
 
     def __str__(self) -> str:
         return str(self.polynomial())
@@ -230,58 +225,47 @@ def ideal_equals(a: HomogeneousIdealPresentation, b: HomogeneousIdealPresentatio
     return a.equals(b)
 
 
-def _vector_to_polynomial(ctx: Context, vec, basis) -> Polynomial:
-    """Polynomial from a primitive integer vector (a ``reduce_vector``
-    remainder), LEX-leading coefficient made positive (columns are
-    LEX-descending, so the first nonzero entry is the leading one)."""
-    if next(v for v in vec if v) < 0:
-        vec = [-v for v in vec]
-    return Polynomial(ctx, {ev: c for ev, c in zip(basis, vec) if c})
+@lru_cache(maxsize=CACHE_SIZE)
+def _shift_table(ctx: Context, e: int, i: int) -> tuple[int, ...]:
+    """The column of x_i * m among the degree-e monomials, for each
+    degree-(e-1) monomial m, both LEX-descending."""
+    col = {ev.coords: c for c, ev in enumerate(monomials_of_degree(ctx, e))}
+    return tuple(col[tuple(a + (j == i) for j, a in enumerate(ev.coords))]
+                 for ev in monomials_of_degree(ctx, e - 1))
 
 
 def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     """The ideal given by minimal generators collected from per-degree kernels.
 
-    kernel_fn(e) must return a basis of the full degree-e piece of the ideal
-    as coefficient vectors over the LEX-descending degree-e monomials.  In
-    each degree the kernel is reduced against R_1 times the previous degree;
-    the surviving independent vectors become new generators.  The span built
-    in degree e is then all of I_e, so the presentation keeps it as its
-    degree-e slice.  Raises ``DomainError`` before building anything when the
-    degree-``max_degree`` slice has more than ``MAX_SLICE_COLUMNS`` columns.
+    kernel_fn(e) returns a basis of I_e as sparse vectors over the degree-e
+    monomials.  The previous degree's echelon rows are lifted by each
+    variable (re-keyed through shift tables) until the span has the kernel's
+    dimension; kernel vectors independent of the span are new generators.
+    The span, now I_e, is kept as the degree-e slice.  Raises ``DomainError``
+    up front if degree ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
     """
     _check_slice_size(ctx, max_degree)
-    gens: list[Polynomial] = []
-    slices: dict[int, GradedSlice] = {}
-    prev_basis: tuple[ExponentVector, ...] = ()
-    prev_rows: list[list[int]] = []
+    gens, slices, prev = [], {}, []
     for e in range(max_degree + 1):
         basis = monomials_of_degree(ctx, e)
-        span = SpanBuilder(len(basis))
-        if prev_rows:
-            col = {ev.coords: i for i, ev in enumerate(basis)}
-            for i in range(ctx.dim):
-                # shift[j]: the column of x_i times the j-th degree-(e-1) monomial
-                shift = [
-                    col[tuple(a + (j == i) for j, a in enumerate(ev.coords))]
-                    for ev in prev_basis
-                ]
-                for row in prev_rows:
-                    lifted = [0] * len(basis)
-                    for j, c in zip(shift, row):
-                        lifted[j] = c
-                    span.add(lifted)
         kernel = kernel_fn(e)
-        for vec in kernel:
-            if len(span.pivots) == len(kernel):
+        span = SpanBuilder(len(basis))
+        shifts = [_shift_table(ctx, e, i) for i in range(ctx.dim)] if prev else []
+        for lifted in ({s[j]: c for j, c in row.items()} for s in shifts for row in prev):
+            if len(span.rows) == len(kernel):
                 break  # the span is already all of I_e
-            rem = reduce_vector(vec, span.rows, span.pivots)
-            if any(rem):
-                gens.append(_vector_to_polynomial(ctx, rem, basis))
+            span.add(lifted)
+        for vec in kernel:
+            if len(span.rows) == len(kernel):
+                break
+            rem = reduce_vector(vec, span.rows)
+            if rem:  # a generator, its LEX-leading (lowest) column made positive
+                sign = 1 if rem[min(rem)] > 0 else -1
+                gens.append(Polynomial(ctx, {basis[c]: sign * v for c, v in rem.items()}))
                 span.add(rem)
         del kernel  # as large as the slice: free it before making the slice
-        slices[e] = GradedSlice(e, basis, span.reduced, span.pivots)
-        prev_basis, prev_rows = basis, span.rows
+        slices[e] = GradedSlice(e, basis, span.reduced)
+        prev = slices[e]._rows.rows
     ideal = HomogeneousIdealPresentation(ctx, gens)
     ideal._slices = slices
     return ideal
@@ -290,22 +274,13 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
 def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
     """(x_1^k, ..., x_d^k)."""
     _reduced_mod_power(k)
-    d = ctx.dim
-    return MonomialIdeal.from_generators(
-        ctx,
-        [
-            ExponentVector(ctx, tuple(k if j == i else 0 for j in range(d)))
-            for i in range(d)
-        ],
-    )
+    powers = [tuple(k * (j == i) for j in range(ctx.dim)) for i in range(ctx.dim)]
+    return MonomialIdeal.from_generators(ctx, [ExponentVector(ctx, c) for c in powers])
 
 
 def reduce_mod_power_ideal(p: Polynomial, k: int) -> Polynomial:
     """Drop the terms of p lying in (x_1^k, ..., x_d^k)."""
-    return Polynomial(
-        p.ctx,
-        {ev: c for ev, c in p._terms.items() if all(a <= k - 1 for a in ev.coords)},
-    )
+    return Polynomial(p.ctx, {ev: c for ev, c in p._terms.items() if max(ev.coords) < k})
 
 
 def _reduced_mod_power(k: int, p: Polynomial | None = None) -> Polynomial | None:
@@ -331,30 +306,20 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     the way.  The result is artinian Gorenstein.
     """
     p_red = _reduced_mod_power(k, p)
-    ctx = p.ctx
-    n = p_red.homogeneous_degree()
-    top = ctx.dim * (k - 1) - n  # top degree of R/I
-    p_terms = _integer_terms(p_red)
+    ctx, p_terms = p.ctx, _integer_terms(p_red)
+    top = ctx.dim * (k - 1) - p_red.homogeneous_degree()  # top degree of R/I
 
-    def kernel_fn(e: int) -> list[list[int]]:
-        cols = box_monomials_of_degree(ctx, e + n, k - 1)
-        col = {ev.coords: i for i, ev in enumerate(cols)}
-        rows = []
-        for m in monomials_of_degree(ctx, e):
-            row = [0] * len(cols)
-            for s, a in p_terms:
-                idx = col.get(tuple(x + y for x, y in zip(m.coords, s)))
-                if idx is not None:
-                    row[idx] = a
-            rows.append(row)
-        return left_kernel(rows, len(cols))
+    def image(mc):  # the terms of m*p inside the box [0, k-1]^d
+        products = [(tuple(map(add, mc, s)), a) for s, a in p_terms]
+        return [(t, a) for t, a in products if max(t) < k]
+
+    def kernel_fn(e: int) -> list[dict[int, int]]:
+        return _nullspace(*_transposed(ctx, e, image))
 
     return _assemble_minimal(ctx, kernel_fn, top + 1)
 
 
-def ann_partial(
-    q: Polynomial, operator_ctx: Context | None = None
-) -> HomogeneousIdealPresentation:
+def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> HomogeneousIdealPresentation:
     """The apolarity annihilator Ann(q) = {f : f(d/dt_1, ..., d/dt_d) q = 0}.
 
     Computed from the catalecticant maps R_e -> S_(deg q - e) given by the
@@ -367,8 +332,8 @@ def ann_partial(
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
 
-    def kernel_fn(e: int) -> list[list[int]]:
-        return left_kernel(*_catalecticant(q, ctx, e))
+    def kernel_fn(e: int) -> list[dict[int, int]]:
+        return _nullspace(*_catalecticant(q, ctx, e))
 
     return _assemble_minimal(ctx, kernel_fn, m_deg + 1)
 
@@ -379,29 +344,31 @@ def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
     return [(ev.coords, c.numerator * (mult // c.denominator)) for ev, c in f._terms.items()]
 
 
-def _catalecticant(f: Polynomial, ctx: Context, e: int) -> tuple[list[list[int]], int]:
-    """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
-    m -> m(d/dt) f, with f scaled by the lcm of its denominators; returns its
-    rows and its number of columns.
+def _transposed(ctx: Context, e: int, image) -> tuple[list[dict[int, int]], int]:
+    """A linear map on R_e, image(m) the (exponent, coefficient) terms of the
+    image of a degree-e monomial's coordinates, as the sparse rows of its
+    transpose (one per exponent hit, keyed by m's column) and their width."""
+    monomials = monomials_of_degree(ctx, e)
+    rows: dict[tuple[int, ...], dict[int, int]] = {}
+    for r, m in enumerate(monomials):
+        for t, c in image(m.coords):
+            rows.setdefault(t, {})[r] = c
+    return list(rows.values()), len(monomials)
 
-    One row per degree-e monomial m of ``ctx`` and one column per
-    degree-(deg f - e) monomial of f's context, both LEX-descending.  A term
-    c*t^s of f with s >= m puts c * prod perm(s_i, m_i) in row m, column s - m.
+
+def _catalecticant(f: Polynomial, ctx: Context, e: int) -> tuple[list[dict[int, int]], int]:
+    """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
+    m -> m(d/dt) f, with f scaled by the lcm of its denominators, as the
+    sparse rows of its transpose (``_transposed``): one column per degree-e
+    monomial m of ``ctx``, LEX-descending.  A term c*t^s of f with s >= m
+    puts c * prod perm(s_i, m_i) in row s - m, column m.
     """
-    top = f.homogeneous_degree()
-    cols = monomials_of_degree(f.ctx, top - e) if e <= top else ()
-    col = {ev.coords: i for i, ev in enumerate(cols)}
     terms = _integer_terms(f)
-    rows = []
-    for m in monomials_of_degree(ctx, e):
-        mc = m.coords
-        row = [0] * len(cols)
+
+    def image(mc):
         for s, c in terms:
-            u = tuple(a - b for a, b in zip(s, mc))
-            if min(u) < 0:
-                continue
-            for a, b in zip(s, mc):
-                c *= perm(a, b)
-            row[col[u]] = c
-        rows.append(row)
-    return rows, len(cols)
+            u = tuple(map(sub, s, mc))
+            if min(u) >= 0:
+                yield u, c * prod(map(perm, s, mc))
+
+    return _transposed(ctx, e, image)

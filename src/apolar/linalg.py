@@ -1,91 +1,96 @@
-"""Exact rational row reduction with an integer core.
+"""Exact rational row reduction on sparse primitive integer rows.
 
-There is one elimination loop, ``SpanBuilder.add``; ``rref``, ``rank``,
-``nullspace`` and ``left_kernel`` run on it.  Rows enter as rationals or
-integers and are scaled to primitive integer vectors.  Elimination is
-fraction-free (Bareiss, Math. Comp. 22, 1968): clearing column p of a row r
-against an echelon row with pivot a there replaces r by
-(a/g)*r - (r[p]/g)*row with g = gcd(a, r[p]), then divides r by its content.
-Integer echelon rows are kept zero in every other row's pivot column, so
-each is its RREF row times the pivot; ``rref`` is the echelon form of the
-span of its rows, which is unique, normalized to unit pivots.  Kernel
-vectors are integer vectors read off the integer rows.
+``SpanBuilder.add`` is the one elimination loop; ``rref``, ``rank``,
+``nullspace`` and ``left_kernel`` run on it.  A row is a dict {column: int}
+of its nonzeros, scaled to content 1 from dense or sparse rational input.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): clearing
+column p of r against an echelon row with pivot a there replaces r by
+(a/g)*r - (r[p]/g)*row, g = gcd(a, r[p]), then divides by the content; it
+touches only the two rows' nonzeros.  Echelon rows have positive pivots and
+are zero in every other pivot column: each is its RREF row times a positive
+integer, unique for the span.  ``rref`` makes its Fraction rows when read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
+_ZERO = Fraction(0)
 
-def _primitive(ints: list[int]) -> list[int]:
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
     """An integer row divided by its content, the gcd of its entries."""
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _intify(row) -> list[int]:
-    """Scale a row of ints and Fractions to a primitive integer row (content 1)."""
+def _intify(row) -> dict[int, int]:
+    """A dense row, or a dict of its nonzeros, of ints and Fractions as a
+    primitive sparse integer row."""
+    if not isinstance(row, dict):
+        row = {c: row[c] for c in compress(count(), row)}
     try:
-        return _primitive(list(row))  # gcd refuses a Fraction
+        return _primitive(row)  # gcd refuses a Fraction
     except TypeError:
-        mult = lcm(*[x.denominator for x in row])
-        return _primitive([x.numerator * (mult // x.denominator) for x in row])
+        mult = lcm(*[x.denominator for x in row.values()])
+        return _primitive({c: x.numerator * (mult // x.denominator) for c, x in row.items()})
 
 
-def _eliminate(vec: list[int], row: list[int], p: int) -> list[int]:
+def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, int]:
     """The primitive row (a/g)*vec - (b/g)*row, which is zero in column p
     (a = row[p], b = vec[p], g = gcd(a, b))."""
     g = gcd(row[p], vec[p])
     a, b = row[p] // g, vec[p] // g
-    return _primitive([a * x - b * y for x, y in zip(vec, row)])
+    out = {c: a * v for c, v in vec.items()}
+    for c, v in row.items():
+        out[c] = out.get(c, 0) - b * v
+    return _primitive({c: v for c, v in out.items() if v})
 
 
-def _span(rows, ncols: int) -> "SpanBuilder":
-    """A ``SpanBuilder`` fed the nonzero rows one at a time; once the span has
-    full rank every later row reduces to zero, so the rest are skipped."""
+def _span(rows, ncols: int) -> SpanBuilder:
+    """A ``SpanBuilder`` fed the nonzero rows one at a time, up to full rank."""
     span = SpanBuilder(ncols)
-    for row in rows:
-        if len(span.pivots) == ncols:
+    for row in map(_intify, rows):
+        if len(span.rows) == ncols:
             break
-        if any(row):
+        if row:
             span.add(row)
     return span
 
 
-def rref(rows, ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Reduced row echelon form over Q: the RREF of the span of ``rows``.
-
-    Returns the nonzero rows as tuples (each with pivot 1, zeros above and
-    below every pivot) and the list of pivot column indices, in order.
-    """
-    span = _span(rows, ncols)
-    return span.reduced, span.pivots
+def rref(rows, ncols: int) -> tuple[ReducedRows, list[int]]:
+    """The RREF over Q of the span of ``rows``: its nonzero rows (pivot 1,
+    zeros above and below every pivot) and the pivot columns, in order."""
+    reduced = _span(rows, ncols).reduced
+    return reduced, reduced.pivots
 
 
 def rank(rows, ncols: int) -> int:
     return len(rref(rows, ncols)[1])
 
 
-def nullspace(rows, ncols: int) -> list[list[int]]:
-    """Basis of {x : A x = 0}, one primitive integer vector per free column f,
-    in column order: a positive multiple of f's RREF basis vector (1 at f,
-    minus the RREF's column f at the pivots), so its last nonzero is at f."""
+def _nullspace(rows, ncols: int) -> list[dict[int, int]]:
+    """Basis of {x : A x = 0}, one sparse primitive integer vector per free
+    column f, in column order: a positive multiple of f's RREF basis vector
+    (1 at f, minus the RREF's column f at the pivots)."""
     span = _span(rows, ncols)
-    pivot_set = set(span.pivots)
+    hits = {f: [] for f in range(ncols) if f not in span.rows}  # (pivot, entry, pivot entry)
+    for p, row in span.rows.items():
+        for c, b in row.items():
+            if c != p:
+                hits[c].append((p, b, row[p]))
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        hits = [(p, row[free], row[p]) for row, p in zip(span.rows, span.pivots) if row[free]]
-        mult = lcm(*[a for _, _, a in hits])
-        vec = [0] * ncols
-        vec[free] = mult
-        for p, b, a in hits:
-            vec[p] = -b * (mult // a)
-        basis.append(_primitive(vec))
+    for free, col in hits.items():
+        mult = lcm(*[a for _, _, a in col])
+        basis.append(_primitive({free: mult, **{p: -b * (mult // a) for p, b, a in col}}))
     return basis
+
+
+def nullspace(rows, ncols: int) -> list[list[int]]:
+    """``_nullspace`` as dense integer vectors, each last nonzero at its free column."""
+    return [[vec.get(c, 0) for c in range(ncols)] for vec in _nullspace(rows, ncols)]
 
 
 def left_kernel(rows, ncols: int) -> list[list[int]]:
@@ -93,48 +98,74 @@ def left_kernel(rows, ncols: int) -> list[list[int]]:
     return nullspace(list(zip(*rows)), len(rows))
 
 
-def reduce_vector(vec, rows, pivots) -> list[int]:
-    """Remainder of vec modulo the span of integer echelon rows
-    (``SpanBuilder.rows``, each zero in the other rows' pivot columns), as a
-    primitive integer vector; it is unique up to a nonzero scalar."""
+def reduce_vector(vec, rows: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Remainder of vec modulo the span of ``SpanBuilder.rows``: a primitive
+    sparse integer row, a positive multiple of vec minus a combination of the
+    rows, zero at every pivot.  Clearing a pivot column leaves the other
+    pivot columns as they were, so only those in vec's support are cleared."""
     out = _intify(vec)
-    for row, p in zip(rows, pivots):
-        if out[p]:
-            out = _eliminate(out, row, p)
+    for p in [c for c in out if c in rows]:
+        out = _eliminate(out, rows[p], p)
     return out
 
 
 class SpanBuilder:
-    """Incrementally maintained integer echelon form of a growing set of
-    rows; ``add`` is the module's one elimination loop.
+    """Incrementally maintained integer echelon form of a growing set of rows.
 
-    ``rows`` are primitive integer rows, ordered by their pivot columns
-    ``pivots``, each zero in every other row's pivot column: the RREF rows up
-    to their pivot scalars.  ``reduced`` is the RREF itself.
+    ``rows`` maps each pivot column to its echelon row: primitive, sparse,
+    positive at its pivot and zero in every other pivot column.  ``_seen``
+    holds every column any row has had a nonzero in; a new pivot outside it
+    needs no back-elimination.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, int]] = {}
+        self._seen: set[int] = set()
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
+
+    @property
+    def reduced(self) -> ReducedRows:
+        return ReducedRows([self.rows[p] for p in self.pivots], self.ncols)
 
     def add(self, vec) -> bool:
         """Add a vector to the span; returns True if it was independent."""
-        rem = reduce_vector(vec, self.rows, self.pivots)
-        lead = next((i for i, x in enumerate(rem) if x), None)
-        if lead is None:
+        rem = reduce_vector(vec, self.rows)
+        if not rem:
             return False
-        for k, row in enumerate(self.rows):
-            if row[lead]:
-                self.rows[k] = _eliminate(row, rem, lead)
-        at = bisect(self.pivots, lead)
-        self.rows.insert(at, rem)
-        self.pivots.insert(at, lead)
+        lead = min(rem)
+        if rem[lead] < 0:
+            rem = {c: -v for c, v in rem.items()}
+        if lead in self._seen:
+            for p, row in self.rows.items():
+                if lead in row:
+                    self.rows[p] = _eliminate(row, rem, lead)
+        self._seen.update(rem)
+        self.rows[lead] = rem
         return True
 
-    @property
-    def reduced(self) -> list[tuple[Fraction, ...]]:
-        """The RREF of the span: the integer rows divided by their pivots."""
-        zero = Fraction(0)
-        return [tuple([Fraction(v, r[p]) if v else zero for v in r])
-                for r, p in zip(self.rows, self.pivots)]
+
+class ReducedRows:
+    """The RREF rows of a span as a sequence, each a tuple of Fractions made
+    from its integer echelon row when read.  The integer ``rows`` (in pivot order)
+    are unique for the span, so equality needs no Fraction."""
+
+    def __init__(self, rows: list[dict[int, int]], ncols: int):
+        self.rows, self.ncols = rows, ncols
+        self.pivots = [min(row) for row in rows]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
+        row, out = self.rows[i], [_ZERO] * self.ncols
+        for c, v in row.items():
+            out[c] = Fraction(v, row[self.pivots[i]])
+        return tuple(out)
+
+    def __eq__(self, other) -> bool:
+        same_shape = isinstance(other, ReducedRows) and self.ncols == other.ncols
+        return same_shape and self.rows == other.rows

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -274,3 +275,27 @@ def test_unbounded_requests_are_refused_before_allocating(argv, limit):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and limit in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _limit_address_space():
+    # Runs in the child between fork and exec: caps its address space only.
+    limit = 256 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_slices_from_generators_stay_small():
+    # Degrees 10 and 11 of (x1^3, ..., x6^3) have 3,003 and 4,368 columns and
+    # 4,752 and 7,722 generator multiples; the guard refuses degree 12.  Held
+    # as dense rows at once they need hundreds of MB.
+    ideal = "(" + ", ".join(f"x{i}^3" for i in range(1, 7)) + ")"
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolar", "hilbert", "--vars", "6", ideal],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: degree-12 slice in 6 variables has 6188 columns, above the limit of 5000\n"
+    )

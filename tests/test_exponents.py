@@ -126,15 +126,16 @@ def test_monomials_of_degree_descending():
 
 
 def test_monomial_caches_are_bounded():
-    from apolar import exponents
+    from apolar import exponents, graded_engine
 
     line = Context.of_dim(1)
     caches = (exponents._compositions, exponents.monomials_of_degree,
-              exponents.box_monomials_of_degree)
+              exponents.box_monomials_of_degree, graded_engine._shift_table)
     try:
         for n in range(exponents.CACHE_SIZE + 10):
             assert monomials_of_degree(line, n)[0].coords == (n,)
             assert exponents.box_monomials_of_degree(line, n, n)[0].coords == (n,)
+            assert graded_engine._shift_table(line, n + 1, 0) == (0,)
         for cache in caches:
             assert cache.cache_info().currsize <= exponents.CACHE_SIZE
     finally:

@@ -22,7 +22,7 @@ from apolar import (
     power_ideal,
     random_spec,
 )
-from apolar.graded_engine import MAX_SLICE_COLUMNS, _assemble_minimal
+from apolar.graded_engine import MAX_SLICE_COLUMNS, _assemble_minimal, _shift_table
 from apolar.oracle import brute_ann, brute_quotient_dim
 from hypothesis import given
 from support import gorenstein_specs
@@ -371,3 +371,33 @@ def test_hilbert_function_does_not_depend_on_cutoff_or_order(spec):
     for ideal in (plain_first, cut_first, HomogeneousIdealPresentation(spec.ctx, gens)):
         with pytest.raises(NotArtinianError):
             ideal.hilbert_function(vanishing - 1)
+
+
+@given(gorenstein_specs())
+def test_reduced_rows_do_not_depend_on_what_was_read_first(spec):
+    # Slices keep integer rows and make their Fraction rows on first read;
+    # reading hilbert_value or comparing with equals first must not change them.
+    degrees = range(spec.top_degree + 2)
+    colon = spec.colon_ideal()
+    gens = colon.generators
+    for make in (lambda: HomogeneousIdealPresentation(spec.ctx, gens),
+                 lambda: colon_power_ideal(spec.k, spec.p)):
+        rows_first, counts_first = make(), make()
+        before = [rows_first.slice(e).reduced_rows for e in degrees]
+        hilbert = [counts_first.slice(e).hilbert_value for e in degrees]
+        assert counts_first.equals(colon) and counts_first.equals(rows_first)
+        assert hilbert == [len(rows_first.slice(e).standard_monomials) for e in degrees]
+        after = [counts_first.slice(e).reduced_rows for e in degrees]
+        assert before == after == [colon.slice(e).reduced_rows for e in degrees]
+
+
+def test_shift_tables_multiply_by_a_variable():
+    ctx = Context.of_dim(3)
+    for e in range(1, 5):
+        basis, prev = monomials_of_degree(ctx, e), monomials_of_degree(ctx, e - 1)
+        for i in range(3):
+            table = _shift_table(ctx, e, i)
+            assert [basis[c] for c in table] == [
+                ExponentVector(ctx, tuple(a + (j == i) for j, a in enumerate(m.coords)))
+                for m in prev
+            ]

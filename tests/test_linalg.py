@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, strategies as st
 
 from apolar.linalg import (
     SpanBuilder,
+    _intify,
     left_kernel,
     nullspace,
     rank,
@@ -97,11 +99,11 @@ def test_reduce_vector_and_membership():
     span = SpanBuilder(3)
     for row in [[1, 0, 2], [0, 1, 3]]:
         span.add(row)
-    assert not any(reduce_vector([1, 1, 5], span.rows, span.pivots))
-    assert any(reduce_vector([0, 0, 1], span.rows, span.pivots))
-    assert reduce_vector([1, 1, 6], span.rows, span.pivots) == [0, 0, 1]
+    assert not reduce_vector([1, 1, 5], span.rows)
+    assert reduce_vector([0, 0, 1], span.rows)
+    assert reduce_vector([1, 1, 6], span.rows) == {2: 1}
     halves = [Fraction(1, 2), Fraction(1, 2), Fraction(3)]
-    assert reduce_vector(halves, span.rows, span.pivots) == [0, 0, 1]
+    assert reduce_vector(halves, span.rows) == {2: 1}
 
 
 def test_span_builder_matches_rref():
@@ -116,7 +118,7 @@ def test_span_builder_matches_rref():
         assert builder.pivots == pivots
         assert [list(r) for r in builder.reduced] == [list(r) for r in reduced]
         for v in vecs:
-            assert not any(reduce_vector(v, builder.rows, builder.pivots))
+            assert not reduce_vector(v, builder.rows)
 
 
 @st.composite
@@ -151,3 +153,57 @@ def test_kernels_are_integer_multiples_of_rref_basis_vectors(matrix):
     _assert_integer_rref_kernel(rows, ncols, nullspace(rows, ncols))
     transpose = [[row[c] for row in rows] for c in range(ncols)]
     _assert_integer_rref_kernel(transpose, len(rows), left_kernel(rows, ncols))
+
+
+@st.composite
+def sparse_rational_matrices(draw):
+    """Up to 12 rows and 40 columns at 5-30 % density, zero rows included,
+    with Fraction entries."""
+    ncols = draw(st.integers(1, 40))
+    per_row = max(1, round(ncols * draw(st.integers(5, 30)) / 100))
+    entry = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [Fraction(0)] * ncols
+        if draw(st.integers(0, 4)):  # one row in five stays zero
+            for c in draw(st.sets(st.integers(0, ncols - 1), min_size=1, max_size=per_row)):
+                row[c] = draw(entry)
+        rows.append(row)
+    return rows, ncols
+
+
+def _primitive_positive_multiple(vec):
+    """The primitive integer vector that is a positive multiple of vec."""
+    mult = lcm(*[Fraction(x).denominator for x in vec])
+    ints = [int(x * mult) for x in vec]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints
+
+
+@given(sparse_rational_matrices(), st.data())
+def test_sparse_matrices_match_the_dense_reference(matrix, data):
+    rows, ncols = matrix
+    want_rows, want_pivots = naive_rref(rows, ncols)
+    got_rows, got_pivots = rref(rows, ncols)
+    assert got_pivots == want_pivots
+    assert [list(r) for r in got_rows] == want_rows
+    free_columns = [c for c in range(ncols) if c not in want_pivots]
+    kernel = nullspace(rows, ncols)
+    assert len(kernel) == len(free_columns)
+    for vec, free in zip(kernel, free_columns):
+        want = [Fraction(int(c == free)) for c in range(ncols)]
+        for row, p in zip(want_rows, want_pivots):
+            want[p] = -row[free]
+        assert vec[free] > 0 and [Fraction(x, vec[free]) for x in vec] == want
+    span = SpanBuilder(ncols)
+    for row in rows:
+        span.add(row)
+    assert list(span.rows.values()) == [_intify(r) for r in span.rows.values()]
+    assert all(span.rows[p][p] > 0 for p in span.rows)
+    vec = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    dense = [Fraction(x) for x in vec]
+    for row, p in zip(want_rows, want_pivots):
+        dense = [x - dense[p] * y for x, y in zip(dense, row)]
+    rem = reduce_vector(vec, span.rows)
+    assert not any(c in rem for c in want_pivots)
+    assert [rem.get(c, 0) for c in range(ncols)] == _primitive_positive_multiple(dense)

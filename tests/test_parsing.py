@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from apolar import (
     Antichain,
@@ -124,3 +125,31 @@ def test_number_lists():
         assert exc.value.position == offset
     with pytest.raises(ParseError):
         parse_naturals("4,-1")
+
+
+@st.composite
+def polynomials(draw):
+    """A rational polynomial in 1-3 variables with up to five terms; zero too."""
+    ctx = draw(st.sampled_from([Context.of_dim(1), XY, Context.of_dim(3)]))
+    exponent = st.tuples(*[st.integers(0, 12)] * ctx.dim)
+    coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+    terms = draw(st.dictionaries(exponent, coeff, max_size=5))
+    return Polynomial(ctx, {ExponentVector(ctx, e): c for e, c in terms.items()})
+
+
+@st.composite
+def monomial_ideals(draw):
+    ctx = draw(st.sampled_from([Context.of_dim(1), XY, Context.of_dim(3)]))
+    exponent = st.tuples(*[st.integers(0, 9)] * ctx.dim)
+    gens = draw(st.lists(exponent, max_size=6))
+    return MonomialIdeal.from_generators(ctx, [ExponentVector(ctx, e) for e in gens])
+
+
+@given(polynomials())
+def test_polynomial_text_round_trips(p):
+    assert parse_polynomial(str(p), p.ctx) == p
+
+
+@given(monomial_ideals())
+def test_monomial_ideal_text_round_trips(ideal):
+    assert parse_ideal(str(ideal), ideal.ctx) == ideal
