@@ -2,7 +2,7 @@
 
 Every subcommand reads ideals/polynomials in the shared text syntax, runs
 one pipeline operation and prints text or JSON (schema version 1).  Exit
-codes: 0 success, 1 domain error, 2 parse/usage error.
+codes: 0 success, 1 domain error or out of memory, 2 parse/usage error.
 """
 
 from __future__ import annotations
@@ -398,6 +398,9 @@ def main(argv=None) -> int:
         return 2
     except ApolarError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; the request is too large for this process", file=sys.stderr)
         return 1
 
 

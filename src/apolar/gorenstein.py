@@ -54,6 +54,7 @@ class GorensteinSpec:
         self.leading_exponent: ExponentVector = max(reduced.support(), key=lex_key)
         self.dual_ctx = self.ctx.dual("t")
         self._colon: HomogeneousIdealPresentation | None = None
+        self._phi: dict[tuple[int, ...], Fraction] | None = None
 
     @property
     def socle_monomial(self) -> ExponentVector:
@@ -85,11 +86,14 @@ def antipodal(spec: GorensteinSpec) -> Polynomial:
 def _socle_functional(spec: GorensteinSpec) -> dict[tuple[int, ...], Fraction]:
     """phi(x^j) for every degree-M exponent j, M the top degree: the
     coordinate of x^j's class on the socle monomial, read from the ideal's
-    own top slice.  phi gives both the dual generator and the pairings."""
-    sl = spec.colon_ideal().slice(spec.top_degree)
-    if sl.standard_monomials != (spec.socle_monomial,):
-        raise DomainError("top graded piece is not spanned by the socle monomial")
-    return {j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis}
+    own top slice once per spec and kept on it, like its colon ideal.  phi
+    gives both the dual generator and the pairings."""
+    if spec._phi is None:
+        sl = spec.colon_ideal().slice(spec.top_degree)
+        if sl.standard_monomials != (spec.socle_monomial,):
+            raise DomainError("top graded piece is not spanned by the socle monomial")
+        spec._phi = {j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis}
+    return spec._phi
 
 
 def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
@@ -140,7 +144,7 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
         return False
     for e in range(top // 2 + 1):
         need = max(ideal.slice(e).hilbert_value, ideal.slice(top - e).hilbert_value)
-        rows, ncols = _catalecticant(f, ideal.ctx, e)
+        rows, ncols = _catalecticant(f, monomials_of_degree(ideal.ctx, e))
         span = SpanBuilder(ncols)
         for row in rows:
             if len(span.rows) == need:

@@ -227,36 +227,50 @@ def ideal_equals(a: HomogeneousIdealPresentation, b: HomogeneousIdealPresentatio
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _shift_table(ctx: Context, e: int, i: int) -> tuple[int, ...]:
-    """The column of x_i * m among the degree-e monomials, for each
-    degree-(e-1) monomial m, both LEX-descending."""
-    col = {ev.coords: c for c, ev in enumerate(monomials_of_degree(ctx, e))}
-    return tuple(col[tuple(a + (j == i) for j, a in enumerate(ev.coords))]
-                 for ev in monomials_of_degree(ctx, e - 1))
+    """The column of x_i * m among the degree-e monomials, for each degree-(e-1)
+    monomial m, both LEX-descending: m -> x_i * m keeps the order and maps
+    onto the monomials divisible by x_i, so it lists their columns."""
+    return tuple(c for c, ev in enumerate(monomials_of_degree(ctx, e)) if ev.coords[i])
 
 
 def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
-    """The ideal given by minimal generators collected from per-degree kernels.
+    """The ideal given by minimal generators, built degree by degree.
 
-    kernel_fn(e) returns a basis of I_e as sparse vectors over the degree-e
-    monomials.  The previous degree's echelon rows are lifted by each
-    variable (re-keyed through shift tables) until the span has the kernel's
-    dimension; kernel vectors independent of the span are new generators.
-    The span, now I_e, is kept as the degree-e slice.  Raises ``DomainError``
-    up front if degree ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
+    kernel_fn(columns) is a basis of I_e's vectors on some degree-e monomials
+    (LEX-descending), keyed by position.  x_i keeps the LEX order, so lifting
+    the previous degree's rows shifts their pivots: lifts with distinct leads
+    span L', and I_e is L' plus the kernel on the columns S it leaves free.
+    The other lifts are added up to that dimension; one left is a generator
+    read off the kernel on S, two or more are read off the full kernel in
+    order.  The span, now I_e, is the degree-e slice.  Raises ``DomainError``
+    first if degree ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
     """
     _check_slice_size(ctx, max_degree)
-    gens, slices, prev = [], {}, []
+    gens, slices, prev = [], {}, ReducedRows([], 0)
     for e in range(max_degree + 1):
         basis = monomials_of_degree(ctx, e)
-        kernel = kernel_fn(e)
-        span = SpanBuilder(len(basis))
-        shifts = [_shift_table(ctx, e, i) for i in range(ctx.dim)] if prev else []
-        for lifted in ({s[j]: c for j, c in row.items()} for s in shifts for row in prev):
-            if len(span.rows) == len(kernel):
+        span, shifts = SpanBuilder(len(basis)), [_shift_table(ctx, e, i) for i in range(ctx.dim)]
+        leads = [s[p] for s in shifts for p in prev.pivots]  # lift n = i*len(prev.rows) + r
+
+        def lift(n):  # x_i times row r of degree e - 1, made only when it is added
+            s, row = shifts[n // len(prev.rows)], prev.rows[n % len(prev.rows)]
+            return {s[j]: c for j, c in row.items()}
+
+        owner = {lead: n for n, lead in enumerate(leads)}  # one lift per lead
+        for lead in sorted(owner, reverse=True):  # leads descending: no back-elimination
+            span.add(lift(owner[lead]))
+        free = [c for c in range(len(basis)) if c not in owner]
+        kernel = [{free[j]: x for j, x in v.items()} for v in kernel_fn([basis[c] for c in free])]
+        dim = len(owner) + len(kernel)
+        for n, lead in enumerate(leads):
+            if len(span.rows) == dim:
                 break  # the span is already all of I_e
-            span.add(lifted)
+            if owner[lead] != n:
+                span.add(lift(n))
+        if owner and dim - len(span.rows) > 1:
+            kernel = kernel_fn(basis)
         for vec in kernel:
-            if len(span.rows) == len(kernel):
+            if len(span.rows) == dim:
                 break
             rem = reduce_vector(vec, span.rows)
             if rem:  # a generator, its LEX-leading (lowest) column made positive
@@ -265,7 +279,7 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
                 span.add(rem)
         del kernel  # as large as the slice: free it before making the slice
         slices[e] = GradedSlice(e, basis, span.reduced)
-        prev = slices[e]._rows.rows
+        prev = slices[e]._rows
     ideal = HomogeneousIdealPresentation(ctx, gens)
     ideal._slices = slices
     return ideal
@@ -313,10 +327,7 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
         products = [(tuple(map(add, mc, s)), a) for s, a in p_terms]
         return [(t, a) for t, a in products if max(t) < k]
 
-    def kernel_fn(e: int) -> list[dict[int, int]]:
-        return _nullspace(*_transposed(ctx, e, image))
-
-    return _assemble_minimal(ctx, kernel_fn, top + 1)
+    return _assemble_minimal(ctx, lambda cols: _nullspace(*_transposed(cols, image)), top + 1)
 
 
 def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> HomogeneousIdealPresentation:
@@ -332,10 +343,7 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
 
-    def kernel_fn(e: int) -> list[dict[int, int]]:
-        return _nullspace(*_catalecticant(q, ctx, e))
-
-    return _assemble_minimal(ctx, kernel_fn, m_deg + 1)
+    return _assemble_minimal(ctx, lambda cols: _nullspace(*_catalecticant(q, cols)), m_deg + 1)
 
 
 def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
@@ -344,11 +352,11 @@ def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
     return [(ev.coords, c.numerator * (mult // c.denominator)) for ev, c in f._terms.items()]
 
 
-def _transposed(ctx: Context, e: int, image) -> tuple[list[dict[int, int]], int]:
-    """A linear map on R_e, image(m) the (exponent, coefficient) terms of the
-    image of a degree-e monomial's coordinates, as the sparse rows of its
-    transpose (one per exponent hit, keyed by m's column) and their width."""
-    monomials = monomials_of_degree(ctx, e)
+def _transposed(monomials, image) -> tuple[list[dict[int, int]], int]:
+    """A linear map on the span of some degree-e monomials, image(m) the
+    (exponent, coefficient) terms of the image of a monomial's coordinates,
+    as the sparse rows of its transpose (one per exponent hit, keyed by m's
+    position in ``monomials``) and their width."""
     rows: dict[tuple[int, ...], dict[int, int]] = {}
     for r, m in enumerate(monomials):
         for t, c in image(m.coords):
@@ -356,12 +364,13 @@ def _transposed(ctx: Context, e: int, image) -> tuple[list[dict[int, int]], int]
     return list(rows.values()), len(monomials)
 
 
-def _catalecticant(f: Polynomial, ctx: Context, e: int) -> tuple[list[dict[int, int]], int]:
+def _catalecticant(f: Polynomial, monomials) -> tuple[list[dict[int, int]], int]:
     """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
-    m -> m(d/dt) f, with f scaled by the lcm of its denominators, as the
-    sparse rows of its transpose (``_transposed``): one column per degree-e
-    monomial m of ``ctx``, LEX-descending.  A term c*t^s of f with s >= m
-    puts c * prod perm(s_i, m_i) in row s - m, column m.
+    m -> m(d/dt) f, with f scaled by the lcm of its denominators, on the
+    given degree-e monomials (all of R_e's, or some), as the sparse rows of
+    its transpose (``_transposed``): one column per monomial m, in the given
+    order.  A term c*t^s of f with s >= m puts c * prod perm(s_i, m_i) in
+    row s - m, column m.
     """
     terms = _integer_terms(f)
 
@@ -371,4 +380,4 @@ def _catalecticant(f: Polynomial, ctx: Context, e: int) -> tuple[list[dict[int, 
             if min(u) >= 0:
                 yield u, c * prod(map(perm, s, mc))
 
-    return _transposed(ctx, e, image)
+    return _transposed(monomials, image)

@@ -132,6 +132,16 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_out_of_memory_is_a_domain_exit(capsys, monkeypatch):
+    def exhausted(args, ctx):
+        raise MemoryError
+
+    monkeypatch.setattr("apolar.cli.cmd_hilbert", exhausted)
+    code, out, err = run(capsys, "hilbert", "--vars", "2", "(x1^2, x2^2)")
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory; the request is too large for this process\n"
+
+
 def test_staircase(capsys):
     code, out, _ = run(capsys, "staircase", "--vars", "2", "(x1^3, x2^2)")
     assert code == 0

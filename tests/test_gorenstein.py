@@ -29,6 +29,7 @@ from apolar import (
     verify_gorenstein_ann,
 )
 from apolar.gorenstein import _is_annihilator_of, _socle_functional
+from apolar.graded_engine import GradedSlice
 from apolar.linalg import rank
 from hypothesis import given
 from support import gorenstein_specs, rand_zero_dim_ideal
@@ -284,6 +285,23 @@ def test_socle_functional_on_random_specs():
         degree_m = monomials_of_degree(spec.ctx, spec.top_degree)
         assert set(phi) == {ev.coords for ev in degree_m}
         assert phi == {j: expected.get(j, 0) for j in phi}
+        assert _socle_functional(spec) is phi
+
+
+def test_socle_functional_is_read_once_per_spec(monkeypatch):
+    spec = GorensteinSpec(4, parse_polynomial("x1^2*x2 + x1*x2*x3 - 2*x3^3", Context.of_dim(3)))
+    reads, read = [], GradedSlice.reduce_monomial
+
+    def counted(sl, ev):
+        reads.append(ev)
+        return read(sl, ev)
+
+    monkeypatch.setattr(GradedSlice, "reduce_monomial", counted)
+    dual = dual_socle_poly(spec)
+    assert len(reads) == len(monomials_of_degree(spec.ctx, spec.top_degree))
+    assert all(pairing_is_nondegenerate(spec, i) for i in range(spec.top_degree + 1))
+    assert dual_socle_poly(spec) == dual == antipodal(spec)
+    assert len(reads) == len(monomials_of_degree(spec.ctx, spec.top_degree))
 
 
 def _reference_pairing(spec, i):

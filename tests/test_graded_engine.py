@@ -1,5 +1,9 @@
+import hashlib
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -22,6 +26,7 @@ from apolar import (
     power_ideal,
     random_spec,
 )
+from apolar.exponents import box_monomials_of_degree
 from apolar.graded_engine import MAX_SLICE_COLUMNS, _assemble_minimal, _shift_table
 from apolar.oracle import brute_ann, brute_quotient_dim
 from hypothesis import given
@@ -298,11 +303,87 @@ def test_ann_partial_generators_are_pinned():
     ]
 
 
+def _build_specs():
+    """Seeded specs in 2, 3 and 4 variables, plus the ladder p."""
+    rng = random.Random(12)
+    specs = []
+    for d in (2, 3, 4):
+        ctx = Context.of_dim(d)
+        for _ in range(8):
+            k = rng.randint(3, 6 - d // 2)
+            pool = box_monomials_of_degree(ctx, rng.randint(d, d * (k - 1) - 2), k - 1)
+            support = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+            coeffs = {ev: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
+                      for ev in support}
+            specs.append(GorensteinSpec(k, Polynomial(ctx, coeffs)))
+    ctx3 = Context.of_dim(3)
+    return specs + [GorensteinSpec(k, parse_polynomial(LADDER_P, ctx3)) for k in (5, 6)]
+
+
+def _build_text(ideal, top):
+    return [[str(g) for g in ideal.generators],
+            [[sorted(row.items()) for row in ideal.slice(e)._rows.rows] for e in range(top + 2)]]
+
+
+# sha256 of the generator strings and integer slice rows of _build_specs(),
+# captured when every degree reduced the lifts against the full kernel.
+BUILD_DIGEST = "67f4707b0008a41465f2400853db160a4e6dbb087886f8fb4209936a61e97a93"
+
+
+def test_each_build_path_keeps_generators_and_slices(monkeypatch):
+    # Per kernel_fn call: (degree, number of columns, kernel dimension,
+    # whether it is the degree's second call).
+    builds = []
+
+    def spy(ctx, kernel_fn, max_degree):
+        calls = []
+
+        def counted(columns):
+            kernel = kernel_fn(columns)
+            again = bool(columns and calls and calls[-1][0] == columns[0].degree)
+            e = columns[0].degree if columns else calls[-1][0] + 1 if calls else 0
+            calls.append((e, len(columns), len(kernel), again))
+            return kernel
+
+        ideal = _assemble_minimal(ctx, counted, max_degree)
+        builds.append((ideal, calls))
+        return ideal
+
+    monkeypatch.setattr("apolar.graded_engine._assemble_minimal", spy)
+    specs = _build_specs()
+    colon = [_build_text(spec.colon_ideal(), spec.top_degree) for spec in specs]
+    ann = [_build_text(ann_partial(antipodal(spec), spec.ctx), spec.top_degree)
+           for spec in specs]
+    for text in (colon, ann):
+        assert hashlib.sha256(json.dumps(text).encode()).hexdigest() == BUILD_DIGEST
+    paths = Counter()
+    for ideal, calls in builds:
+        gens = Counter(g.homogeneous_degree() for g in ideal.generators)
+        read_again = {e for e, _, _, again in calls if again}
+        for e, width, kernel_dim, again in calls:
+            full = width == comb(e + ideal.ctx.dim - 1, e)
+            if again:
+                assert full and gens[e] >= 2
+                paths["full kernel, two or more generators"] += 1
+            elif full:  # no lifts: every kernel vector is a generator
+                assert kernel_dim == gens[e] and e not in read_again
+            else:  # the full kernel is read only when two or more generators are left
+                assert (e in read_again) == (gens[e] >= 2)
+                if kernel_dim == 0:
+                    assert gens[e] == 0
+                    paths["no new dimension"] += 1
+                elif gens[e] == 1:
+                    paths["one generator from the free columns"] += 1
+                if kernel_dim > gens[e]:
+                    paths["other lifts add dimensions"] += 1
+    assert len(paths) == 4, paths
+
+
 class _KernelReached(Exception):
     pass
 
 
-def _kernel_reached(e):
+def _kernel_reached(columns):
     raise _KernelReached
 
 

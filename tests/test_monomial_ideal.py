@@ -140,6 +140,16 @@ def test_inverse_ideal_of_docle_is_closure_property(i):
     assert inverse_ideal(docle(i)) == closure(i)
 
 
+@given(monomial_ideals())
+def test_closure_laws_property(i):
+    # Extensive, idempotent and above i in the sq order, which is reflexive.
+    c = closure(i)
+    assert is_subideal(i, c)
+    assert sq_leq(i, c)
+    assert closure(c) == c
+    assert sq_leq(i, i)
+
+
 def test_docle_flat_in_exponent_size():
     # A membership table over the generator box would have 10^12 cells here.
     n, a = 10**6, 10**3
