@@ -12,17 +12,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError
 from .exponents import Context, ExponentVector, lex_key, monomials_of_degree
 from .graded_engine import (
     HomogeneousIdealPresentation,
     _catalecticant,
+    _integer_terms,
     _reduced_mod_power,
     ann_partial,
     colon_power_ideal,
 )
-from .linalg import SpanBuilder, rank
+from .linalg import SpanBuilder, _intify, rank
 from .polynomial import Polynomial, diff_action
 
 
@@ -55,13 +57,12 @@ class GorensteinSpec:
         self.dual_ctx = self.ctx.dual("t")
         self._colon: HomogeneousIdealPresentation | None = None
         self._phi: dict[tuple[int, ...], Fraction] | None = None
+        self._phi_int: dict[tuple[int, ...], int] | None = None
 
     @property
     def socle_monomial(self) -> ExponentVector:
         """x^((k-1)*(1,...,1) - mu), mu the LEX-largest exponent of p."""
-        return ExponentVector(
-            self.ctx, tuple(self.k - 1 - c for c in self.leading_exponent.coords)
-        )
+        return ExponentVector(self.ctx, tuple(self.k - 1 - c for c in self.leading_exponent.coords))
 
     def colon_ideal(self) -> HomogeneousIdealPresentation:
         if self._colon is None:
@@ -87,12 +88,14 @@ def _socle_functional(spec: GorensteinSpec) -> dict[tuple[int, ...], Fraction]:
     """phi(x^j) for every degree-M exponent j, M the top degree: the
     coordinate of x^j's class on the socle monomial, read from the ideal's
     own top slice once per spec and kept on it, like its colon ideal.  phi
-    gives both the dual generator and the pairings."""
+    gives both the dual generator and the pairings, whose ranks read
+    ``spec._phi_int``, phi times the lcm of its denominators, made with it."""
     if spec._phi is None:
         sl = spec.colon_ideal().slice(spec.top_degree)
         if sl.standard_monomials != (spec.socle_monomial,):
             raise DomainError("top graded piece is not spanned by the socle monomial")
         spec._phi = {j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis}
+        spec._phi_int = _intify(spec._phi)
     return spec._phi
 
 
@@ -139,12 +142,12 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
     three checks of ``verify_gorenstein_ann``."""
     if not all(diff_action(g, f).is_zero for g in ideal.generators):
         return False
-    top = f.homogeneous_degree()
+    top, terms = f.homogeneous_degree(), _integer_terms(f)
     if ideal.slice(top + 1).hilbert_value:
         return False
     for e in range(top // 2 + 1):
         need = max(ideal.slice(e).hilbert_value, ideal.slice(top - e).hilbert_value)
-        rows, ncols = _catalecticant(f, monomials_of_degree(ideal.ctx, e))
+        rows, ncols = _catalecticant(terms, monomials_of_degree(ideal.ctx, e))
         span = SpanBuilder(ncols)
         for row in rows:
             if len(span.rows) == need:
@@ -224,24 +227,30 @@ def series_annihilator_check(spec: GorensteinSpec, series: SeriesSpec) -> bool:
     return not ideal.slice(top + 1).standard_monomials
 
 
+def _pairing(spec: GorensteinSpec, i: int, integer: bool) -> list[list]:
+    """Entry (r, c) is phi(r*c) over the degree-i and degree-(M-i) standard
+    monomials; with ``integer``, phi times the lcm of its denominators."""
+    if not 0 <= i <= spec.top_degree:
+        raise DomainError("pairing degree out of range")
+    phi = _socle_functional(spec)
+    phi = spec._phi_int if integer else phi
+    ideal = spec.colon_ideal()
+    cols = [c.coords for c in ideal.slice(spec.top_degree - i).standard_monomials]
+    return [[phi[tuple(map(add, r.coords, c))] for c in cols]
+            for r in ideal.slice(i).standard_monomials]
+
+
 def pairing_matrix(spec: GorensteinSpec, i: int) -> list[list[Fraction]]:
     """Matrix of the multiplication pairing (R/I)_i x (R/I)_(M-i) -> (R/I)_M
     in the standard monomial bases: entry (r, c) is phi(r*c), phi the socle
     functional."""
-    if not 0 <= i <= spec.top_degree:
-        raise DomainError("pairing degree out of range")
-    phi = _socle_functional(spec)
-    ideal = spec.colon_ideal()
-    cols = [c.coords for c in ideal.slice(spec.top_degree - i).standard_monomials]
-    return [
-        [phi[tuple(a + b for a, b in zip(r.coords, c))] for c in cols]
-        for r in ideal.slice(i).standard_monomials
-    ]
+    return _pairing(spec, i, False)
 
 
 def pairing_is_nondegenerate(spec: GorensteinSpec, i: int) -> bool:
-    # pairing_matrix checks (R/I)_M != 0, so neither basis is empty
-    matrix = pairing_matrix(spec, i)
+    """Full rank of the pairing matrix, ranked on its integer multiple."""
+    # _socle_functional checks (R/I)_M != 0, so neither basis is empty
+    matrix = _pairing(spec, i, True)
     cols = len(matrix[0])
     return rank(matrix, cols) == min(len(matrix), cols)
 
@@ -252,15 +261,7 @@ def random_spec(rng, dims=(2, 3), max_k: int = 4, max_support: int = 4) -> Goren
     k = rng.randint(1, max_k)
     ctx = Context.of_dim(d)
     n = rng.randint(0, d * (k - 1))
-    pool = [
-        ev
-        for ev in monomials_of_degree(ctx, n)
-        if all(c <= k - 1 for c in ev.coords)
-    ]
-    size = rng.randint(1, min(max_support, len(pool)))
-    support = rng.sample(pool, size)
-    terms = {}
-    for ev in support:
-        num = rng.randint(1, 6) * rng.choice([1, -1])
-        terms[ev] = Fraction(num, rng.randint(1, 4))
+    pool = [ev for ev in monomials_of_degree(ctx, n) if all(c <= k - 1 for c in ev.coords)]
+    terms = {ev: Fraction(rng.randint(1, 6) * rng.choice([1, -1]), rng.randint(1, 4))
+             for ev in rng.sample(pool, rng.randint(1, min(max_support, len(pool))))}
     return GorensteinSpec(k, Polynomial(ctx, terms))

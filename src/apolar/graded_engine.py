@@ -16,8 +16,7 @@ from math import comb, lcm, perm, prod
 from operator import add, sub
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
-from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree, unit_vector
-from .exponents import add as ev_add
+from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree
 from .linalg import _ZERO, ReducedRows, SpanBuilder, _nullspace, left_kernel, reduce_vector, rref
 from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial
@@ -73,28 +72,20 @@ class GradedSlice:
         return tuple(self.monomial_basis[c] for c in self._std_columns)
 
     @cached_property
-    def _cosets(self) -> dict[ExponentVector, tuple[dict[int, int], int]]:
-        """Each monomial's integer RREF row and pivot entry; a standard x^c is -x^c over 1."""
-        out = {ev: ({c: -1}, 1) for c, ev in enumerate(self.monomial_basis)}
+    def _cosets(self) -> dict[tuple[int, ...], tuple[dict[int, int], int]]:
+        """Each monomial's integer RREF row and pivot entry, by exponent: its
+        coset is -row[c]/a at each standard column c (x^c itself: -x^c over 1)."""
+        out = {ev.coords: ({c: -1}, 1) for c, ev in enumerate(self.monomial_basis)}
         for row, p in zip(self._rows.rows, self._pivots):
-            out[self.monomial_basis[p]] = row, row[p]
+            out[self.monomial_basis[p].coords] = row, row[p]
         return out
 
     def reduce_monomial(self, ev: ExponentVector) -> list[Fraction]:
         """Coordinates of a degree-e monomial's coset over the standard monomials."""
-        if ev not in self._cosets:
+        if ev.ctx != self.monomial_basis[0].ctx or ev.coords not in self._cosets:
             raise DomainError("monomial is not of the slice's degree and context")
-        row, a = self._cosets[ev]
+        row, a = self._cosets[ev.coords]
         return [Fraction(-row[c], a) if c in row else _ZERO for c in self._std_columns]
-
-    def reduce_polynomial(self, poly: Polynomial) -> list[Fraction]:
-        out = [_ZERO] * len(self._std_columns)
-        for ev, c in poly.terms():
-            if ev.degree != self.degree:
-                raise DomainError("polynomial degree does not match the slice")
-            for i, v in enumerate(self.reduce_monomial(ev)):
-                out[i] += c * v
-        return out
 
 
 class _Multiples:
@@ -167,14 +158,26 @@ class HomogeneousIdealPresentation:
         return sum(self.hilbert_function(cutoff))
 
     def socle(self, cutoff: int | None = None) -> list["SocleClass"]:
-        """Per-degree kernel of multiplication by the variables on R/I."""
+        """Per-degree kernel of multiplication by the variables on R/I.  Row s
+        holds, in block u, the integer coset of x_u*s in degree e+1 times
+        lambda_s, the lcm of the blocks' pivot entries: scaling a transpose
+        column keeps the RREF pivots, so with entry s times lambda_s a kernel
+        vector is the unscaled one times a positive constant, which dividing
+        by its last nonzero removes."""
         hilbert = self.hilbert_function(cutoff)
-        units = [unit_vector(self.ctx, i) for i in range(self.ctx.dim)]
         classes: list[SocleClass] = []
         for e in range(len(hilbert)):
             std, nxt = self.slice(e).standard_monomials, self.slice(e + 1)
-            rows = [[x for u in units for x in nxt.reduce_monomial(ev_add(s, u))] for s in std]
-            for vec in left_kernel(rows, len(units) * nxt.hilbert_value):
+            at = {c: j for j, c in enumerate(nxt._std_columns)}
+            rows, scales = [], []
+            for s in std:
+                blocks = [nxt._cosets[s.coords[:u] + (x + 1,) + s.coords[u + 1:]]
+                          for u, x in enumerate(s.coords)]
+                scales.append(lcm(*[a for _, a in blocks]))
+                rows.append({u * len(at) + at[c]: -v * (scales[-1] // a)
+                             for u, (r, a) in enumerate(blocks) for c, v in r.items() if c in at})
+            for vec in left_kernel(rows, self.ctx.dim * len(at)):
+                vec = [v * scale for v, scale in zip(vec, scales)]
                 free = next(v for v in reversed(vec) if v)
                 classes.append(SocleClass(e, std, [Fraction(v, free) for v in vec]))
         return classes
@@ -343,7 +346,8 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
 
-    return _assemble_minimal(ctx, lambda cols: _nullspace(*_catalecticant(q, cols)), m_deg + 1)
+    terms = _integer_terms(q)
+    return _assemble_minimal(ctx, lambda cols: _nullspace(*_catalecticant(terms, cols)), m_deg + 1)
 
 
 def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
@@ -364,15 +368,14 @@ def _transposed(monomials, image) -> tuple[list[dict[int, int]], int]:
     return list(rows.values()), len(monomials)
 
 
-def _catalecticant(f: Polynomial, monomials) -> tuple[list[dict[int, int]], int]:
+def _catalecticant(terms, monomials) -> tuple[list[dict[int, int]], int]:
     """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
-    m -> m(d/dt) f, with f scaled by the lcm of its denominators, on the
-    given degree-e monomials (all of R_e's, or some), as the sparse rows of
-    its transpose (``_transposed``): one column per monomial m, in the given
-    order.  A term c*t^s of f with s >= m puts c * prod perm(s_i, m_i) in
-    row s - m, column m.
+    m -> m(d/dt) f, for f given by ``_integer_terms(f)`` (f scaled by the lcm
+    of its denominators, computed once per build), on the given degree-e
+    monomials (all of R_e's, or some), as the sparse rows of its transpose
+    (``_transposed``): one column per monomial m, in the given order.  A term
+    c*t^s of f with s >= m puts c * prod perm(s_i, m_i) in row s - m, column m.
     """
-    terms = _integer_terms(f)
 
     def image(mc):
         for s, c in terms:

@@ -94,8 +94,14 @@ def nullspace(rows, ncols: int) -> list[list[int]]:
 
 
 def left_kernel(rows, ncols: int) -> list[list[int]]:
-    """Basis of {c : sum_i c_i row_i = 0}, as ``nullspace`` of the transpose."""
-    return nullspace(list(zip(*rows)), len(rows))
+    """Basis of {c : sum_i c_i row_i = 0}, as ``nullspace`` of the transpose,
+    which is made from the rows' nonzeros (dense rows or {column: value})."""
+    transpose = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items() if isinstance(row, dict) else enumerate(row):
+            if v:
+                transpose[c][i] = v
+    return nullspace(transpose, len(rows))
 
 
 def reduce_vector(vec, rows: dict[int, dict[int, int]]) -> dict[int, int]:

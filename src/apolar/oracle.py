@@ -157,6 +157,44 @@ def brute_quotient_dim(generators, cutoff: int) -> int:
     raise NotArtinianError(f"quotient still nonzero at degree {cutoff}")
 
 
+def brute_socle(generators, cutoff: int) -> dict[int, list[Polynomial]]:
+    """A basis of the socle (I : m)_e / I_e for each degree e with (R/I)_e
+    nonzero; its length is the socle dimension in degree e.
+
+    The f in R_e with x_u f in I_(e+1) for every u are the kernel of
+    f -> (x_u f reduced by the echelon rows of I_(e+1))_u; that kernel,
+    reduced by the echelon rows of I_e, spans the socle in normal forms.
+    """
+    gens = [g for g in generators if not g.is_zero]
+    if not gens:
+        raise NotArtinianError("the zero ideal has an infinite-dimensional quotient")
+    ctx = gens[0].ctx
+
+    def normal_form(vec, ech):
+        for r in ech:
+            c = vec[next(i for i, x in enumerate(r) if x)]
+            vec = [x - c * y for x, y in zip(vec, r)]
+        return vec
+
+    socle: dict[int, list[Polynomial]] = {}
+    ech = _echelon(_ideal_rows(gens, ctx, 0))
+    for e in range(cutoff + 1):
+        basis, upper = monomials_of_degree(ctx, e), monomials_of_degree(ctx, e + 1)
+        if len(ech) == len(basis):
+            return socle
+        nxt = _echelon(_ideal_rows(gens, ctx, e + 1))
+        coset = {m.coords: normal_form([Fraction(int(n == m)) for n in upper], nxt) for m in upper}
+        rows = [
+            [x for u in range(ctx.dim)
+             for x in coset[tuple(c + (j == u) for j, c in enumerate(m.coords))]]
+            for m in basis
+        ]
+        kernel = [normal_form(v, ech) for v in _kernel(rows, len(rows[0]))]
+        socle[e] = [Polynomial(ctx, {m: c for m, c in zip(basis, r) if c}) for r in _echelon(kernel)]
+        ech = nxt
+    raise NotArtinianError(f"quotient still nonzero at degree {cutoff}")
+
+
 def brute_series_check(spec, coeffs) -> bool:
     """``series_annihilator_check`` by the literal construction, for a plain
     coefficient tuple a_0, ..., a_M (M the top degree of R/I; zeros allowed).

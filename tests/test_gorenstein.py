@@ -30,7 +30,7 @@ from apolar import (
 )
 from apolar.gorenstein import _is_annihilator_of, _socle_functional
 from apolar.graded_engine import GradedSlice
-from apolar.linalg import rank
+from apolar.linalg import rank, reduce_vector
 from hypothesis import given
 from support import gorenstein_specs, rand_zero_dim_ideal
 
@@ -217,9 +217,11 @@ def test_socle_pair_binomials_in_ideal():
             comp_j = ExponentVector(
                 spec.ctx, tuple(spec.k - 1 - c for c in j_ev.coords)
             )
-            binomial = Polynomial(spec.ctx, {comp_j: a_i, comp_i: -a_j})
             sl = ideal.slice(spec.top_degree)
-            assert not any(sl.reduce_polynomial(binomial))
+            col = {ev: c for c, ev in enumerate(sl.monomial_basis)}
+            binomial = {col[comp_j]: a_i, col[comp_i]: -a_j}
+            echelon = dict(zip(sl._rows.pivots, sl._rows.rows))
+            assert not reduce_vector(binomial, echelon)
 
 
 def test_one_element_socle_classes():
@@ -327,6 +329,33 @@ def test_pairing_matrix_matches_per_entry_reduction():
             assert pairing_matrix(spec, i) == _reference_pairing(spec, i)
     with pytest.raises(DomainError, match="out of range"):
         pairing_matrix(SPEC1, SPEC1.top_degree + 1)
+
+
+def test_degenerate_pairing_is_reported():
+    # (x^2, x*y, y^3) has h = (1, 2, 1) and top slice spanned by y^2, the
+    # socle monomial of (3, x^2); in degree 1, x pairs to zero with x and y.
+    spec = GorensteinSpec(3, parse_polynomial("x^2", CTX))
+    spec._colon = _monomial_pres("(x^2, x*y, y^3)")
+    assert pairing_matrix(spec, 1) == [[1, 0], [0, 0]]  # rows and columns y, x
+    assert [pairing_is_nondegenerate(spec, i) for i in range(3)] == [True, False, True]
+
+
+def test_pairing_verdict_is_the_rank_of_the_pairing_matrix():
+    # Colon ideals, and half the time their LEX initial ideals swapped in:
+    # same Hilbert function and top slice, often a degenerate pairing.
+    rng = random.Random(76)
+    verdicts = Counter()
+    for n in range(80):
+        spec = random_spec(rng, dims=(1, 2, 3), max_k=4)
+        if n % 2:
+            initial = spec.colon_ideal().initial_monomials()
+            spec._colon = HomogeneousIdealPresentation.from_monomial_ideal(initial)
+        for i in range(spec.top_degree + 1):
+            matrix = pairing_matrix(spec, i)
+            full = rank(matrix, len(matrix[0])) == min(len(matrix), len(matrix[0]))
+            assert pairing_is_nondegenerate(spec, i) == full, (spec, i)
+            verdicts[full] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_two_dimensional_top_slice_is_refused():

@@ -27,7 +27,8 @@ from apolar import (
     random_spec,
 )
 from apolar.exponents import box_monomials_of_degree
-from apolar.graded_engine import MAX_SLICE_COLUMNS, _assemble_minimal, _shift_table
+from apolar.graded_engine import MAX_SLICE_COLUMNS, GradedSlice, _assemble_minimal, _shift_table
+from apolar.linalg import left_kernel
 from apolar.oracle import brute_ann, brute_quotient_dim
 from hypothesis import given
 from support import gorenstein_specs
@@ -137,6 +138,26 @@ def test_socle_with_a_fractional_class_is_pinned():
         "degree 2: x^2 - 2/3*x*y + 4/9*y^2",
         "degree 3: x^2*y",
     ]
+
+
+def test_socle_reads_integer_cosets_only(monkeypatch):
+    # The multiplication map reaches left_kernel as integer rows; no coset
+    # is read as Fractions through reduce_monomial.
+    def refuse(sl, ev):
+        raise AssertionError("socle read a coset as Fractions")
+
+    seen = []
+
+    def integer_rows(rows, ncols):
+        seen.extend(type(v) for row in rows for v in row.values())
+        return left_kernel(rows, ncols)
+
+    ideal = parse_ideal("(x^3, y^3, 3*x^2*y - 2*x*y^2)", CTX)
+    ideal.hilbert_function()
+    monkeypatch.setattr(GradedSlice, "reduce_monomial", refuse)
+    monkeypatch.setattr("apolar.graded_engine.left_kernel", integer_rows)
+    assert [str(c) for c in ideal.socle()] == ["x^2 - 2/3*x*y + 4/9*y^2", "x^2*y"]
+    assert seen and set(seen) == {int}
 
 
 def test_initial_monomials_fixtures():

@@ -84,15 +84,25 @@ def test_nullspace_property():
 
 
 def test_left_kernel_property():
+    # The kernel kills the rows, and rows given as {column: value} dicts
+    # (of the nonzeros, or of every entry) give the same kernel as dense
+    # rows; zero rows (empty dicts) and Fraction entries included.
     rng = random.Random(54)
-    for _ in range(150):
+    for n in range(150):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
-        m = rand_matrix(rng, nrows, ncols)
-        for c in left_kernel(m, ncols):
+        m = rand_matrix(rng, nrows, ncols, frac=n % 2 == 1)
+        if rng.random() < 0.3:
+            m.insert(rng.randint(0, nrows), [Fraction(0)] * ncols)
+            nrows += 1
+        kernel = left_kernel(m, ncols)
+        sparse = [{c: x for c, x in enumerate(row) if x or n % 3 == 0} for row in m]
+        assert left_kernel(sparse, ncols) == kernel
+        for c in kernel:
             combo = [
                 sum(c[i] * m[i][j] for i in range(nrows)) for j in range(ncols)
             ]
             assert not any(combo)
+    assert left_kernel([{}, {1: 2}, {}], 3) == [[1, 0, 0], [0, 0, 1]]
 
 
 def test_reduce_vector_and_membership():

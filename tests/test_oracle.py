@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,13 +14,22 @@ from apolar import (
     HomogeneousIdealPresentation,
     MonomialIdeal,
     NotArtinianError,
+    Polynomial,
     SeriesSpec,
+    monomials_of_degree,
     parse_ideal,
     parse_polynomial,
     random_spec,
     series_annihilator_check,
 )
-from apolar.oracle import brute_ann, brute_docle, brute_quotient_dim, brute_series_check
+from apolar.linalg import rref
+from apolar.oracle import (
+    brute_ann,
+    brute_docle,
+    brute_quotient_dim,
+    brute_series_check,
+    brute_socle,
+)
 
 from support import rand_zero_dim_ideal
 
@@ -111,3 +122,81 @@ def test_brute_series_check_matches_series_annihilator_check():
                     assert brute_series_check(spec, series.coeffs) == verdict, spec
                     verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]
+
+
+# sha256 of the presentations' text and socle() strings, captured on the
+# engine that built socle rows from Fraction cosets.
+SOCLE_DIGEST = "22e4445ce1416fb5274b45919eb4c6e43b7caf61b67f30b2fb8fbf0067118d3f"
+
+
+def _socle_presentations() -> list[HomogeneousIdealPresentation]:
+    """Seeded presentations in d = 2 and 3: pure powers x_i^3..x_i^(7-d),
+    sometimes a quadratic monomial, plus forms of degree 3 with two or three
+    rational terms (mostly not Gorenstein, with socles in several degrees
+    and fractional classes); every fourth is a colon ideal's generators."""
+    rng = random.Random(43)
+    out = []
+    for n in range(24):
+        d = 2 + n % 2
+        ctx = Context.of_dim(d)
+        if n % 4 == 3:
+            spec = random_spec(rng, dims=(d,), max_k=3)
+            out.append(HomogeneousIdealPresentation(ctx, spec.colon_ideal().generators))
+            continue
+        gens = [
+            Polynomial.monomial(ExponentVector(
+                ctx, tuple(rng.randint(3, 7 - d) if j == i else 0 for j in range(d))))
+            for i in range(d)
+        ]
+        if n % 4 == 2:
+            gens.append(Polynomial.monomial(rng.choice(monomials_of_degree(ctx, 2))))
+        for _ in range(rng.randint(1, d - 1)):
+            pool = monomials_of_degree(ctx, 3)
+            gens.append(Polynomial(ctx, {
+                ev: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                for ev in rng.sample(pool, min(len(pool), rng.randint(2, 3)))
+            }))
+        out.append(HomogeneousIdealPresentation(ctx, gens))
+    return out
+
+
+def test_brute_socle_fixtures():
+    named = Context(("x", "y"))
+
+    def monomial_gens(text):
+        ideal = parse_ideal(text, named)
+        return list(HomogeneousIdealPresentation.from_monomial_ideal(ideal).generators)
+
+    fat = brute_socle(monomial_gens("(x^2, x*y, y^2)"), 5)
+    assert {e: sorted(map(str, basis)) for e, basis in fat.items()} == {0: [], 1: ["x", "y"]}
+    gens = list(parse_ideal("(x^3, y^3, 3*x^2*y - 2*x*y^2)", named).generators)
+    assert {e: len(basis) for e, basis in brute_socle(gens, 8).items()} == {
+        0: 0, 1: 0, 2: 1, 3: 1,
+    }
+    with pytest.raises(NotArtinianError):
+        brute_socle(monomial_gens("(x^2)"), 6)
+
+
+def test_socle_matches_brute_socle():
+    # Per degree, the engine's classes and the oracle's basis have the same
+    # number and span the same space (both are normal forms under LEX).
+    items, degrees, fractional, larger = [], Counter(), False, False
+    for pres in _socle_presentations():
+        classes = pres.socle()
+        items.append([str(pres), [f"degree {c.degree}: {c}" for c in classes]])
+        cutoff = sum(g.homogeneous_degree() for g in pres.generators) + pres.ctx.dim
+        brute = brute_socle(list(pres.generators), cutoff)
+        assert sorted(brute) == list(range(len(pres.hilbert_function())))
+        for e, basis in brute.items():
+            engine = [c.polynomial() for c in classes if c.degree == e]
+            assert len(engine) == len(basis), (str(pres), e)
+            monomials = monomials_of_degree(pres.ctx, e)
+            spans = [rref([[f.coeff(m) for m in monomials] for f in fs], len(monomials))[0]
+                     for fs in (engine, basis)]
+            assert spans[0] == spans[1], (str(pres), e)
+        degrees[len({c.degree for c in classes})] += 1
+        fractional |= any(x.denominator > 1 for c in classes for x in c.coords)
+        larger |= len(classes) > 1
+    assert degrees[2] and fractional and larger
+    blob = json.dumps(items, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SOCLE_DIGEST
