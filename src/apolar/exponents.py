@@ -138,21 +138,28 @@ def sub_checked(a: ExponentVector, b: ExponentVector) -> ExponentVector | None:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """The ways to write total as parts nonnegative parts, LEX-descending:
+    the last part runs from total down, as it is the most significant."""
     if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+        return ((total,),) if total >= 0 else ()
+    return tuple(
+        rest + (last,)
+        for last in range(total, -1, -1)
+        for rest in _compositions(total - last, parts - 1)
+    )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def monomials_of_degree(ctx: Context, n: int) -> tuple[ExponentVector, ...]:
-    """All exponent vectors of total degree n, LEX-descending (leading first)."""
-    evs = [ExponentVector(ctx, c) for c in _compositions(n, ctx.dim)]
-    evs.sort(key=lex_key, reverse=True)
-    return tuple(evs)
+    """All exponent vectors of total degree n, LEX-descending (leading first),
+    made without ``__post_init__``: compositions are valid by construction."""
+    out = []
+    for c in _compositions(n, ctx.dim):
+        ev = object.__new__(ExponentVector)
+        object.__setattr__(ev, "ctx", ctx)
+        object.__setattr__(ev, "coords", c)
+        out.append(ev)
+    return tuple(out)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

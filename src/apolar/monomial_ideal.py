@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf
+from operator import ge, le
 
 from .errors import AmbientMismatchError, DomainError
 from .exponents import Context, ExponentVector, leq, lex_key, zero_vector
@@ -30,7 +32,7 @@ class Antichain:
         object.__setattr__(self, "elems", sorted_elems)
         for a, b in itertools.combinations(sorted_elems, 2):
             # LEX order puts a proper divisor first, so only a | b can hold.
-            if all(x <= y for x, y in zip(a.coords, b.coords)):
+            if all(map(le, a.coords, b.coords)):
                 raise DomainError(f"comparable pair in antichain: {a}, {b}")
 
     @classmethod
@@ -48,6 +50,15 @@ class Antichain:
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(e) for e in self.elems) + "}"
+
+    @cached_property
+    def _inverse_ideal(self) -> "MonomialIdeal":
+        """``inverse_ideal(self)``, folded once per antichain."""
+        codes = _fold_splits(
+            [(0,) * self.ctx.dim], [tuple(-c - 1 for c in s.coords) for s in self.elems]
+        )
+        gens = [ExponentVector(self.ctx, tuple(-x for x in a)) for a in codes]
+        return MonomialIdeal(self.ctx, tuple(sorted(gens, key=lex_key)))
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,16 @@ class MonomialIdeal:
     def contains(self, m: ExponentVector) -> bool:
         if m.ctx != self.ctx:
             raise AmbientMismatchError("membership test across contexts")
-        return any(leq(g, m) for g in self.gens)
+        return _in_upset(self.gens, m.coords)
+
+    @cached_property
+    def _docle(self) -> Antichain:
+        """The docle, folded once per ideal: the irreducible components m^a
+        with every a_i finite, shifted by -1 (none for the zero and unit ideals)."""
+        codes = _fold_splits([(inf,) * self.ctx.dim], [g.coords for g in self.gens])
+        return Antichain(self.ctx, tuple(
+            ExponentVector(self.ctx, tuple(x - 1 for x in a)) for a in codes if inf not in a
+        ))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -117,7 +137,12 @@ def is_subideal(inner: MonomialIdeal, outer: MonomialIdeal) -> bool:
     """inner is contained in outer (every generator of inner lies in outer)."""
     if inner.ctx != outer.ctx:
         raise AmbientMismatchError("containment test across contexts")
-    return all(outer.contains(g) for g in inner.gens)
+    return all(_in_upset(outer.gens, g.coords) for g in inner.gens)
+
+
+def _in_upset(gens, c: tuple) -> bool:
+    """Some generator divides the monomial with coordinates c."""
+    return any(all(map(le, g.coords, c)) for g in gens)
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -137,7 +162,7 @@ def _minimal(points) -> list[tuple]:
     """
     minimal = []
     for c in sorted(set(points), key=sum):
-        if not any(all(x <= y for x, y in zip(h, c)) for h in minimal):
+        if not any(all(map(le, h, c)) for h in minimal):
             minimal.append(c)
     return minimal
 
@@ -158,7 +183,7 @@ def _fold_splits(codes, pivots) -> list[tuple]:
     for g in pivots:
         stay, cut = [], []
         for a in codes:
-            (stay if any(x >= y for x, y in zip(g, a)) else cut).append(a)
+            (stay if any(map(ge, g, a)) else cut).append(a)
         codes = list(stay)
         for i, x in enumerate(g):
             if not x:
@@ -170,7 +195,7 @@ def _fold_splits(codes, pivots) -> list[tuple]:
             above = [c for c in stay if c[i] == x] + list(split)
             codes += [
                 b for b in split
-                if not any(b != c and all(y <= z for y, z in zip(b, c)) for c in above)
+                if not any(b != c and all(map(le, b, c)) for c in above)
             ]
     return codes
 
@@ -178,13 +203,9 @@ def _fold_splits(codes, pivots) -> list[tuple]:
 def _docle_or_empty(ideal: MonomialIdeal) -> Antichain:
     """The docle as an antichain; empty for the zero and unit ideals.
 
-    Docle points are the irreducible components m^a of the ideal with every
-    a_i finite, shifted by -1.
+    It is read from ``ideal._docle``, so each ideal object folds it once.
     """
-    codes = _fold_splits([(inf,) * ideal.ctx.dim], [g.coords for g in ideal.gens])
-    return Antichain(ideal.ctx, tuple(
-        ExponentVector(ideal.ctx, tuple(x - 1 for x in a)) for a in codes if inf not in a
-    ))
+    return ideal._docle
 
 
 def docle(ideal: MonomialIdeal) -> Antichain:
@@ -204,15 +225,12 @@ def inverse_ideal(antichain: Antichain) -> MonomialIdeal:
     each m^(s+1) keeps the generators already in it and splits every other
     generator h into the d lcms with x_i^(s_i+1); negated, that is the
     split step of the docle, and the minimal generators are the maximal codes.
+    The result is stored on the antichain; its own docle is not, so checking
+    it against the antichain folds it afresh.
     """
     if not antichain.elems:
         raise DomainError("inverse ideal of an empty antichain is undefined")
-    ctx = antichain.ctx
-    codes = _fold_splits(
-        [(0,) * ctx.dim], [tuple(-c - 1 for c in s.coords) for s in antichain.elems]
-    )
-    gens = [ExponentVector(ctx, tuple(-x for x in a)) for a in codes]
-    return MonomialIdeal(ctx, tuple(sorted(gens, key=lex_key)))
+    return antichain._inverse_ideal
 
 
 def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:

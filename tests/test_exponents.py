@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -123,6 +124,19 @@ def test_monomials_of_degree_descending():
     keys = [lex_key(m) for m in ms]
     assert keys == sorted(keys, reverse=True)
     assert unit_vector(CTX2, 0).coords == (1, 0)
+
+
+def test_monomials_of_degree_match_sorted_listing():
+    for d in range(1, 6):
+        ctx = Context.of_dim(d)
+        for n in range(9):
+            listing = sorted(
+                (ExponentVector(ctx, c)
+                 for c in itertools.product(range(n + 1), repeat=d) if sum(c) == n),
+                key=lex_key, reverse=True,
+            )
+            assert monomials_of_degree(ctx, n) == tuple(listing)
+        assert monomials_of_degree(ctx, -1) == ()
 
 
 def test_monomial_caches_are_bounded():

@@ -150,6 +150,35 @@ def test_closure_laws_property(i):
     assert sq_leq(i, i)
 
 
+_READS = {
+    "docle": docle,
+    "closure": closure,
+    "decompose": decompose,
+    "sq_leq": lambda i: sq_leq(i, closure(i)),
+}
+
+
+def _reads(i, names) -> dict:
+    out = {}
+    for name in names:
+        try:
+            out[name] = _READS[name](i)
+        except DomainError as exc:  # decompose of an ideal with empty docle
+            out[name] = str(exc)
+    return out
+
+
+@given(monomial_ideals())
+def test_results_do_not_depend_on_call_order_property(i):
+    twin = MonomialIdeal(i.ctx, i.gens)
+    assert twin == i and twin is not i
+    backward = _reads(twin, reversed(_READS))
+    fresh = _reads(i, _READS)
+    assert fresh == backward == _reads(twin, _READS)
+    box = ExponentVector(i.ctx, tuple(max(c) + 1 for c in zip(*(g.coords for g in i.gens))))
+    assert fresh["docle"] == backward["docle"] == brute_docle(i, box)
+
+
 def test_docle_flat_in_exponent_size():
     # A membership table over the generator box would have 10^12 cells here.
     n, a = 10**6, 10**3
@@ -330,6 +359,31 @@ def test_decompose_postconditions_survive_optimize():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert "docle(J) is not empty" in proc.stdout
+
+
+def test_decompose_checks_docle_of_h(monkeypatch):
+    # J cap H = I and H is zero-dimensional, but docle(H) = {x1, x2} != {x1}.
+    i = ideal(CTX, (2, 0), (1, 1))
+    wrong = ideal(CTX, (2, 0), (1, 1), (0, 2))
+    monkeypatch.setattr("apolar.monomial_ideal.inverse_ideal", lambda m: wrong)
+    with pytest.raises(RuntimeError, match=r"docle\(H\) != docle\(I\)"):
+        decompose(i)
+
+
+def test_docle_and_inverse_ideal_fold_once_per_object():
+    i = ideal(CTX, (3, 1), (1, 3), (2, 2))
+    twin = MonomialIdeal(CTX, i.gens)
+    m = docle(i)
+    assert docle(i) is m and _docle_or_empty(i) is m
+    h = inverse_ideal(m)
+    assert inverse_ideal(m) is h and closure(i) is h
+    # A stored result leaves equality, hashing and text alone.
+    assert (twin, hash(twin), repr(twin)) == (i, hash(i), repr(i))
+    # The producer does not store its result's docle: checking it folds afresh.
+    fresh = inverse_ideal(Antichain(CTX, m.elems))
+    assert fresh == h and fresh is not h
+    assert "_docle" not in vars(fresh)
+    assert docle(fresh) == m
 
 
 def test_closure_fixtures():
