@@ -17,7 +17,6 @@ from apolar import (
     parse_ideal,
     saturate,
 )
-from apolar.monomial_ideal import _docle_or_empty
 
 ctx = Context.of_dim(2)
 
@@ -29,8 +28,8 @@ print("saturation (I : m^infinity) =", saturate(emmy))
 j, h = decompose(emmy)
 print("J =", j, "   H =", h)
 print("J cap H =", intersect(j, h))
-print("docle(H) == docle(I):", _docle_or_empty(h) == docle(emmy))
-print("docle(J) empty:", not _docle_or_empty(j).elems)
+print("docle(H) == docle(I):", docle(h) == docle(emmy))
+print("docle(J) empty:", not docle(j).elems)
 
 
 def random_proper_ideal(rng, d=2, max_coord=5, max_gens=4):

@@ -194,8 +194,7 @@ def cmd_series_check(args, ctx):
 def _staircase_grid(ideal: mi.MonomialIdeal):
     if ideal.ctx.dim != 2:
         raise DomainError("staircase diagrams exist only for d = 2")
-    chain = mi._docle_or_empty(ideal)
-    doc = {e.coords for e in chain.elems}
+    doc = {e.coords for e in ideal._docle.elems}
     width = max([g.coords[0] for g in ideal.gens] + [x for x, _ in doc] + [2]) + 2
     height = max([g.coords[1] for g in ideal.gens] + [y for _, y in doc] + [2]) + 2
     if width * height > MAX_STAIRCASE_CELLS:

@@ -146,6 +146,8 @@ class HomogeneousIdealPresentation:
         """Values of dim (R/I)_e from 0 until the first vanishing degree."""
         if cutoff is None:
             cutoff = sum(g.homogeneous_degree() for g in self.generators) + self.ctx.dim
+        if cutoff < 0:
+            raise DomainError("cutoff must be >= 0")
         values = []
         for e in range(cutoff + 1):
             h = self.slice(e).hilbert_value

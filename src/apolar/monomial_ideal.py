@@ -54,11 +54,7 @@ class Antichain:
     @cached_property
     def _inverse_ideal(self) -> "MonomialIdeal":
         """``inverse_ideal(self)``, folded once per antichain."""
-        codes = _fold_splits(
-            [(0,) * self.ctx.dim], [tuple(-c - 1 for c in s.coords) for s in self.elems]
-        )
-        gens = [ExponentVector(self.ctx, tuple(-x for x in a)) for a in codes]
-        return MonomialIdeal(self.ctx, tuple(sorted(gens, key=lex_key)))
+        return _intersection(self.ctx, [tuple(c + 1 for c in s.coords) for s in self.elems])
 
 
 @dataclass(frozen=True)
@@ -119,12 +115,16 @@ class MonomialIdeal:
         return _in_upset(self.gens, m.coords)
 
     @cached_property
+    def _components(self) -> tuple[tuple, ...]:
+        """The codes of the irredundant irreducible components, folded once per ideal."""
+        return tuple(_fold_splits([(inf,) * self.ctx.dim], [g.coords for g in self.gens]))
+
+    @cached_property
     def _docle(self) -> Antichain:
-        """The docle, folded once per ideal: the irreducible components m^a
-        with every a_i finite, shifted by -1 (none for the zero and unit ideals)."""
-        codes = _fold_splits([(inf,) * self.ctx.dim], [g.coords for g in self.gens])
+        """The docle: the codes with every a_i finite, shifted by -1."""
         return Antichain(self.ctx, tuple(
-            ExponentVector(self.ctx, tuple(x - 1 for x in a)) for a in codes if inf not in a
+            ExponentVector(self.ctx, tuple(x - 1 for x in a))
+            for a in self._components if inf not in a
         ))
 
     def __str__(self) -> str:
@@ -174,10 +174,11 @@ def _fold_splits(codes, pivots) -> list[tuple]:
     +inf coding an absent variable, and a list of codes for their
     intersection.  Adding a generator x^g leaves m^a alone if it already
     holds x^g (some g_i >= a_i); otherwise m^a + (x^g) is the intersection of
-    the m^a with a_i replaced by g_i, one for each i with g_i != 0.  A code
-    below another is redundant and dropped, so the result is the irredundant
+    the m^a with a_i replaced by g_i, one for each finite nonzero g_i (a zero
+    or infinite g_i is an absent variable and splits nothing).  A code below
+    another is redundant and dropped, so the result is the irredundant
     irreducible decomposition (Miller-Sturmfels, Combinatorial Commutative
-    Algebra, ch. 5; Roune, JSC 44, 2009).  ``inverse_ideal`` folds the same
+    Algebra, ch. 5; Roune, JSC 44, 2009).  ``_intersection`` folds the same
     step with every coordinate negated.
     """
     for g in pivots:
@@ -186,7 +187,7 @@ def _fold_splits(codes, pivots) -> list[tuple]:
             (stay if any(map(ge, g, a)) else cut).append(a)
         codes = list(stay)
         for i, x in enumerate(g):
-            if not x:
+            if not 0 < abs(x) < inf:
                 continue
             # g_j < a_j for every cut a, so a code split at i can lie below
             # only another split at i or a kept code c with c_i = g_i; it
@@ -200,12 +201,12 @@ def _fold_splits(codes, pivots) -> list[tuple]:
     return codes
 
 
-def _docle_or_empty(ideal: MonomialIdeal) -> Antichain:
-    """The docle as an antichain; empty for the zero and unit ideals.
-
-    It is read from ``ideal._docle``, so each ideal object folds it once.
-    """
-    return ideal._docle
+def _intersection(ctx: Context, codes) -> MonomialIdeal:
+    """The intersection of the m^a over the codes a, folded from the unit ideal
+    with every coordinate negated; negated back, its codes are the minimal generators."""
+    negated = _fold_splits([(0,) * ctx.dim], [tuple(-x for x in a) for a in codes])
+    gens = [ExponentVector(ctx, tuple(-x for x in c)) for c in negated]
+    return MonomialIdeal(ctx, tuple(sorted(gens, key=lex_key)))
 
 
 def docle(ideal: MonomialIdeal) -> Antichain:
@@ -214,19 +215,16 @@ def docle(ideal: MonomialIdeal) -> Antichain:
         raise DomainError("docle of the unit ideal is undefined")
     if ideal.is_zero:
         raise DomainError("docle of the zero ideal is undefined")
-    return _docle_or_empty(ideal)
+    return ideal._docle
 
 
 def inverse_ideal(antichain: Antichain) -> MonomialIdeal:
     """The unique zero-dimensional monomial ideal with the given docle.
 
     This is the intersection over points s of the irreducible ideals
-    m^(s+1) = (x1^(s1+1), ..., xd^(sd+1)).  Starting from the unit ideal,
-    each m^(s+1) keeps the generators already in it and splits every other
-    generator h into the d lcms with x_i^(s_i+1); negated, that is the
-    split step of the docle, and the minimal generators are the maximal codes.
-    The result is stored on the antichain; its own docle is not, so checking
-    it against the antichain folds it afresh.
+    m^(s+1) = (x1^(s1+1), ..., xd^(sd+1)).  The result is stored on the
+    antichain; its own docle is not, so checking it against the antichain
+    folds it afresh.
     """
     if not antichain.elems:
         raise DomainError("inverse ideal of an empty antichain is undefined")
@@ -264,15 +262,13 @@ def colon_var_saturate(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
 
 
 def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
-    """(I : m^infinity), the intersection of the (I : x_i^infinity)."""
+    """(I : m^infinity): the intersection of the components m^a with an
+    infinite a_i, as the m-primary ones become the unit ideal."""
     if ideal.is_unit:
         raise DomainError("saturation of the unit ideal is undefined")
     if ideal.is_zero:
         raise DomainError("saturation of the zero ideal is undefined")
-    result = colon_var_saturate(ideal, 0)
-    for i in range(1, ideal.ctx.dim):
-        result = intersect(result, colon_var_saturate(ideal, i))
-    return result
+    return _intersection(ideal.ctx, [a for a in ideal._components if inf in a])
 
 
 def decompose(ideal: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal]:
@@ -287,9 +283,9 @@ def decompose(ideal: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal]:
         raise RuntimeError("decompose postcondition failed: J cap H != I")
     if not h.is_zero_dimensional:
         raise RuntimeError("decompose postcondition failed: H is not zero-dimensional")
-    if _docle_or_empty(h) != m:
+    if h._docle != m:
         raise RuntimeError("decompose postcondition failed: docle(H) != docle(I)")
-    if _docle_or_empty(j).elems:
+    if j._docle.elems:
         raise RuntimeError("decompose postcondition failed: docle(J) is not empty")
     return j, h
 
@@ -300,7 +296,7 @@ def closure(ideal: MonomialIdeal) -> MonomialIdeal:
     The whole-monoid case is returned as the unit ideal with the
     ``whole_poset`` marker set.
     """
-    m = _docle_or_empty(ideal)
+    m = ideal._docle
     if not m.elems:
         return MonomialIdeal.unit(ideal.ctx, whole_poset=True)
     return inverse_ideal(m)
@@ -312,6 +308,4 @@ def sq_leq(a: MonomialIdeal, b: MonomialIdeal) -> bool:
         raise AmbientMismatchError("square-order comparison across contexts")
     if not is_subideal(a, b):
         return False
-    doc_a = set(_docle_or_empty(a).elems)
-    doc_b = set(_docle_or_empty(b).elems)
-    return doc_b <= doc_a
+    return set(b._docle.elems) <= set(a._docle.elems)

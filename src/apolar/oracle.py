@@ -142,6 +142,8 @@ def _ideal_rows(gens, ctx: Context, e: int) -> list[list[Fraction]]:
 
 def brute_quotient_dim(generators, cutoff: int) -> int:
     """dim_K R/I by per-degree rank counting over a spanning set."""
+    if cutoff < 0:
+        raise DomainError("cutoff must be >= 0")
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         raise NotArtinianError("the zero ideal has an infinite-dimensional quotient")

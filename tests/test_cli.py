@@ -266,6 +266,20 @@ def test_max_degree_only_where_read(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("socle", "--vars", "2", "(x1^2,x2^3)", "--max-degree", "-5"),
+        ("hilbert", "--vars", "2", "(x1^2,x2^3)", "--max-degree", "-1"),
+        ("oracle", "dim", "--vars", "2", "(x1^2,x2^3)", "--cutoff", "-1"),
+    ],
+)
+def test_negative_cutoff_is_refused(capsys, argv):
+    # An artinian ideal is not reported as "not artinian" below degree 0.
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and "cutoff must be >= 0" in err and "not artinian" not in err
+
+
+@pytest.mark.parametrize(
     "argv, limit",
     [
         # about 10^10 grid cells

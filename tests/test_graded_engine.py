@@ -93,6 +93,12 @@ def test_hilbert_function_honours_cutoff_after_an_earlier_call():
     assert used.hilbert_function(3) == [1, 2, 1]
 
 
+def test_hilbert_function_refuses_a_negative_cutoff():
+    with pytest.raises(DomainError, match="cutoff must be >= 0") as exc:
+        as_pres("(x^2, y^2)").hilbert_function(-1)
+    assert not isinstance(exc.value, NotArtinianError)
+
+
 def test_reduce_monomial_rejects_other_degrees():
     sl = as_pres("(x^2, y^2)").slice(2)
     assert sl.reduce_monomial(ExponentVector(CTX, (1, 1))) == [1]

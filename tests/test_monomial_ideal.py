@@ -2,7 +2,8 @@ import os
 import random
 import subprocess
 import sys
-from math import comb
+from functools import reduce
+from math import comb, inf
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,6 @@ from apolar import (
     saturate,
     sq_leq,
 )
-from apolar.monomial_ideal import _docle_or_empty
 from apolar.oracle import brute_docle
 
 from support import rand_antichain, rand_proper_ideal, rand_zero_dim_ideal
@@ -272,6 +272,48 @@ def test_saturate_fixtures():
         saturate(MonomialIdeal.zero(CTX))
 
 
+def test_saturate_reads_the_components_only(monkeypatch):
+    zero_dim = ideal(CTX, (3, 0), (0, 2))
+    emmy = ideal(CTX, (2, 0), (1, 1))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("saturate rebuilt an ideal")
+
+    for name in ("intersect", "colon_var_saturate"):
+        monkeypatch.setattr(f"apolar.monomial_ideal.{name}", refuse)
+    monkeypatch.setattr(MonomialIdeal, "from_generators", refuse)
+    assert saturate(zero_dim).is_unit
+    assert saturate(emmy).gens == (ev(CTX, 1, 0),)
+    # The producer stores nothing on its result: the components are its own.
+    assert "_components" not in vars(saturate(emmy))
+    fresh = inverse_ideal(Antichain(CTX, (ev(CTX, 2, 1),)))
+    assert "_components" not in vars(fresh)
+    assert fresh.gens == (ev(CTX, 3, 0), ev(CTX, 0, 2))
+
+
+def test_saturate_two_absent_variables_in_one_component():
+    # I = (x1) cap (x1^2, x2^2, x3^2); the component (x1) misses x2 and x3.
+    ctx = Context.of_dim(3)
+    i = ideal(ctx, (2, 0, 0), (1, 2, 0), (1, 0, 2))
+    assert set(i._components) == {(1, inf, inf), (2, 2, 2)}
+    assert saturate(i) == ideal(ctx, (1, 0, 0))
+    assert docle(i) == Antichain(ctx, (ev(ctx, 1, 1, 1),))
+    assert decompose(i) == (ideal(ctx, (1, 0, 0)), ideal(ctx, (2, 0, 0), (0, 2, 0), (0, 0, 2)))
+
+
+@given(monomial_ideals())
+def test_saturate_and_decompose_split_the_components_property(i):
+    d = i.ctx.dim
+    reference = reduce(intersect, (colon_var_saturate(i, v) for v in range(d)))
+    assert saturate(i) == reference
+    if not docle(i).elems:
+        return
+    j, h = decompose(i)
+    assert all(inf in a for a in j._components)
+    assert all(inf not in a for a in h._components)
+    assert set(j._components) | set(h._components) == set(i._components)
+
+
 def test_saturated_ideals_have_empty_docle():
     rng = random.Random(26)
     for _ in range(40):
@@ -279,7 +321,7 @@ def test_saturated_ideals_have_empty_docle():
         s = saturate(i)
         if s.is_unit:
             continue
-        assert not _docle_or_empty(s).elems
+        assert not s._docle.elems
         assert saturate(s) == s
 
 
@@ -302,8 +344,8 @@ def test_decompose_derived_example():
     j, h = decompose(i)
     assert intersect(j, h) == i
     assert h.is_zero_dimensional
-    assert _docle_or_empty(h) == docle(i)
-    assert not _docle_or_empty(j).elems
+    assert h._docle == docle(i)
+    assert not j._docle.elems
     # brute containment check on the side-5 coordinate grid
     back = intersect(j, h)
     for a in range(6):
@@ -374,7 +416,7 @@ def test_docle_and_inverse_ideal_fold_once_per_object():
     i = ideal(CTX, (3, 1), (1, 3), (2, 2))
     twin = MonomialIdeal(CTX, i.gens)
     m = docle(i)
-    assert docle(i) is m and _docle_or_empty(i) is m
+    assert docle(i) is m and i._docle is m
     h = inverse_ideal(m)
     assert inverse_ideal(m) is h and closure(i) is h
     # A stored result leaves equality, hashing and text alone.

@@ -86,6 +86,10 @@ def test_brute_quotient_dim_cutoff():
         brute_quotient_dim(list(
             HomogeneousIdealPresentation.from_monomial_ideal(pres).generators
         ), 6)
+    artinian = HomogeneousIdealPresentation.from_monomial_ideal(parse_ideal("(x1^2, x2^3)", CTX))
+    with pytest.raises(DomainError, match="cutoff must be >= 0") as exc:
+        brute_quotient_dim(list(artinian.generators), -1)
+    assert not isinstance(exc.value, NotArtinianError)
 
 
 def test_brute_series_check_fixtures():
