@@ -245,45 +245,36 @@ def cmd_staircase(args, ctx):
     return text, {"rows": ["".join(r) for r in cells], "legend": legend}
 
 
-def cmd_oracle(args, ctx):
-    if args.oracle_op == "docle":
-        ideal = _monomial_ideal(args.ideal, ctx)
-        box = ExponentVector(ctx, parse_naturals(args.box))
-        chain = oracle.brute_docle(ideal, box)
-        return str(chain), _antichain_payload(chain)
-    if args.oracle_op == "ann":
-        q = parse_polynomial(args.q, ctx.dual("t"))
-        kernels = oracle.brute_ann(q, args.max_deg, ctx)
-        payload = {
-            str(e): [str(p) for p in polys] for e, polys in kernels.items()
-        }
-        text = "\n".join(
-            f"degree {e}: {len(polys)} kernel vector(s)"
-            for e, polys in kernels.items()
-        )
-        return text, {"kernels": payload}
-    if args.oracle_op == "dim":
-        pres = _presentation(args.ideal, ctx)
-        dim = oracle.brute_quotient_dim(list(pres.generators), args.cutoff)
-        return str(dim), {"dimension": dim}
-    if args.oracle_op == "slice":
-        pres = _presentation(args.ideal, ctx)
-        sl = pres.slice(args.degree)
-        payload = {
-            "degree": sl.degree,
-            "monomial_basis": [list(ev.coords) for ev in sl.monomial_basis],
-            "reduced_rows": [[str(c) for c in row] for row in sl.reduced_rows],
-            "pivot_monomials": sorted(
-                [list(ev.coords) for ev in sl.pivot_monomials]
-            ),
-            "standard_monomials": [list(ev.coords) for ev in sl.standard_monomials],
-        }
-        text = (
-            f"degree {sl.degree}: rank {len(sl.reduced_rows)}, "
-            f"standard monomials {len(sl.standard_monomials)}"
-        )
-        return text, payload
-    raise DomainError(f"unknown oracle operation {args.oracle_op!r}")
+def cmd_oracle_docle(args, ctx):
+    ideal = _monomial_ideal(args.ideal, ctx)
+    box = ExponentVector(ctx, parse_naturals(args.box))
+    chain = oracle.brute_docle(ideal, box)
+    return str(chain), _antichain_payload(chain)
+
+
+def cmd_oracle_ann(args, ctx):
+    kernels = oracle.brute_ann(parse_polynomial(args.q, ctx.dual("t")), args.max_deg, ctx)
+    text = "\n".join(f"degree {e}: {len(polys)} kernel vector(s)" for e, polys in kernels.items())
+    return text, {"kernels": {str(e): [str(p) for p in polys] for e, polys in kernels.items()}}
+
+
+def cmd_oracle_dim(args, ctx):
+    dim = oracle.brute_quotient_dim(list(_presentation(args.ideal, ctx).generators), args.cutoff)
+    return str(dim), {"dimension": dim}
+
+
+def cmd_oracle_slice(args, ctx):
+    sl = _presentation(args.ideal, ctx).slice(args.degree)
+    payload = {
+        "degree": sl.degree,
+        "monomial_basis": [list(ev.coords) for ev in sl.monomial_basis],
+        "reduced_rows": [[str(c) for c in row] for row in sl.reduced_rows],
+        "pivot_monomials": sorted(list(ev.coords) for ev in sl.pivot_monomials),
+        "standard_monomials": [list(ev.coords) for ev in sl.standard_monomials],
+    }
+    text = (f"degree {sl.degree}: rank {len(sl.reduced_rows)}, "
+            f"standard monomials {len(sl.standard_monomials)}")
+    return text, payload
 
 
 def _add_common(sub):
@@ -355,22 +346,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force reference computations (debugging)")
     osub = p.add_subparsers(dest="oracle_op", required=True)
 
-    def add_oracle(name, help_text):
+    def add_oracle(name, handler, help_text):
         op = osub.add_parser(name, help=help_text)
         _add_common(op)
-        op.set_defaults(handler=cmd_oracle)
+        op.set_defaults(handler=handler)
         return op
 
-    op = add_oracle("docle", "definition-level docle scan")
+    op = add_oracle("docle", cmd_oracle_docle, "definition-level docle scan")
     op.add_argument("ideal")
     op.add_argument("--box", required=True, help="comma-separated bounding box")
-    op = add_oracle("ann", "annihilator kernels by direct differentiation")
+    op = add_oracle("ann", cmd_oracle_ann, "annihilator kernels by direct differentiation")
     op.add_argument("--q", required=True, help="t-polynomial")
     op.add_argument("--max-deg", type=int, required=True)
-    op = add_oracle("dim", "quotient dimension by rank counting")
+    op = add_oracle("dim", cmd_oracle_dim, "quotient dimension by rank counting")
     op.add_argument("ideal")
-    op.add_argument("--cutoff", type=int, default=40)
-    op = add_oracle("slice", "JSON dump of one graded slice")
+    op.add_argument("--cutoff", type=int, help="artinian detection cutoff")
+    op = add_oracle("slice", cmd_oracle_slice, "JSON dump of one graded slice")
     op.add_argument("ideal")
     op.add_argument("--degree", type=int, required=True)
     return parser

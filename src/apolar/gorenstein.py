@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add
 
@@ -55,19 +56,34 @@ class GorensteinSpec:
         self.top_degree: int = self.d * (k - 1) - self.p_degree
         self.leading_exponent: ExponentVector = max(reduced.support(), key=lex_key)
         self.dual_ctx = self.ctx.dual("t")
-        self._colon: HomogeneousIdealPresentation | None = None
-        self._phi: dict[tuple[int, ...], Fraction] | None = None
-        self._phi_int: dict[tuple[int, ...], int] | None = None
 
     @property
     def socle_monomial(self) -> ExponentVector:
         """x^((k-1)*(1,...,1) - mu), mu the LEX-largest exponent of p."""
         return ExponentVector(self.ctx, tuple(self.k - 1 - c for c in self.leading_exponent.coords))
 
+    @cached_property
+    def _colon(self) -> HomogeneousIdealPresentation:
+        return colon_power_ideal(self.k, self.p)
+
     def colon_ideal(self) -> HomogeneousIdealPresentation:
-        if self._colon is None:
-            self._colon = colon_power_ideal(self.k, self.p)
         return self._colon
+
+    @cached_property
+    def _phi(self) -> dict[tuple[int, ...], Fraction]:
+        """The socle functional: phi(x^j) for every degree-M exponent j, M the
+        top degree, is the coordinate of x^j's class on the socle monomial,
+        read from the colon ideal's own top slice.  phi gives both the dual
+        generator and the pairings."""
+        sl = self._colon.slice(self.top_degree)
+        if sl.standard_monomials != (self.socle_monomial,):
+            raise DomainError("top graded piece is not spanned by the socle monomial")
+        return {j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis}
+
+    @cached_property
+    def _phi_int(self) -> dict[tuple[int, ...], int]:
+        """phi times the lcm of its denominators, which the pairing ranks read."""
+        return _intify(self._phi)
 
     def __repr__(self) -> str:
         return f"GorensteinSpec(d={self.d}, k={self.k}, p={self.p})"
@@ -84,21 +100,6 @@ def antipodal(spec: GorensteinSpec) -> Polynomial:
     return Polynomial(spec.dual_ctx, terms)
 
 
-def _socle_functional(spec: GorensteinSpec) -> dict[tuple[int, ...], Fraction]:
-    """phi(x^j) for every degree-M exponent j, M the top degree: the
-    coordinate of x^j's class on the socle monomial, read from the ideal's
-    own top slice once per spec and kept on it, like its colon ideal.  phi
-    gives both the dual generator and the pairings, whose ranks read
-    ``spec._phi_int``, phi times the lcm of its denominators, made with it."""
-    if spec._phi is None:
-        sl = spec.colon_ideal().slice(spec.top_degree)
-        if sl.standard_monomials != (spec.socle_monomial,):
-            raise DomainError("top graded piece is not spanned by the socle monomial")
-        spec._phi = {j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis}
-        spec._phi_int = _intify(spec._phi)
-    return spec._phi
-
-
 def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
     """(t_1 xbar_1 + ... + t_d xbar_d)^M read off against the socle monomial.
 
@@ -108,7 +109,7 @@ def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
     """
     raw_poly = Polynomial(spec.dual_ctx, {
         ExponentVector(spec.dual_ctx, j): multinomial(spec.top_degree, j) * c
-        for j, c in _socle_functional(spec).items() if c
+        for j, c in spec._phi.items() if c
     })
     lead = max(raw_poly.support(), key=lex_key)
     reference = antipodal(spec).coeff(lead)
@@ -227,13 +228,11 @@ def series_annihilator_check(spec: GorensteinSpec, series: SeriesSpec) -> bool:
     return not ideal.slice(top + 1).standard_monomials
 
 
-def _pairing(spec: GorensteinSpec, i: int, integer: bool) -> list[list]:
+def _pairing(spec: GorensteinSpec, i: int, phi: dict) -> list[list]:
     """Entry (r, c) is phi(r*c) over the degree-i and degree-(M-i) standard
-    monomials; with ``integer``, phi times the lcm of its denominators."""
+    monomials, for ``spec._phi`` or its integer multiple ``spec._phi_int``."""
     if not 0 <= i <= spec.top_degree:
         raise DomainError("pairing degree out of range")
-    phi = _socle_functional(spec)
-    phi = spec._phi_int if integer else phi
     ideal = spec.colon_ideal()
     cols = [c.coords for c in ideal.slice(spec.top_degree - i).standard_monomials]
     return [[phi[tuple(map(add, r.coords, c))] for c in cols]
@@ -244,13 +243,13 @@ def pairing_matrix(spec: GorensteinSpec, i: int) -> list[list[Fraction]]:
     """Matrix of the multiplication pairing (R/I)_i x (R/I)_(M-i) -> (R/I)_M
     in the standard monomial bases: entry (r, c) is phi(r*c), phi the socle
     functional."""
-    return _pairing(spec, i, False)
+    return _pairing(spec, i, spec._phi)
 
 
 def pairing_is_nondegenerate(spec: GorensteinSpec, i: int) -> bool:
     """Full rank of the pairing matrix, ranked on its integer multiple."""
-    # _socle_functional checks (R/I)_M != 0, so neither basis is empty
-    matrix = _pairing(spec, i, True)
+    # spec._phi checks (R/I)_M != 0, so neither basis is empty
+    matrix = _pairing(spec, i, spec._phi_int)
     cols = len(matrix[0])
     return rank(matrix, cols) == min(len(matrix), cols)
 

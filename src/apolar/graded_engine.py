@@ -165,7 +165,7 @@ class HomogeneousIdealPresentation:
         lambda_s, the lcm of the blocks' pivot entries: scaling a transpose
         column keeps the RREF pivots, so with entry s times lambda_s a kernel
         vector is the unscaled one times a positive constant, which dividing
-        by its last nonzero removes."""
+        by its last nonzero, at its largest index, removes."""
         hilbert = self.hilbert_function(cutoff)
         classes: list[SocleClass] = []
         for e in range(len(hilbert)):
@@ -179,9 +179,10 @@ class HomogeneousIdealPresentation:
                 rows.append({u * len(at) + at[c]: -v * (scales[-1] // a)
                              for u, (r, a) in enumerate(blocks) for c, v in r.items() if c in at})
             for vec in left_kernel(rows, self.ctx.dim * len(at)):
-                vec = [v * scale for v, scale in zip(vec, scales)]
-                free = next(v for v in reversed(vec) if v)
-                classes.append(SocleClass(e, std, [Fraction(v, free) for v in vec]))
+                last = max(vec)
+                free = vec[last] * scales[last]
+                classes.append(SocleClass(e, std, [Fraction(vec.get(j, 0) * scale, free)
+                                                   for j, scale in enumerate(scales)]))
         return classes
 
     def socle_dimension(self, cutoff: int | None = None) -> int:

@@ -1,8 +1,9 @@
 """Exact rational row reduction on sparse primitive integer rows.
 
 ``SpanBuilder.add`` is the one elimination loop; ``rref``, ``rank``,
-``nullspace`` and ``left_kernel`` run on it.  A row is a dict {column: int}
-of its nonzeros, scaled to content 1 from dense or sparse rational input.
+``_nullspace`` and ``left_kernel`` run on it.  A row is a dict {column: int}
+of its nonzeros, scaled to content 1 from dense or sparse rational input;
+kernel vectors come back in the same sparse form.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): clearing
 column p of r against an echelon row with pivot a there replaces r by
 (a/g)*r - (r[p]/g)*row, g = gcd(a, r[p]), then divides by the content; it
@@ -88,20 +89,15 @@ def _nullspace(rows, ncols: int) -> list[dict[int, int]]:
     return basis
 
 
-def nullspace(rows, ncols: int) -> list[list[int]]:
-    """``_nullspace`` as dense integer vectors, each last nonzero at its free column."""
-    return [[vec.get(c, 0) for c in range(ncols)] for vec in _nullspace(rows, ncols)]
-
-
-def left_kernel(rows, ncols: int) -> list[list[int]]:
-    """Basis of {c : sum_i c_i row_i = 0}, as ``nullspace`` of the transpose,
-    which is made from the rows' nonzeros (dense rows or {column: value})."""
+def left_kernel(rows, ncols: int) -> list[dict[int, int]]:
+    """Basis of {c : sum_i c_i row_i = 0}, as ``_nullspace`` of the transpose,
+    which is made from the {column: value} rows' nonzeros."""
     transpose = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for c, v in row.items() if isinstance(row, dict) else enumerate(row):
+        for c, v in row.items():
             if v:
                 transpose[c][i] = v
-    return nullspace(transpose, len(rows))
+    return _nullspace(transpose, len(rows))
 
 
 def reduce_vector(vec, rows: dict[int, dict[int, int]]) -> dict[int, int]:

@@ -71,14 +71,14 @@ class MonomialIdeal:
     whole_poset: bool = field(default=False, compare=False)
 
     @classmethod
-    def from_generators(cls, ctx: Context, raw, whole_poset: bool = False) -> "MonomialIdeal":
+    def from_generators(cls, ctx: Context, raw) -> "MonomialIdeal":
         by_coords = {}
         for g in raw:
             if g.ctx != ctx:
                 raise AmbientMismatchError("generator from a different context")
             by_coords[g.coords] = g
         minimal = [by_coords[c] for c in _minimal(by_coords)]
-        return cls(ctx, tuple(sorted(minimal, key=lex_key)), whole_poset)
+        return cls(ctx, tuple(sorted(minimal, key=lex_key)))
 
     @classmethod
     def zero(cls, ctx: Context) -> "MonomialIdeal":

@@ -19,6 +19,21 @@ from .polynomial import Polynomial, diff_action
 
 # The most points, prod(b_i + 1), of a box that brute_docle scans.
 MAX_BOX_POINTS = 1_000_000
+# The most cells, rows x columns, of one degree's dense matrix in brute_ann
+# or in the ideal rows that the other rank counts eliminate.
+MAX_ORACLE_CELLS = 250_000
+
+
+def _check_cells(e: int, rows: int, cols: int) -> None:
+    """Refuse a degree-e dense matrix over MAX_ORACLE_CELLS before it is built."""
+    if rows * cols > MAX_ORACLE_CELLS:
+        raise DomainError(f"degree-{e} oracle matrix has {rows} x {cols} cells, "
+                          f"above the limit of {MAX_ORACLE_CELLS}")
+
+
+def _monomial_count(ctx: Context, e: int) -> int:
+    """The number of degree-e monomials, without listing them."""
+    return math.comb(e + ctx.dim - 1, e) if e >= 0 else 0
 
 
 def brute_docle(ideal: MonomialIdeal, box: ExponentVector) -> Antichain:
@@ -50,7 +65,6 @@ def brute_docle(ideal: MonomialIdeal, box: ExponentVector) -> Antichain:
 def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Plain Gaussian elimination over Fraction; returns nonzero echelon rows."""
     work = [list(map(Fraction, r)) for r in rows]
-    out: list[list[Fraction]] = []
     ncols = len(work[0]) if work else 0
     lead = 0
     for c in range(ncols):
@@ -107,31 +121,28 @@ def brute_ann(q: Polynomial, max_deg: int, operator_ctx: Context | None = None) 
     ctx = operator_ctx or Context.of_dim(q.ctx.dim)
     kernels: dict[int, list[Polynomial]] = {}
     for e in range(max_deg + 1):
+        n = _monomial_count(ctx, e)  # the kernel basis is n x n
+        _check_cells(e, n, max(n, _monomial_count(ctx, top - e)))
         basis = monomials_of_degree(ctx, e)
         images = [diff_action(Polynomial.monomial(m), q) for m in basis]
-        support = sorted(
-            {ev for img in images for ev in img.support()},
-            key=lambda ev: ev.coords,
-        )
+        support = sorted({ev for img in images for ev in img.support()}, key=lambda ev: ev.coords)
         rows = [[img.coeff(ev) for ev in support] for img in images]
         vectors = _kernel(rows, len(support)) if support else [
             [Fraction(1) if i == j else Fraction(0) for j in range(len(basis))]
             for i in range(len(basis))
         ]
-        kernels[e] = [
-            Polynomial(ctx, {m: c for m, c in zip(basis, vec) if c})
-            for vec in vectors
-        ]
+        kernels[e] = [Polynomial(ctx, {m: c for m, c in zip(basis, vec) if c}) for vec in vectors]
     return kernels
 
 
 def _ideal_rows(gens, ctx: Context, e: int) -> list[list[Fraction]]:
     """Coefficient rows of every monomial multiple of a generator in degree e,
     over the degree-e monomials in ``monomials_of_degree`` order."""
+    degrees = [g.homogeneous_degree() for g in gens]
+    _check_cells(e, sum(_monomial_count(ctx, e - dg) for dg in degrees), _monomial_count(ctx, e))
     basis = monomials_of_degree(ctx, e)
     rows = []
-    for g in gens:
-        dg = g.homogeneous_degree()
+    for g, dg in zip(gens, degrees):
         if dg > e:
             continue
         for m in monomials_of_degree(ctx, e - dg):
@@ -140,16 +151,17 @@ def _ideal_rows(gens, ctx: Context, e: int) -> list[list[Fraction]]:
     return rows
 
 
-def brute_quotient_dim(generators, cutoff: int) -> int:
-    """dim_K R/I by per-degree rank counting over a spanning set."""
-    if cutoff < 0:
-        raise DomainError("cutoff must be >= 0")
+def brute_quotient_dim(generators, cutoff: int | None = None) -> int:
+    """dim_K R/I by per-degree rank counting over a spanning set, up to
+    ``cutoff`` (by default the sum of the generator degrees plus d)."""
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         raise NotArtinianError("the zero ideal has an infinite-dimensional quotient")
     ctx = gens[0].ctx
-    for g in gens:
-        g.homogeneous_degree()
+    if cutoff is None:
+        cutoff = sum(g.homogeneous_degree() for g in gens) + ctx.dim
+    if cutoff < 0:
+        raise DomainError("cutoff must be >= 0")
     total = 0
     for e in range(cutoff + 1):
         standard = len(monomials_of_degree(ctx, e)) - len(_echelon(_ideal_rows(gens, ctx, e)))

@@ -187,6 +187,14 @@ def test_oracle_subcommands(capsys):
     assert payload["reduced_rows"] == [["1", "-1", "0"]]
 
 
+def test_oracle_dim_cutoff_follows_the_generators(capsys):
+    # The default cutoff is the sum of the generator degrees plus d, as for
+    # hilbert, not a fixed degree that a high power outgrows.
+    code, out, _ = run(capsys, "hilbert", "--vars", "1", "(x1^50)")
+    assert code == 0 and out.endswith(" dim=50")
+    assert run(capsys, "oracle", "dim", "--vars", "1", "(x1^50)")[:2] == (0, "50")
+
+
 def test_module_entry_point():
     import subprocess
     import sys
@@ -287,6 +295,10 @@ def test_negative_cutoff_is_refused(capsys, argv):
         # about 8 * 10^9 box points
         (["oracle", "docle", "--vars", "3", "(x1^2, x2^2, x3^2)", "--box", "2000,2000,2000"],
          "limit of 1000000"),
+        # a 142,506-square identity kernel in degree 25
+        (["oracle", "ann", "--vars", "6", "--q", "t1^2", "--max-deg", "25"], "limit of 250000"),
+        # degree-26 rows x columns of about 8 * 10^7 cells
+        (["oracle", "dim", "--vars", "6", "(x1^20)"], "limit of 250000"),
     ],
 )
 def test_unbounded_requests_are_refused_before_allocating(argv, limit):

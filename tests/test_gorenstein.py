@@ -28,7 +28,7 @@ from apolar import (
     series_annihilator_check,
     verify_gorenstein_ann,
 )
-from apolar.gorenstein import _is_annihilator_of, _socle_functional
+from apolar.gorenstein import _is_annihilator_of
 from apolar.graded_engine import GradedSlice
 from apolar.linalg import rank, reduce_vector
 from hypothesis import given
@@ -283,11 +283,19 @@ def test_socle_functional_on_random_specs():
         expected = {
             tuple(spec.k - 1 - c for c in q.coords): a / a_mu for q, a in spec.p.terms()
         }
-        phi = _socle_functional(spec)
+        phi = spec._phi
         degree_m = monomials_of_degree(spec.ctx, spec.top_degree)
         assert set(phi) == {ev.coords for ev in degree_m}
         assert phi == {j: expected.get(j, 0) for j in phi}
-        assert _socle_functional(spec) is phi
+        assert spec._phi is phi
+
+
+def test_spec_memos_are_made_on_first_read():
+    spec = GorensteinSpec(3, parse_polynomial("x1^2*x2 + x1*x2^2", Context.of_dim(2)))
+    assert "_colon" not in vars(spec) and "_phi" not in vars(spec)
+    colon, phi = spec._colon, spec._phi
+    assert spec._colon is colon and spec.colon_ideal() is colon
+    assert spec._phi is phi and "_phi" in vars(spec)
 
 
 def test_socle_functional_is_read_once_per_spec(monkeypatch):

@@ -7,12 +7,17 @@ from hypothesis import given, strategies as st
 from apolar.linalg import (
     SpanBuilder,
     _intify,
+    _nullspace,
     left_kernel,
-    nullspace,
     rank,
     reduce_vector,
     rref,
 )
+
+
+def densified(vec, n):
+    """A sparse {index: value} kernel vector as a list of length n."""
+    return [vec.get(i, 0) for i in range(n)]
 
 
 def naive_rref(rows, ncols):
@@ -76,7 +81,7 @@ def test_nullspace_property():
     for _ in range(150):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         m = rand_matrix(rng, nrows, ncols, frac=True)
-        basis = nullspace(m, ncols)
+        basis = [densified(v, ncols) for v in _nullspace(m, ncols)]
         assert len(basis) == ncols - rank(m, ncols)
         for v in basis:
             for row in m:
@@ -84,9 +89,9 @@ def test_nullspace_property():
 
 
 def test_left_kernel_property():
-    # The kernel kills the rows, and rows given as {column: value} dicts
-    # (of the nonzeros, or of every entry) give the same kernel as dense
-    # rows; zero rows (empty dicts) and Fraction entries included.
+    # The kernel kills the rows, and {column: value} rows of the nonzeros
+    # give the same kernel as rows of every entry; zero rows (empty dicts)
+    # and Fraction entries included.
     rng = random.Random(54)
     for n in range(150):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
@@ -94,15 +99,15 @@ def test_left_kernel_property():
         if rng.random() < 0.3:
             m.insert(rng.randint(0, nrows), [Fraction(0)] * ncols)
             nrows += 1
-        kernel = left_kernel(m, ncols)
-        sparse = [{c: x for c, x in enumerate(row) if x or n % 3 == 0} for row in m]
-        assert left_kernel(sparse, ncols) == kernel
+        sparse = left_kernel([{c: x for c, x in enumerate(row) if x} for row in m], ncols)
+        assert left_kernel([dict(enumerate(row)) for row in m], ncols) == sparse
+        kernel = [densified(v, nrows) for v in sparse]
         for c in kernel:
             combo = [
                 sum(c[i] * m[i][j] for i in range(nrows)) for j in range(ncols)
             ]
             assert not any(combo)
-    assert left_kernel([{}, {1: 2}, {}], 3) == [[1, 0, 0], [0, 0, 1]]
+    assert [densified(v, 3) for v in left_kernel([{}, {1: 2}, {}], 3)] == [[1, 0, 0], [0, 0, 1]]
 
 
 def test_reduce_vector_and_membership():
@@ -140,14 +145,15 @@ def rational_matrices(draw):
 
 
 def _assert_integer_rref_kernel(matrix, ncols, kernel):
-    """Each kernel vector is a list of ints killing the matrix, one per free
-    column of the RREF, and is that column's RREF basis vector times its
-    (positive) entry at the free column."""
+    """Each kernel vector is a sparse {index: int} vector killing the matrix,
+    one per free column of the RREF, and is that column's RREF basis vector
+    times its (positive) entry at the free column."""
     reduced, pivots = rref(matrix, ncols)
     free_columns = [c for c in range(ncols) if c not in pivots]
     assert len(kernel) == len(free_columns) == ncols - len(pivots)
     for vec, free in zip(kernel, free_columns):
-        assert type(vec) is list and all(type(x) is int for x in vec)
+        assert type(vec) is dict and all(type(x) is int for x in vec.values())
+        vec = densified(vec, ncols)
         for row in matrix:
             assert sum(a * b for a, b in zip(row, vec)) == 0
         want = [Fraction(int(c == free)) for c in range(ncols)]
@@ -160,9 +166,10 @@ def _assert_integer_rref_kernel(matrix, ncols, kernel):
 @given(rational_matrices())
 def test_kernels_are_integer_multiples_of_rref_basis_vectors(matrix):
     rows, ncols = matrix
-    _assert_integer_rref_kernel(rows, ncols, nullspace(rows, ncols))
+    _assert_integer_rref_kernel(rows, ncols, _nullspace(rows, ncols))
     transpose = [[row[c] for row in rows] for c in range(ncols)]
-    _assert_integer_rref_kernel(transpose, len(rows), left_kernel(rows, ncols))
+    sparse = [dict(enumerate(row)) for row in rows]
+    _assert_integer_rref_kernel(transpose, len(rows), left_kernel(sparse, ncols))
 
 
 @st.composite
@@ -198,7 +205,7 @@ def test_sparse_matrices_match_the_dense_reference(matrix, data):
     assert got_pivots == want_pivots
     assert [list(r) for r in got_rows] == want_rows
     free_columns = [c for c in range(ncols) if c not in want_pivots]
-    kernel = nullspace(rows, ncols)
+    kernel = [densified(v, ncols) for v in _nullspace(rows, ncols)]
     assert len(kernel) == len(free_columns)
     for vec, free in zip(kernel, free_columns):
         want = [Fraction(int(c == free)) for c in range(ncols)]
