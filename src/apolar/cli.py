@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import monomial_ideal as mi
 from . import oracle
@@ -277,13 +278,15 @@ def cmd_oracle_slice(args, ctx):
     return text, payload
 
 
-def _add_common(sub):
-    sub.add_argument("--vars", type=int, help="ambient dimension d (names x1..xd)")
-    sub.add_argument(
-        "--vars-names", help="comma-separated variable names, e.g. 'x,y'"
-    )
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--out", help="write output to a file instead of stdout")
+def _add_subcommand(subparsers, name, handler, help_text):
+    """A subcommand with the common options, dispatched to ``handler``."""
+    p = subparsers.add_parser(name, help=help_text)
+    p.add_argument("--vars", type=int, help="ambient dimension d (names x1..xd)")
+    p.add_argument("--vars-names", help="comma-separated variable names, e.g. 'x,y'")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help="write output to a file instead of stdout")
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,13 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Socles, docles, inverse systems and apolarity, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.set_defaults(handler=handler)
-        return p
-
+    add = partial(_add_subcommand, sub)
     p = add("docle", cmd_docle, "maximal monomials outside a monomial ideal")
     p.add_argument("ideal")
     p = add("closure", cmd_closure, "closure of a monomial ideal")
@@ -339,19 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, handler, help_text)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--p", required=True)
-    p.add_argument("--coeffs", required=True, help="comma-separated a_0..a_M")
+        if name == "series-check":
+            p.add_argument("--coeffs", required=True, help="comma-separated a_0..a_M")
     p = add("staircase", cmd_staircase, "d=2 staircase diagram (ASCII or SVG)")
     p.add_argument("ideal")
     p.add_argument("--svg", action="store_true")
     p = sub.add_parser("oracle", help="brute-force reference computations (debugging)")
-    osub = p.add_subparsers(dest="oracle_op", required=True)
-
-    def add_oracle(name, handler, help_text):
-        op = osub.add_parser(name, help=help_text)
-        _add_common(op)
-        op.set_defaults(handler=handler)
-        return op
-
+    add_oracle = partial(_add_subcommand, p.add_subparsers(dest="oracle_op", required=True))
     op = add_oracle("docle", cmd_oracle_docle, "definition-level docle scan")
     op.add_argument("ideal")
     op.add_argument("--box", required=True, help="comma-separated bounding box")

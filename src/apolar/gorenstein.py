@@ -82,7 +82,7 @@ class GorensteinSpec:
 
     @cached_property
     def _phi_int(self) -> dict[tuple[int, ...], int]:
-        """phi times the lcm of its denominators, which the pairing ranks read."""
+        """phi as a primitive integer row, zeros kept, which the pairing ranks read."""
         return _intify(self._phi)
 
     def __repr__(self) -> str:

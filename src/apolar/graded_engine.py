@@ -17,7 +17,7 @@ from operator import add, sub
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree
-from .linalg import _ZERO, ReducedRows, SpanBuilder, _nullspace, left_kernel, reduce_vector, rref
+from .linalg import _ZERO, ReducedRows, SpanBuilder, _intify, _nullspace, left_kernel, rref
 from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial
 
@@ -248,8 +248,9 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     span L', and I_e is L' plus the kernel on the columns S it leaves free.
     The other lifts are added up to that dimension; one left is a generator
     read off the kernel on S, two or more are read off the full kernel in
-    order.  The span, now I_e, is the degree-e slice.  Raises ``DomainError``
-    first if degree ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
+    order, each the echelon row the span stores for it.  The span, now I_e,
+    is the degree-e slice.  Raises ``DomainError`` first if degree
+    ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
     """
     _check_slice_size(ctx, max_degree)
     gens, slices, prev = [], {}, ReducedRows([], 0)
@@ -278,11 +279,9 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
         for vec in kernel:
             if len(span.rows) == dim:
                 break
-            rem = reduce_vector(vec, span.rows)
-            if rem:  # a generator, its LEX-leading (lowest) column made positive
-                sign = 1 if rem[min(rem)] > 0 else -1
-                gens.append(Polynomial(ctx, {basis[c]: sign * v for c, v in rem.items()}))
-                span.add(rem)
+            row = span.add(vec)
+            if row:  # a generator, positive at its LEX-leading (lowest) column
+                gens.append(Polynomial(ctx, {basis[c]: v for c, v in row.items()}))
         del kernel  # as large as the slice: free it before making the slice
         slices[e] = GradedSlice(e, basis, span.reduced)
         prev = slices[e]._rows
@@ -354,9 +353,8 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
 
 
 def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
-    """f's (exponent, coefficient) pairs, scaled to integers by the lcm of f's denominators."""
-    mult = lcm(*[c.denominator for c in f._terms.values()])
-    return [(ev.coords, c.numerator * (mult // c.denominator)) for ev, c in f._terms.items()]
+    """f's (exponent, coefficient) pairs as a primitive integer row (``_intify``)."""
+    return list(_intify({ev.coords: c for ev, c in f._terms.items()}).items())
 
 
 def _transposed(monomials, image) -> tuple[list[dict[int, int]], int]:
@@ -373,8 +371,8 @@ def _transposed(monomials, image) -> tuple[list[dict[int, int]], int]:
 
 def _catalecticant(terms, monomials) -> tuple[list[dict[int, int]], int]:
     """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
-    m -> m(d/dt) f, for f given by ``_integer_terms(f)`` (f scaled by the lcm
-    of its denominators, computed once per build), on the given degree-e
+    m -> m(d/dt) f, for f given by ``_integer_terms(f)`` (f scaled to a
+    primitive integer row, computed once per build), on the given degree-e
     monomials (all of R_e's, or some), as the sparse rows of its transpose
     (``_transposed``): one column per monomial m, in the given order.  A term
     c*t^s of f with s >= m puts c * prod perm(s_i, m_i) in row s - m, column m.

@@ -1,9 +1,13 @@
 """Exact rational row reduction on sparse primitive integer rows.
 
-``SpanBuilder.add`` is the one elimination loop; ``rref``, ``rank``,
-``_nullspace`` and ``left_kernel`` run on it.  A row is a dict {column: int}
-of its nonzeros, scaled to content 1 from dense or sparse rational input;
-kernel vectors come back in the same sparse form.
+The one place that shapes an integer row: a dict {column: nonzero int},
+primitive, positive at its lead once a span stores it.  ``_intify`` makes one
+from a dense row or a dict of ints or Fractions, keeping a dict's zeros, so
+dict rows fed to elimination hold nonzeros only, except where they enter
+``rref`` or ``left_kernel``, which drop zeros.
+``SpanBuilder.add``, the one elimination loop under ``rref``, ``rank``,
+``_nullspace`` and ``left_kernel``, returns the row it stores; kernel vectors
+come back in the same form.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): clearing
 column p of r against an echelon row with pivot a there replaces r by
 (a/g)*r - (r[p]/g)*row, g = gcd(a, r[p]), then divides by the content; it
@@ -62,8 +66,9 @@ def _span(rows, ncols: int) -> SpanBuilder:
 
 
 def rref(rows, ncols: int) -> tuple[ReducedRows, list[int]]:
-    """The RREF over Q of the span of ``rows``: its nonzero rows (pivot 1,
-    zeros above and below every pivot) and the pivot columns, in order."""
+    """The RREF over Q of the span of ``rows`` (dict rows' zeros dropped): its
+    nonzero rows (pivot 1, zeros above and below every pivot) and pivot columns."""
+    rows = ({c: v for c, v in r.items() if v} if isinstance(r, dict) else r for r in rows)
     reduced = _span(rows, ncols).reduced
     return reduced, reduced.pivots
 
@@ -73,9 +78,10 @@ def rank(rows, ncols: int) -> int:
 
 
 def _nullspace(rows, ncols: int) -> list[dict[int, int]]:
-    """Basis of {x : A x = 0}, one sparse primitive integer vector per free
-    column f, in column order: a positive multiple of f's RREF basis vector
-    (1 at f, minus the RREF's column f at the pivots)."""
+    """Basis of {x : A x = 0} (rows dense, or dicts of their nonzeros only),
+    one sparse primitive integer vector per free column f, in column order: a
+    positive multiple of f's RREF basis vector (1 at f, minus the RREF's
+    column f at the pivots)."""
     span = _span(rows, ncols)
     hits = {f: [] for f in range(ncols) if f not in span.rows}  # (pivot, entry, pivot entry)
     for p, row in span.rows.items():
@@ -101,10 +107,11 @@ def left_kernel(rows, ncols: int) -> list[dict[int, int]]:
 
 
 def reduce_vector(vec, rows: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Remainder of vec modulo the span of ``SpanBuilder.rows``: a primitive
-    sparse integer row, a positive multiple of vec minus a combination of the
-    rows, zero at every pivot.  Clearing a pivot column leaves the other
-    pivot columns as they were, so only those in vec's support are cleared."""
+    """Remainder of vec (dense, or a dict of its nonzeros only) modulo the
+    span of ``SpanBuilder.rows``: a primitive sparse integer row, a positive
+    multiple of vec minus a combination of the rows, zero at every pivot.
+    Clearing a pivot column leaves the other pivot columns as they were, so
+    only those in vec's support are cleared."""
     out = _intify(vec)
     for p in [c for c in out if c in rows]:
         out = _eliminate(out, rows[p], p)
@@ -133,11 +140,13 @@ class SpanBuilder:
     def reduced(self) -> ReducedRows:
         return ReducedRows([self.rows[p] for p in self.pivots], self.ncols)
 
-    def add(self, vec) -> bool:
-        """Add a vector to the span; returns True if it was independent."""
+    def add(self, vec) -> dict[int, int] | None:
+        """Add a vector (dense, or a dict of its nonzeros only) to the span.
+        Returns the echelon row stored for it, primitive and positive at its
+        lead, or None when vec is dependent."""
         rem = reduce_vector(vec, self.rows)
         if not rem:
-            return False
+            return None
         lead = min(rem)
         if rem[lead] < 0:
             rem = {c: -v for c, v in rem.items()}
@@ -147,7 +156,7 @@ class SpanBuilder:
                     self.rows[p] = _eliminate(row, rem, lead)
         self._seen.update(rem)
         self.rows[lead] = rem
-        return True
+        return rem
 
 
 class ReducedRows:

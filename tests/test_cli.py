@@ -271,6 +271,15 @@ def test_max_degree_only_where_read(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["docle", "--vars", "2", "(x1^3, x2^2)", "--max-degree", "3"])
     assert exc.value.code == 2
+    # --coeffs belongs to series-check alone, which requires it.
+    gorenstein = ["--vars", "2", "--k", "4", "--p", "x1"]
+    for argv, message in (
+        (["gorenstein-check", *gorenstein, "--coeffs", "1"], "unrecognized arguments: --coeffs"),
+        (["series-check", *gorenstein], "required: --coeffs"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,11 @@ def test_rref_is_canonical_for_row_space():
             [Fraction(0)] * 5,
         ]
         assert rref(m, 5) == rref(mixed, 5)
+        assert rref([dict(enumerate(row)) for row in mixed], 5) == rref(m, 5)
+    # rref drops the zeros of dict rows, so a zero is never taken as a pivot.
+    assert rref([{0: 0, 1: 1}], 2) == rref([[0, 1]], 2)
+    assert rref([{0: 0, 1: 1}], 2)[1] == [1]
+    assert rank([{0: 0, 1: 1}], 2) == 1
 
 
 def test_nullspace_property():
@@ -111,14 +116,19 @@ def test_left_kernel_property():
 
 
 def test_reduce_vector_and_membership():
+    # add returns the echelon row it stored, positive at its lead, or None.
     span = SpanBuilder(3)
-    for row in [[1, 0, 2], [0, 1, 3]]:
-        span.add(row)
+    assert span.add([1, 0, 2]) == {0: 1, 2: 2}
+    stored = span.add({1: -2, 2: Fraction(-6)})
+    assert stored == {1: 1, 2: 3} and span.rows[1] is stored
+    assert span.add([2, 1, 7]) is None
     assert not reduce_vector([1, 1, 5], span.rows)
     assert reduce_vector([0, 0, 1], span.rows)
     assert reduce_vector([1, 1, 6], span.rows) == {2: 1}
     halves = [Fraction(1, 2), Fraction(1, 2), Fraction(3)]
     assert reduce_vector(halves, span.rows) == {2: 1}
+    assert span.add([0, 0, -5]) == {2: 1}
+    assert span.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
 
 def test_span_builder_matches_rref():

@@ -30,6 +30,21 @@ def test_arithmetic_fixtures():
     assert Polynomial.zero(CTX).is_homogeneous()
 
 
+def test_sum_difference_negation_and_repr():
+    f = parse_polynomial("x + y", CTX)
+    g = parse_polynomial("x - 1/2*y", CTX)
+    assert f + g == parse_polynomial("2*x + 1/2*y", CTX)
+    assert f - g == parse_polynomial("3/2*y", CTX)
+    assert -g == parse_polynomial("-x + 1/2*y", CTX) and -(-f) == f
+    assert (f - f).is_zero and f + (-f) == Polynomial.zero(CTX)
+    assert repr(g) == "Polynomial(x - 1/2*y)"
+    assert repr(Polynomial.zero(CTX)) == "Polynomial(0)"
+    t = Polynomial.variable(TCTX, 0)
+    for op in (f.__add__, f.__sub__):
+        with pytest.raises(AmbientMismatchError):
+            op(t)
+
+
 def test_inhomogeneous_degree():
     q = parse_polynomial("x^2 + y", CTX)
     assert not q.is_homogeneous()
