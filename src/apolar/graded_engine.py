@@ -246,35 +246,44 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     (LEX-descending), keyed by position.  x_i keeps the LEX order, so lifting
     the previous degree's rows shifts their pivots: lifts with distinct leads
     span L', and I_e is L' plus the kernel on the columns S it leaves free.
-    The other lifts are added up to that dimension; one left is a generator
+    A lift of a unit row (a monomial of I) is a unit row, so those enter the
+    span in one step; only the other lifts are eliminated.  A lift that is
+    not a unit row but leads where a unit lift does is one of the other
+    lifts, which are added up to dim I_e; one dimension left is a generator
     read off the kernel on S, two or more are read off the full kernel in
     order, each the echelon row the span stores for it.  The span, now I_e,
-    is the degree-e slice.  Raises ``DomainError`` first if degree
-    ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
+    is the degree-e slice.  Generators do not depend on the order lifts
+    enter: before any is read the span is R_1*I_(e-1), whose echelon rows
+    are unique, and S and the full-kernel condition depend only on the
+    leads.  Raises ``DomainError`` first if degree ``max_degree`` has over
+    ``MAX_SLICE_COLUMNS`` monomials.
     """
     _check_slice_size(ctx, max_degree)
     gens, slices, prev = [], {}, ReducedRows([], 0)
     for e in range(max_degree + 1):
         basis = monomials_of_degree(ctx, e)
         span, shifts = SpanBuilder(len(basis)), [_shift_table(ctx, e, i) for i in range(ctx.dim)]
-        leads = [s[p] for s in shifts for p in prev.pivots]  # lift n = i*len(prev.rows) + r
+        units = {s[p] for s in shifts for p, row in zip(prev.pivots, prev.rows) if len(row) == 1}
+        span.add_units(units)
+        rows = [row for row in prev.rows if len(row) > 1]
+        leads = [s[min(row)] for s in shifts for row in rows]  # lift n = i*len(rows) + r
 
         def lift(n):  # x_i times row r of degree e - 1, made only when it is added
-            s, row = shifts[n // len(prev.rows)], prev.rows[n % len(prev.rows)]
+            s, row = shifts[n // len(rows)], rows[n % len(rows)]
             return {s[j]: c for j, c in row.items()}
 
-        owner = {lead: n for n, lead in enumerate(leads)}  # one lift per lead
+        owner = {lead: n for n, lead in enumerate(leads) if lead not in units}  # one lift per lead
         for lead in sorted(owner, reverse=True):  # leads descending: no back-elimination
             span.add(lift(owner[lead]))
-        free = [c for c in range(len(basis)) if c not in owner]
+        free = [c for c in range(len(basis)) if c not in owner and c not in units]
         kernel = [{free[j]: x for j, x in v.items()} for v in kernel_fn([basis[c] for c in free])]
-        dim = len(owner) + len(kernel)
+        dim = len(span.rows) + len(kernel)
         for n, lead in enumerate(leads):
             if len(span.rows) == dim:
                 break  # the span is already all of I_e
-            if owner[lead] != n:
+            if owner.get(lead) != n:
                 span.add(lift(n))
-        if owner and dim - len(span.rows) > 1:
+        if prev.rows and dim - len(span.rows) > 1:
             kernel = kernel_fn(basis)
         for vec in kernel:
             if len(span.rows) == dim:

@@ -10,10 +10,12 @@ dict rows fed to elimination hold nonzeros only, except where they enter
 come back in the same form.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): clearing
 column p of r against an echelon row with pivot a there replaces r by
-(a/g)*r - (r[p]/g)*row, g = gcd(a, r[p]), then divides by the content; it
-touches only the two rows' nonzeros.  Echelon rows have positive pivots and
-are zero in every other pivot column: each is its RREF row times a positive
-integer, unique for the span.  ``rref`` makes its Fraction rows when read.
+(a/g)*r - (r[p]/g)*row, g = gcd(a, r[p]), touching only the two rows'
+nonzeros (against a unit row it drops r[p]).  Each step scales r by a
+positive factor, so ``reduce_vector`` divides by the content once, at the
+end.  Echelon rows have positive pivots and are zero in every other pivot
+column: each is its RREF row times a positive integer, unique for the span.
+``rref`` makes its Fraction rows when read.
 """
 
 from __future__ import annotations
@@ -44,20 +46,25 @@ def _intify(row) -> dict[int, int]:
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, int]:
-    """The primitive row (a/g)*vec - (b/g)*row, which is zero in column p
-    (a = row[p], b = vec[p], g = gcd(a, b))."""
+    """The row (a/g)*vec - (b/g)*row, which is zero in column p (a = row[p],
+    b = vec[p], g = gcd(a, b)), not made primitive; vec without p when row
+    is the unit row {p: 1}."""
+    if len(row) == 1:
+        out = vec.copy()
+        del out[p]
+        return out
     g = gcd(row[p], vec[p])
     a, b = row[p] // g, vec[p] // g
     out = {c: a * v for c, v in vec.items()}
     for c, v in row.items():
         out[c] = out.get(c, 0) - b * v
-    return _primitive({c: v for c, v in out.items() if v})
+    return {c: v for c, v in out.items() if v}
 
 
 def _span(rows, ncols: int) -> SpanBuilder:
     """A ``SpanBuilder`` fed the nonzero rows one at a time, up to full rank."""
     span = SpanBuilder(ncols)
-    for row in map(_intify, rows):
+    for row in rows:
         if len(span.rows) == ncols:
             break
         if row:
@@ -111,11 +118,12 @@ def reduce_vector(vec, rows: dict[int, dict[int, int]]) -> dict[int, int]:
     span of ``SpanBuilder.rows``: a primitive sparse integer row, a positive
     multiple of vec minus a combination of the rows, zero at every pivot.
     Clearing a pivot column leaves the other pivot columns as they were, so
-    only those in vec's support are cleared."""
+    only those in vec's support are cleared; the content is taken once, at
+    the end."""
     out = _intify(vec)
     for p in [c for c in out if c in rows]:
         out = _eliminate(out, rows[p], p)
-    return out
+    return _primitive(out)
 
 
 class SpanBuilder:
@@ -153,10 +161,20 @@ class SpanBuilder:
         if lead in self._seen:
             for p, row in self.rows.items():
                 if lead in row:
-                    self.rows[p] = _eliminate(row, rem, lead)
+                    self.rows[p] = _primitive(_eliminate(row, rem, lead))
         self._seen.update(rem)
         self.rows[lead] = rem
         return rem
+
+    def add_units(self, columns) -> None:
+        """Add the unit rows {c: 1}, c in columns, as ``add`` would one by one:
+        one at a column no stored row touches is stored as it is."""
+        for c in columns:
+            if c in self._seen:
+                self.add({c: 1})
+            else:
+                self.rows[c] = {c: 1}
+                self._seen.add(c)
 
 
 class ReducedRows:

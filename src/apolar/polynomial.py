@@ -9,7 +9,8 @@ instance x-operators acting on t-targets) as long as the dimensions agree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import lcm, perm, prod
+from operator import sub
 
 from .errors import AmbientMismatchError, DomainError
 from .exponents import (
@@ -158,27 +159,28 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _numerators(f: Polynomial) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """f's (exponent, numerator) pairs over the lcm of its denominators, and that lcm."""
+    den = lcm(*[c.denominator for c in f._terms.values()])
+    return [(ev.coords, c.numerator * (den // c.denominator)) for ev, c in f._terms.items()], den
+
+
 def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial:
+    """The action summed in integers over the operands' common denominators,
+    with a Fraction made only for each nonzero result term."""
     if op.ctx.dim != target.ctx.dim:
         raise AmbientMismatchError("action across different ambient dimensions")
-    acc: dict[tuple[int, ...], Fraction] = {}
-    target_terms = [(q.coords, b) for q, b in target._terms.items()]
-    for p, a in op._terms.items():
-        pc = p.coords
+    (op_terms, op_den), (target_terms, target_den) = _numerators(op), _numerators(target)
+    acc: dict[tuple[int, ...], int] = {}
+    for pc, a in op_terms:
         for qc, b in target_terms:
-            rest = tuple(x - y for x, y in zip(qc, pc))
+            rest = tuple(map(sub, qc, pc))
             if min(rest) < 0:
                 continue
-            c = a * b
-            if with_coeffs:
-                weight = 1
-                for qi, pi in zip(qc, pc):
-                    weight *= perm(qi, pi)
-                c *= weight
+            c = a * b * prod(map(perm, qc, pc)) if with_coeffs else a * b
             acc[rest] = acc.get(rest, 0) + c
-    return Polynomial(
-        target.ctx, {ExponentVector(target.ctx, r): c for r, c in acc.items()}
-    )
+    den, ctx = op_den * target_den, target.ctx
+    return Polynomial(ctx, {ExponentVector(ctx, r): Fraction(c, den) for r, c in acc.items() if c})
 
 
 def diff_action(op: Polynomial, target: Polynomial) -> Polynomial:

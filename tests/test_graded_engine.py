@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from apolar import (
+    Antichain,
     Context,
     DomainError,
     ExponentVector,
@@ -20,6 +21,7 @@ from apolar import (
     antipodal,
     colon_power_ideal,
     ideal_equals,
+    inverse_ideal,
     monomials_of_degree,
     parse_ideal,
     parse_polynomial,
@@ -497,6 +499,21 @@ def test_reduced_rows_do_not_depend_on_what_was_read_first(spec):
         assert hilbert == [len(rows_first.slice(e).standard_monomials) for e in degrees]
         after = [counts_first.slice(e).reduced_rows for e in degrees]
         assert before == after == [colon.slice(e).reduced_rows for e in degrees]
+
+
+@given(gorenstein_specs(dims=(1, 2, 3, 4)))
+def test_single_entry_rows_are_the_monomials_no_term_of_f_is_divisible_by(spec):
+    # x^a kills F = antipodal(p) iff it divides no term of F, so the monomial
+    # part of I = Ann(F) is inverse_ideal(supp F), and a monomial of I is a
+    # unit row of its slice's RREF.
+    f = antipodal(spec)
+    support = Antichain(spec.ctx, tuple(ExponentVector(spec.ctx, ev.coords) for ev in f.support()))
+    monomial_part = inverse_ideal(support)
+    for ideal in (spec.colon_ideal(), ann_partial(f, spec.ctx)):
+        for e in range(spec.top_degree + 2):
+            sl = ideal.slice(e)
+            units = {sl.monomial_basis[min(row)] for row in sl._rows.rows if len(row) == 1}
+            assert units == {m for m in sl.monomial_basis if monomial_part.contains(m)}
 
 
 def test_shift_tables_multiply_by_a_variable():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from apolar.linalg import (
     SpanBuilder,
@@ -234,3 +234,63 @@ def test_sparse_matrices_match_the_dense_reference(matrix, data):
     rem = reduce_vector(vec, span.rows)
     assert not any(c in rem for c in want_pivots)
     assert [rem.get(c, 0) for c in range(ncols)] == _primitive_positive_multiple(dense)
+
+
+@st.composite
+def integer_span_rows(draw):
+    """Sparse integer rows whose leads carry entries 2..7, so the spans they
+    make mostly have pivot entries above 1, and their width."""
+    ncols = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        lead = draw(st.integers(0, ncols - 1))
+        row = {lead: draw(st.integers(2, 7))}
+        for c in draw(st.sets(st.integers(lead, ncols - 1), max_size=4)) - {lead}:
+            row[c] = draw(st.integers(-9, 9).filter(bool))
+        rows.append(row)
+    return rows, ncols
+
+
+def _stepwise_primitive_reduce(vec, rows):
+    """The remainder with the content divided out after every step."""
+    def primitive(row):
+        g = gcd(*row.values())
+        return {c: v // g for c, v in row.items()} if g > 1 else row
+
+    out = primitive(vec)
+    for p in [c for c in out if c in rows]:
+        g = gcd(rows[p][p], out[p])
+        a, b = rows[p][p] // g, out[p] // g
+        out = {c: a * out.get(c, 0) - b * rows[p].get(c, 0) for c in out.keys() | rows[p].keys()}
+        out = primitive({c: v for c, v in out.items() if v})
+    return out
+
+
+@given(integer_span_rows(), st.data())
+def test_content_taken_at_the_end_matches_the_stepwise_primitive_reduction(matrix, data):
+    rows, ncols = matrix
+    span = SpanBuilder(ncols)
+    for row in rows:
+        span.add(row)
+    assume(any(row[p] > 1 for p, row in span.rows.items()))
+    entry = st.integers(-9, 9).filter(bool)
+    entries = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    for vec in data.draw(st.lists(entries, min_size=1, max_size=4)):
+        assert reduce_vector(vec, span.rows) == _stepwise_primitive_reduce(vec, span.rows)
+
+
+@given(integer_span_rows(), st.data())
+def test_seeding_unit_rows_matches_adding_them_one_by_one(matrix, data):
+    rows, ncols = matrix
+    units = data.draw(st.lists(st.integers(0, ncols - 1), max_size=ncols))
+    # Units into an empty span, as the build seeds them, and after other rows.
+    for before, after in (([], rows), (rows, [])):
+        seeded, one_by_one = SpanBuilder(ncols), SpanBuilder(ncols)
+        for row in before:
+            seeded.add(row)
+        seeded.add_units(units)
+        for row in after:
+            seeded.add(row)
+        for vec in before + [{c: 1} for c in units] + after:
+            one_by_one.add(vec)
+        assert seeded.reduced == one_by_one.reduced

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -159,6 +160,43 @@ def test_diff_and_contraction_agree_up_to_positive_scalars():
         f = rand_poly(rng, CTX, 3)
         target = Polynomial.monomial(q)
         assert annihilates(f, target) == contraction_action(f, target).is_zero
+
+
+def _literal_action(op, target, with_coeffs):
+    """The action expanded term by term in Fraction arithmetic."""
+    acc = {}
+    for p, a in op.terms():
+        for q, b in target.terms():
+            if all(x <= y for x, y in zip(p.coords, q.coords)):
+                c = a * b
+                if with_coeffs:
+                    for x, y in zip(p.coords, q.coords):
+                        c *= Fraction(factorial(y), factorial(y - x))
+                rest = ExponentVector(target.ctx, tuple(y - x for x, y in zip(p.coords, q.coords)))
+                acc[rest] = acc.get(rest, Fraction(0)) + c
+    return Polynomial(target.ctx, acc)
+
+
+def test_actions_match_a_literal_fraction_reference():
+    rng = random.Random(44)
+
+    def fractional(ctx, max_deg):  # every coefficient's denominator is above 1
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            ev = ExponentVector(ctx, (rng.randint(0, max_deg), rng.randint(0, max_deg)))
+            terms[ev] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), 7 * rng.randint(2, 5))
+        return Polynomial(ctx, terms)
+
+    pairs = [(fractional(CTX, 2), fractional(TCTX, 5)) for _ in range(150)]
+    # x/2 - y/3 on 2/5*t1 + 3/5*t2: 1/5 - 1/5 cancels to zero.
+    cancelling = parse_polynomial("1/2*x - 1/3*y", CTX), parse_polynomial("2/5*t1 + 3/5*t2", TCTX)
+    pairs.append(cancelling)
+    for op, target in pairs:
+        for action, with_coeffs in ((diff_action, True), (contraction_action, False)):
+            got = action(op, target)
+            assert got == _literal_action(op, target, with_coeffs)
+            assert all(type(c) is Fraction for _, c in got.terms())
+    assert diff_action(*cancelling).is_zero and contraction_action(*cancelling).is_zero
 
 
 def test_text_round_trip():
