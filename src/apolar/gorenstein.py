@@ -25,7 +25,7 @@ from .graded_engine import (
     ann_partial,
     colon_power_ideal,
 )
-from .linalg import SpanBuilder, _intify, rank
+from .linalg import _intify, rank
 from .polynomial import Polynomial, diff_action
 
 
@@ -148,13 +148,7 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
         return False
     for e in range(top // 2 + 1):
         need = max(ideal.slice(e).hilbert_value, ideal.slice(top - e).hilbert_value)
-        rows, ncols = _catalecticant(terms, monomials_of_degree(ideal.ctx, e))
-        span = SpanBuilder(ncols)
-        for row in rows:
-            if len(span.rows) == need:
-                break
-            span.add(row)
-        if len(span.rows) < need:
+        if rank(*_catalecticant(terms, monomials_of_degree(ideal.ctx, e))) < need:
             return False
     return True
 

@@ -17,8 +17,8 @@ from operator import add, sub
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree
-from .linalg import _ZERO, ReducedRows, SpanBuilder, _intify, _nullspace, left_kernel, rref
-from .monomial_ideal import MonomialIdeal
+from .linalg import _ZERO, ReducedRows, SpanBuilder, _intify, left_kernel, rref
+from .monomial_ideal import MonomialIdeal, docle
 from .polynomial import Polynomial
 
 # The most columns, binomial(e + d - 1, d - 1) in degree e, that a slice may
@@ -123,6 +123,7 @@ class HomogeneousIdealPresentation:
                 gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._slices: dict[int, GradedSlice] = {}
+        self._initial: MonomialIdeal | None = None  # read by initial_monomials
 
     @classmethod
     def from_monomial_ideal(cls, ideal: MonomialIdeal) -> "HomogeneousIdealPresentation":
@@ -160,15 +161,22 @@ class HomogeneousIdealPresentation:
         return sum(self.hilbert_function(cutoff))
 
     def socle(self, cutoff: int | None = None) -> list["SocleClass"]:
-        """Per-degree kernel of multiplication by the variables on R/I.  Row s
-        holds, in block u, the integer coset of x_u*s in degree e+1 times
-        lambda_s, the lcm of the blocks' pivot entries: scaling a transpose
-        column keeps the RREF pivots, so with entry s times lambda_s a kernel
-        vector is the unscaled one times a positive constant, which dividing
-        by its last nonzero, at its largest index, removes."""
+        """Per-degree kernel of multiplication by the variables on R/I, only
+        in degrees where docle(in_<(I)) has a point: graded Betti numbers
+        only grow under Groebner degeneration (Herzog-Hibi, Monomial Ideals,
+        GTM 260, Thm 3.3.4), and a monomial ideal's socle monomials outside
+        it are its docle, so dim socle(R/I)_e is at most the number of
+        degree-e docle points.  Row s holds, in block u, the integer coset
+        of x_u*s in degree e+1 times lambda_s, the lcm of the blocks' pivot
+        entries: a kernel vector of these rows with entry s times lambda_s
+        is the unscaled one times a positive constant, which dividing by its
+        last nonzero, at its largest index, removes."""
         hilbert = self.hilbert_function(cutoff)
+        if not hilbert:
+            return []
+        degrees = {sum(ev.coords) for ev in docle(self.initial_monomials(cutoff))}
         classes: list[SocleClass] = []
-        for e in range(len(hilbert)):
+        for e in sorted(degrees):
             std, nxt = self.slice(e).standard_monomials, self.slice(e + 1)
             at = {c: j for j, c in enumerate(nxt._std_columns)}
             rows, scales = [], []
@@ -189,10 +197,19 @@ class HomogeneousIdealPresentation:
         return len(self.socle(cutoff))
 
     def initial_monomials(self, cutoff: int | None = None) -> MonomialIdeal:
-        """The LEX initial ideal, assembled from slice pivots (artinian only)."""
+        """The LEX initial ideal (artinian only), assembled once from the
+        slice pivots that are no variable times a pivot of the degree below."""
         top = len(self.hilbert_function(cutoff))
-        pivots = [ev for e in range(top + 1) for ev in self.slice(e).pivot_monomials]
-        return MonomialIdeal.from_generators(self.ctx, pivots)
+        if self._initial is None:
+            gens, prev = [], []
+            for e in range(top + 1):
+                sl = self.slice(e)
+                shifts = (_shift_table(self.ctx, e, i) for i in range(self.ctx.dim))
+                lifted = {s[p] for s in shifts for p in prev}
+                gens += [sl.monomial_basis[c] for c in sl._pivots if c not in lifted]
+                prev = sl._pivots
+            self._initial = MonomialIdeal.from_generators(self.ctx, gens)
+        return self._initial
 
     def equals(self, other: "HomogeneousIdealPresentation") -> bool:
         """Slice-by-slice row space equality through the last generator degree,
@@ -341,7 +358,7 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
         products = [(tuple(map(add, mc, s)), a) for s, a in p_terms]
         return [(t, a) for t, a in products if max(t) < k]
 
-    return _assemble_minimal(ctx, lambda cols: _nullspace(*_transposed(cols, image)), top + 1)
+    return _assemble_minimal(ctx, lambda cols: left_kernel(*_images(cols, image)), top + 1)
 
 
 def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> HomogeneousIdealPresentation:
@@ -358,7 +375,7 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
         raise AmbientMismatchError("operator and target dimensions differ")
 
     terms = _integer_terms(q)
-    return _assemble_minimal(ctx, lambda cols: _nullspace(*_catalecticant(terms, cols)), m_deg + 1)
+    return _assemble_minimal(ctx, lambda cols: left_kernel(*_catalecticant(terms, cols)), m_deg + 1)
 
 
 def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
@@ -366,25 +383,23 @@ def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
     return list(_intify({ev.coords: c for ev, c in f._terms.items()}).items())
 
 
-def _transposed(monomials, image) -> tuple[list[dict[int, int]], int]:
+def _images(monomials, image) -> tuple[list[dict[int, int]], int]:
     """A linear map on the span of some degree-e monomials, image(m) the
     (exponent, coefficient) terms of the image of a monomial's coordinates,
-    as the sparse rows of its transpose (one per exponent hit, keyed by m's
-    position in ``monomials``) and their width."""
-    rows: dict[tuple[int, ...], dict[int, int]] = {}
-    for r, m in enumerate(monomials):
-        for t, c in image(m.coords):
-            rows.setdefault(t, {})[r] = c
-    return list(rows.values()), len(monomials)
+    as one sparse row per monomial, in the given order (``left_kernel``'s
+    rows), with a column per exponent hit, and their width."""
+    at: dict[tuple[int, ...], int] = {}
+    rows = [{at.setdefault(t, len(at)): c for t, c in image(m.coords)} for m in monomials]
+    return rows, len(at)
 
 
 def _catalecticant(terms, monomials) -> tuple[list[dict[int, int]], int]:
     """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
     m -> m(d/dt) f, for f given by ``_integer_terms(f)`` (f scaled to a
     primitive integer row, computed once per build), on the given degree-e
-    monomials (all of R_e's, or some), as the sparse rows of its transpose
-    (``_transposed``): one column per monomial m, in the given order.  A term
-    c*t^s of f with s >= m puts c * prod perm(s_i, m_i) in row s - m, column m.
+    monomials (all of R_e's, or some), as ``_images``: one row per monomial
+    m, in the given order.  A term c*t^s of f with s >= m puts
+    c * prod perm(s_i, m_i) in row m, at the column of s - m.
     """
 
     def image(mc):
@@ -393,4 +408,4 @@ def _catalecticant(terms, monomials) -> tuple[list[dict[int, int]], int]:
             if min(u) >= 0:
                 yield u, c * prod(map(perm, s, mc))
 
-    return _transposed(monomials, image)
+    return _images(monomials, image)

@@ -4,10 +4,11 @@ The one place that shapes an integer row: a dict {column: nonzero int},
 primitive, positive at its lead once a span stores it.  ``_intify`` makes one
 from a dense row or a dict of ints or Fractions, keeping a dict's zeros, so
 dict rows fed to elimination hold nonzeros only, except where they enter
-``rref`` or ``left_kernel``, which drop zeros.
-``SpanBuilder.add``, the one elimination loop under ``rref``, ``rank``,
-``_nullspace`` and ``left_kernel``, returns the row it stores; kernel vectors
-come back in the same form.
+``rref``, ``rank`` or ``left_kernel``, which drop zeros.
+``SpanBuilder.add`` keeps the full RREF, for ``rref`` where a slice is
+stored, and returns the row it stores.  ``rank`` and ``left_kernel`` read
+only the leads or the dependent rows, so ``_lead_echelon`` reduces each row
+only at its lead, with no back-substitution.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): clearing
 column p of r against an echelon row with pivot a there replaces r by
 (a/g)*r - (r[p]/g)*row, g = gcd(a, r[p]), touching only the two rows'
@@ -33,16 +34,31 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _intify(row) -> dict[int, int]:
-    """A dense row, or a dict of its nonzeros, of ints and Fractions as a
-    primitive sparse integer row."""
+def _cleared(row) -> tuple[dict[int, int], int]:
+    """A dense row (its nonzeros), or a dict, of ints and Fractions, times the
+    lcm m of its denominators, as a dict of ints, and m."""
     if not isinstance(row, dict):
         row = {c: row[c] for c in compress(count(), row)}
     try:
-        return _primitive(row)  # gcd refuses a Fraction
+        gcd(*row.values())  # refuses a Fraction
+        return row, 1
     except TypeError:
         mult = lcm(*[x.denominator for x in row.values()])
-        return _primitive({c: x.numerator * (mult // x.denominator) for c, x in row.items()})
+        return {c: x.numerator * (mult // x.denominator) for c, x in row.items()}, mult
+
+
+def _intify(row) -> dict[int, int]:
+    """A dense row, or a dict of its nonzeros, of ints and Fractions as a
+    primitive sparse integer row."""
+    return _primitive(_cleared(row)[0])
+
+
+def _difference(vec: dict[int, int], row: dict[int, int], a: int, b: int) -> dict[int, int]:
+    """The nonzeros of a*vec - b*row."""
+    out = {c: a * v for c, v in vec.items()}
+    for c, v in row.items():
+        out[c] = out.get(c, 0) - b * v
+    return {c: v for c, v in out.items() if v}
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, int]:
@@ -54,63 +70,69 @@ def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, in
         del out[p]
         return out
     g = gcd(row[p], vec[p])
-    a, b = row[p] // g, vec[p] // g
-    out = {c: a * v for c, v in vec.items()}
-    for c, v in row.items():
-        out[c] = out.get(c, 0) - b * v
-    return {c: v for c, v in out.items() if v}
-
-
-def _span(rows, ncols: int) -> SpanBuilder:
-    """A ``SpanBuilder`` fed the nonzero rows one at a time, up to full rank."""
-    span = SpanBuilder(ncols)
-    for row in rows:
-        if len(span.rows) == ncols:
-            break
-        if row:
-            span.add(row)
-    return span
+    return _difference(vec, row, row[p] // g, vec[p] // g)
 
 
 def rref(rows, ncols: int) -> tuple[ReducedRows, list[int]]:
     """The RREF over Q of the span of ``rows`` (dict rows' zeros dropped): its
     nonzero rows (pivot 1, zeros above and below every pivot) and pivot columns."""
-    rows = ({c: v for c, v in r.items() if v} if isinstance(r, dict) else r for r in rows)
-    reduced = _span(rows, ncols).reduced
+    span = SpanBuilder(ncols)
+    for row in rows:
+        if len(span.rows) == ncols:
+            break
+        if isinstance(row, dict):
+            row = {c: v for c, v in row.items() if v}
+        if row:
+            span.add(row)
+    reduced = span.reduced
     return reduced, reduced.pivots
 
 
+def _lead_echelon(rows, combine: bool) -> tuple[int, list[dict[int, int]]]:
+    """Lead-only elimination of the rows in order (dense, or dicts whose zeros
+    are dropped): each is reduced at its lead against the stored row there
+    until its lead is new (it is stored) or it vanishes.  Returns the rank
+    and, when ``combine``, each vanished row i's combination, carried from
+    {i: m} (m clears i's denominators) by positive steps and made primitive:
+    supported on i and the stored rows before it, it is the RREF kernel
+    vector of the transpose at free column i.
+    """
+    stored: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    kernel = []
+    for i, row in enumerate(rows):
+        if isinstance(row, dict):
+            row = {c: v for c, v in row.items() if v}
+        vec, mult = _cleared(row)
+        comb = {i: mult} if combine else {}
+        while vec:
+            lead = min(vec)
+            if lead not in stored:
+                stored[lead] = vec, comb
+                break
+            srow, scomb = stored[lead]
+            g = gcd(srow[lead], vec[lead]) * (1 if srow[lead] > 0 else -1)
+            a, b = srow[lead] // g, vec[lead] // g
+            vec, comb = _difference(vec, srow, a, b), _difference(comb, scomb, a, b)
+            if a > 1 and vec:  # the joint content of row and combination
+                g = gcd(*vec.values(), *comb.values())
+                if g > 1:
+                    vec = {c: v // g for c, v in vec.items()}
+                    comb = {c: v // g for c, v in comb.items()}
+        if combine and not vec:
+            kernel.append(_primitive(comb))
+    return len(stored), kernel
+
+
 def rank(rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
-
-
-def _nullspace(rows, ncols: int) -> list[dict[int, int]]:
-    """Basis of {x : A x = 0} (rows dense, or dicts of their nonzeros only),
-    one sparse primitive integer vector per free column f, in column order: a
-    positive multiple of f's RREF basis vector (1 at f, minus the RREF's
-    column f at the pivots)."""
-    span = _span(rows, ncols)
-    hits = {f: [] for f in range(ncols) if f not in span.rows}  # (pivot, entry, pivot entry)
-    for p, row in span.rows.items():
-        for c, b in row.items():
-            if c != p:
-                hits[c].append((p, b, row[p]))
-    basis = []
-    for free, col in hits.items():
-        mult = lcm(*[a for _, _, a in col])
-        basis.append(_primitive({free: mult, **{p: -b * (mult // a) for p, b, a in col}}))
-    return basis
+    """The rank over Q of ``rows`` (dense, or dicts whose zeros are dropped)."""
+    return _lead_echelon(rows, False)[0]
 
 
 def left_kernel(rows, ncols: int) -> list[dict[int, int]]:
-    """Basis of {c : sum_i c_i row_i = 0}, as ``_nullspace`` of the transpose,
-    which is made from the {column: value} rows' nonzeros."""
-    transpose = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            if v:
-                transpose[c][i] = v
-    return _nullspace(transpose, len(rows))
+    """Basis of {c : sum_i c_i row_i = 0} for {column: value} rows (zeros
+    dropped): per row i dependent on the rows before it, in order, a sparse
+    primitive integer vector positive at i, the transpose's RREF kernel basis."""
+    return _lead_echelon(rows, True)[1]
 
 
 def reduce_vector(vec, rows: dict[int, dict[int, int]]) -> dict[int, int]:

@@ -168,6 +168,36 @@ def test_socle_reads_integer_cosets_only(monkeypatch):
     assert seen and set(seen) == {int}
 
 
+def test_socle_reads_kernels_only_in_degrees_of_the_initial_docle(monkeypatch):
+    # docle(x^3, y^2) = {x^2*y}: of the four degrees of R/I only degree 3
+    # can hold a socle class, so only its kernel is computed.
+    widths = []
+
+    def counted(rows, ncols):
+        widths.append(len(rows))
+        return left_kernel(rows, ncols)
+
+    monkeypatch.setattr("apolar.graded_engine.left_kernel", counted)
+    pres = as_pres("(x^3, y^2)")
+    assert [(c.degree, str(c)) for c in pres.socle()] == [(3, "x^2*y")]
+    assert widths == [1]
+
+
+def test_initial_ideal_memo_honours_the_cutoff():
+    ctx = Context.of_dim(2)
+    pres = as_pres("(x1^3, x2^2)", ctx)
+    init = pres.initial_monomials()
+    assert [str(c) for c in pres.socle()] == ["x1^2*x2"]
+    for call in (pres.initial_monomials, pres.socle):
+        with pytest.raises(NotArtinianError):
+            call(1)
+        with pytest.raises(DomainError, match="cutoff must be >= 0"):
+            call(-1)
+    assert pres.initial_monomials(4) is init
+    unit = HomogeneousIdealPresentation(ctx, [Polynomial.constant(ctx, 1)])
+    assert unit.socle() == [] and unit.socle_dimension() == 0
+
+
 def test_initial_monomials_fixtures():
     init = I1.initial_monomials()
     assert {g.coords for g in init.gens} == {(0, 2), (3, 0)}

@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 from apolar.linalg import (
     SpanBuilder,
     _intify,
-    _nullspace,
     left_kernel,
     rank,
     reduce_vector,
@@ -18,6 +17,12 @@ from apolar.linalg import (
 def densified(vec, n):
     """A sparse {index: value} kernel vector as a list of length n."""
     return [vec.get(i, 0) for i in range(n)]
+
+
+def nullspace(rows, ncols):
+    """Basis of {x : A x = 0} for dense rows: the left kernel of the
+    columns, as {row index: value} rows."""
+    return left_kernel([{i: row[c] for i, row in enumerate(rows)} for c in range(ncols)], len(rows))
 
 
 def naive_rref(rows, ncols):
@@ -86,7 +91,7 @@ def test_nullspace_property():
     for _ in range(150):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         m = rand_matrix(rng, nrows, ncols, frac=True)
-        basis = [densified(v, ncols) for v in _nullspace(m, ncols)]
+        basis = [densified(v, ncols) for v in nullspace(m, ncols)]
         assert len(basis) == ncols - rank(m, ncols)
         for v in basis:
             for row in m:
@@ -176,7 +181,7 @@ def _assert_integer_rref_kernel(matrix, ncols, kernel):
 @given(rational_matrices())
 def test_kernels_are_integer_multiples_of_rref_basis_vectors(matrix):
     rows, ncols = matrix
-    _assert_integer_rref_kernel(rows, ncols, _nullspace(rows, ncols))
+    _assert_integer_rref_kernel(rows, ncols, nullspace(rows, ncols))
     transpose = [[row[c] for row in rows] for c in range(ncols)]
     sparse = [dict(enumerate(row)) for row in rows]
     _assert_integer_rref_kernel(transpose, len(rows), left_kernel(sparse, ncols))
@@ -214,8 +219,9 @@ def test_sparse_matrices_match_the_dense_reference(matrix, data):
     got_rows, got_pivots = rref(rows, ncols)
     assert got_pivots == want_pivots
     assert [list(r) for r in got_rows] == want_rows
+    assert rank(rows, ncols) == len(got_pivots)
     free_columns = [c for c in range(ncols) if c not in want_pivots]
-    kernel = [densified(v, ncols) for v in _nullspace(rows, ncols)]
+    kernel = [densified(v, ncols) for v in nullspace(rows, ncols)]
     assert len(kernel) == len(free_columns)
     for vec, free in zip(kernel, free_columns):
         want = [Fraction(int(c == free)) for c in range(ncols)]

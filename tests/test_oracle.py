@@ -16,6 +16,7 @@ from apolar import (
     NotArtinianError,
     Polynomial,
     SeriesSpec,
+    docle,
     monomials_of_degree,
     parse_ideal,
     parse_polynomial,
@@ -31,7 +32,8 @@ from apolar.oracle import (
     brute_socle,
 )
 
-from support import rand_zero_dim_ideal
+from hypothesis import given, settings
+from support import gorenstein_specs, rand_zero_dim_ideal
 
 CTX = Context.of_dim(2)
 TCTX = CTX.dual()
@@ -179,6 +181,42 @@ def test_brute_socle_fixtures():
     }
     with pytest.raises(NotArtinianError):
         brute_socle(monomial_gens("(x^2)"), 6)
+
+
+def _socle_against_initial_docle(pres: HomogeneousIdealPresentation) -> dict[int, tuple[int, int]]:
+    """Per degree e with (R/I)_e nonzero: the oracle's socle dimension and the
+    number of degree-e points of docle(in_<(I))."""
+    cutoff = sum(g.homogeneous_degree() for g in pres.generators) + pres.ctx.dim
+    brute = brute_socle(list(pres.generators), cutoff)
+    points = Counter(sum(p.coords) for p in docle(pres.initial_monomials()))
+    assert set(points) <= set(brute), str(pres)
+    return {e: (len(basis), points[e]) for e, basis in brute.items()}
+
+
+def test_socle_is_bounded_by_the_docle_of_the_initial_ideal():
+    # Graded Betti numbers only grow under Groebner degeneration, so each
+    # degree's socle has at most as many dimensions as docle(in_<(I)) has
+    # points there; for a monomial ideal the socle is spanned by its docle.
+    strict = 0
+    for pres in _socle_presentations():
+        for e, (dim, points) in _socle_against_initial_docle(pres).items():
+            assert dim <= points, (str(pres), e)
+            strict += dim < points
+    assert strict
+    rng = random.Random(44)
+    for n in range(18):
+        ideal = rand_zero_dim_ideal(rng, 1 + n % 3, max_coord=3)
+        pres = HomogeneousIdealPresentation.from_monomial_ideal(ideal)
+        for e, (dim, points) in _socle_against_initial_docle(pres).items():
+            assert dim == points, (str(ideal), e)
+
+
+@settings(max_examples=40)
+@given(gorenstein_specs(max_k=3))
+def test_colon_socles_are_bounded_by_the_docle_of_the_initial_ideal(spec):
+    pres = HomogeneousIdealPresentation(spec.ctx, spec.colon_ideal().generators)
+    for e, (dim, points) in _socle_against_initial_docle(pres).items():
+        assert dim <= points, (str(pres), e)
 
 
 def test_socle_matches_brute_socle():
