@@ -35,7 +35,7 @@ MAX_STAIRCASE_CELLS = 100_000
 
 
 def _context(args) -> Context:
-    if args.vars_names:
+    if args.vars_names is not None:
         names = tuple(n.strip() for n in args.vars_names.split(",") if n.strip())
         if not names:
             raise DomainError("--vars-names must list at least one name")

@@ -5,10 +5,11 @@ primitive, positive at its lead once a span stores it.  ``_intify`` makes one
 from a dense row or a dict of ints or Fractions, keeping a dict's zeros, so
 dict rows fed to elimination hold nonzeros only, except where they enter
 ``rref``, ``rank`` or ``left_kernel``, which drop zeros.
-``SpanBuilder.add`` keeps the full RREF, for ``rref`` where a slice is
-stored, and returns the row it stores.  ``rank`` and ``left_kernel`` read
-only the leads or the dependent rows, so ``_lead_echelon`` reduces each row
-only at its lead, with no back-substitution.
+``SpanBuilder.rows``, {pivot column: row}, is the one echelon format: the
+full integer RREF, which ``rref`` returns for a slice to store.  ``rank``
+and ``left_kernel`` read only the leads or the dependent rows, so
+``_lead_echelon`` reduces each row only at its lead, with no
+back-substitution.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): clearing
 column p of r against an echelon row with pivot a there replaces r by
 (a/g)*r - (r[p]/g)*row, g = gcd(a, r[p]), touching only the two rows'
@@ -16,16 +17,13 @@ nonzeros (against a unit row it drops r[p]).  Each step scales r by a
 positive factor, so ``reduce_vector`` divides by the content once, at the
 end.  Echelon rows have positive pivots and are zero in every other pivot
 column: each is its RREF row times a positive integer, unique for the span.
-``rref`` makes its Fraction rows when read.
+Fractions may come in; none is made here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
-
-_ZERO = Fraction(0)
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -73,10 +71,12 @@ def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, in
     return _difference(vec, row, row[p] // g, vec[p] // g)
 
 
-def rref(rows, ncols: int) -> tuple[ReducedRows, list[int]]:
-    """The RREF over Q of the span of ``rows`` (dict rows' zeros dropped): its
-    nonzero rows (pivot 1, zeros above and below every pivot) and pivot columns."""
-    span = SpanBuilder(ncols)
+def rref(rows, ncols: int) -> dict[int, dict[int, int]]:
+    """The integer RREF of the span of ``rows`` (dense, or dicts whose zeros
+    are dropped) in ``ncols`` columns, as ``SpanBuilder.rows``: {pivot column:
+    primitive integer row, positive at the pivot, zero in every other pivot
+    column}, each row its RREF row over Q times a positive integer."""
+    span = SpanBuilder()
     for row in rows:
         if len(span.rows) == ncols:
             break
@@ -84,8 +84,7 @@ def rref(rows, ncols: int) -> tuple[ReducedRows, list[int]]:
             row = {c: v for c, v in row.items() if v}
         if row:
             span.add(row)
-    reduced = span.reduced
-    return reduced, reduced.pivots
+    return span.rows
 
 
 def _lead_echelon(rows, combine: bool) -> tuple[int, list[dict[int, int]]]:
@@ -157,18 +156,9 @@ class SpanBuilder:
     needs no back-elimination.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self.rows: dict[int, dict[int, int]] = {}
         self._seen: set[int] = set()
-
-    @property
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
-    @property
-    def reduced(self) -> ReducedRows:
-        return ReducedRows([self.rows[p] for p in self.pivots], self.ncols)
 
     def add(self, vec) -> dict[int, int] | None:
         """Add a vector (dense, or a dict of its nonzeros only) to the span.
@@ -197,26 +187,3 @@ class SpanBuilder:
             else:
                 self.rows[c] = {c: 1}
                 self._seen.add(c)
-
-
-class ReducedRows:
-    """The RREF rows of a span as a sequence, each a tuple of Fractions made
-    from its integer echelon row when read.  The integer ``rows`` (in pivot order)
-    are unique for the span, so equality needs no Fraction."""
-
-    def __init__(self, rows: list[dict[int, int]], ncols: int):
-        self.rows, self.ncols = rows, ncols
-        self.pivots = [min(row) for row in rows]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int) -> tuple[Fraction, ...]:
-        row, out = self.rows[i], [_ZERO] * self.ncols
-        for c, v in row.items():
-            out[c] = Fraction(v, row[self.pivots[i]])
-        return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        same_shape = isinstance(other, ReducedRows) and self.ncols == other.ncols
-        return same_shape and self.rows == other.rows

@@ -16,9 +16,14 @@ def run(capsys, *argv):
 
 def test_docle_fixture(capsys):
     # Expected value fixed by the brute_docle oracle.
-    code, out, _ = run(capsys, "docle", "--vars", "2", "(x^3, x*y, y^2)",
-                       "--vars-names", "")
-    assert code == 2  # empty --vars-names is a usage problem
+    code, out, _ = run(capsys, "docle", "--vars", "2", "(x^3, x*y, y^2)")
+    assert code == 2  # x is not a declared variable: a parse error
+    # An empty name list is refused like "," before anything is parsed.
+    for ideal in ("(x^3, x*y, y^2)", "(x1^3, x1*x2, x2^2)"):
+        code, out, err = run(capsys, "docle", "--vars", "2", ideal, "--vars-names", "")
+        assert (code, out) == (1, "") and "at least one name" in err
+    code, _, err = run(capsys, "docle", "--vars", "3", "(x^2, y)", "--vars-names", "x,y")
+    assert code == 1 and "disagrees" in err
     code, out, _ = run(capsys, "docle", "--vars", "2", "(x1^3, x1*x2, x2^2)")
     assert code == 0
     assert out == "{x1^2, x2}"

@@ -63,6 +63,19 @@ def test_negative_coordinates_rejected():
         ExponentVector(CTX2, (1, -1))
 
 
+def test_empty_or_repeated_alphabets_and_bad_indices_rejected():
+    with pytest.raises(DomainError, match="at least one variable"):
+        Context(())
+    with pytest.raises(DomainError, match="distinct"):
+        Context(("x", "y", "x"))
+    with pytest.raises(DomainError, match="dimension must be >= 1"):
+        Context.of_dim(0)
+    assert unit_vector(CTX2, 1) == ev(CTX2, 0, 1)
+    for i in (-1, 2):
+        with pytest.raises(DomainError, match="out of range"):
+            unit_vector(CTX2, i)
+
+
 def test_add_sub_fixtures():
     assert add(ev(CTX2, 1, 2), ev(CTX2, 2, 1)) == ev(CTX2, 3, 3)
     assert sub_checked(ev(CTX2, 3, 3), ev(CTX2, 1, 2)) == ev(CTX2, 2, 1)

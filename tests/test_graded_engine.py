@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from apolar import (
+    AmbientMismatchError,
     Antichain,
     Context,
     DomainError,
@@ -55,6 +56,8 @@ def test_slice_fixtures():
     s0 = I1.slice(0)
     assert [str(m) for m in s0.standard_monomials] == ["1"]
     assert I1.slice(4).standard_monomials == ()
+    with pytest.raises(DomainError, match="slice degree must be >= 0"):
+        I1.slice(-1)
 
 
 def test_slice_invariants():
@@ -81,8 +84,10 @@ def test_hilbert_fixtures():
 def test_hilbert_not_artinian():
     with pytest.raises(NotArtinianError):
         as_pres("(x)").hilbert_function()
+    empty = HomogeneousIdealPresentation(CTX, [])
+    assert str(empty) == "(0)"
     with pytest.raises(NotArtinianError):
-        HomogeneousIdealPresentation(CTX, []).hilbert_function()
+        empty.hilbert_function()
 
 
 def test_hilbert_function_honours_cutoff_after_an_earlier_call():
@@ -117,6 +122,8 @@ def test_colon_power_fixtures():
         colon_power_ideal(2, parse_polynomial("x^2*y^2", CTX))
     with pytest.raises(DomainError):
         colon_power_ideal(0, parse_polynomial("y", CTX))
+    with pytest.raises(DomainError, match="p must be nonzero"):
+        colon_power_ideal(3, Polynomial.zero(CTX))
 
 
 def test_colon_power_of_constant_is_power_ideal():
@@ -234,6 +241,8 @@ def test_ann_partial_fixtures():
     assert ann_partial(cubic, CTX).equals(as_pres("(x^4, y)"))
     with pytest.raises(DomainError):
         ann_partial(Polynomial.zero(TCTX), CTX)
+    with pytest.raises(AmbientMismatchError, match="dimensions differ"):
+        ann_partial(q, Context.of_dim(3))
 
 
 def test_ann_partial_contains_high_powers_and_is_artinian():
@@ -254,6 +263,10 @@ def test_ideal_equals_fixtures():
     assert ideal_equals(colon_power_ideal(4, P1), I1)
     assert not ideal_equals(as_pres("(x^3, y^2)"), I1)
     assert ideal_equals(I1, I1)
+    with pytest.raises(AmbientMismatchError, match="across contexts"):
+        I1.equals(as_pres("(x1^2, x2^2)", Context.of_dim(2)))
+    with pytest.raises(AmbientMismatchError, match="generator from a different context"):
+        HomogeneousIdealPresentation(CTX, [Polynomial.variable(TCTX, 0)])
 
 
 def test_minimal_generators_are_minimal():
@@ -381,7 +394,8 @@ def _build_specs():
 
 def _build_text(ideal, top):
     return [[str(g) for g in ideal.generators],
-            [[sorted(row.items()) for row in ideal.slice(e)._rows.rows] for e in range(top + 2)]]
+            [[sorted(ideal.slice(e)._rows[p].items()) for p in ideal.slice(e)._pivots]
+             for e in range(top + 2)]]
 
 
 # sha256 of the generator strings and integer slice rows of _build_specs(),
@@ -542,7 +556,7 @@ def test_single_entry_rows_are_the_monomials_no_term_of_f_is_divisible_by(spec):
     for ideal in (spec.colon_ideal(), ann_partial(f, spec.ctx)):
         for e in range(spec.top_degree + 2):
             sl = ideal.slice(e)
-            units = {sl.monomial_basis[min(row)] for row in sl._rows.rows if len(row) == 1}
+            units = {sl.monomial_basis[min(row)] for row in sl._rows.values() if len(row) == 1}
             assert units == {m for m in sl.monomial_basis if monomial_part.contains(m)}
 
 

@@ -25,6 +25,20 @@ def nullspace(rows, ncols):
     return left_kernel([{i: row[c] for i, row in enumerate(rows)} for c in range(ncols)], len(rows))
 
 
+def fraction_rref(rows, ncols):
+    """``rref``'s integer echelon rows as Fraction RREF rows (pivot 1), in
+    pivot order, and the pivot columns."""
+    echelon = rref(rows, ncols)
+    pivots = sorted(echelon)
+    out = []
+    for p in pivots:
+        row = [Fraction(0)] * ncols
+        for c, v in echelon[p].items():
+            row[c] = Fraction(v, echelon[p][p])
+        out.append(row)
+    return out, pivots
+
+
 def naive_rref(rows, ncols):
     """Textbook Gauss-Jordan over Fraction, used as a reference."""
     work = [[Fraction(x) for x in r] for r in rows]
@@ -62,7 +76,7 @@ def test_rref_matches_naive_reference():
     for _ in range(200):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         m = rand_matrix(rng, nrows, ncols, frac=True)
-        got_rows, got_pivots = rref(m, ncols)
+        got_rows, got_pivots = fraction_rref(m, ncols)
         want_rows, want_pivots = naive_rref(m, ncols)
         assert got_pivots == want_pivots
         assert [list(r) for r in got_rows] == want_rows
@@ -82,7 +96,7 @@ def test_rref_is_canonical_for_row_space():
         assert rref([dict(enumerate(row)) for row in mixed], 5) == rref(m, 5)
     # rref drops the zeros of dict rows, so a zero is never taken as a pivot.
     assert rref([{0: 0, 1: 1}], 2) == rref([[0, 1]], 2)
-    assert rref([{0: 0, 1: 1}], 2)[1] == [1]
+    assert fraction_rref([{0: 0, 1: 1}], 2)[1] == [1]
     assert rank([{0: 0, 1: 1}], 2) == 1
 
 
@@ -122,7 +136,7 @@ def test_left_kernel_property():
 
 def test_reduce_vector_and_membership():
     # add returns the echelon row it stored, positive at its lead, or None.
-    span = SpanBuilder(3)
+    span = SpanBuilder()
     assert span.add([1, 0, 2]) == {0: 1, 2: 2}
     stored = span.add({1: -2, 2: Fraction(-6)})
     assert stored == {1: 1, 2: 3} and span.rows[1] is stored
@@ -141,12 +155,10 @@ def test_span_builder_matches_rref():
     for _ in range(100):
         ncols = rng.randint(1, 6)
         vecs = rand_matrix(rng, rng.randint(1, 6), ncols, frac=True)
-        builder = SpanBuilder(ncols)
+        builder = SpanBuilder()
         for v in vecs:
             builder.add(v)
-        reduced, pivots = rref(vecs, ncols)
-        assert builder.pivots == pivots
-        assert [list(r) for r in builder.reduced] == [list(r) for r in reduced]
+        assert builder.rows == rref(vecs, ncols)
         for v in vecs:
             assert not reduce_vector(v, builder.rows)
 
@@ -163,7 +175,7 @@ def _assert_integer_rref_kernel(matrix, ncols, kernel):
     """Each kernel vector is a sparse {index: int} vector killing the matrix,
     one per free column of the RREF, and is that column's RREF basis vector
     times its (positive) entry at the free column."""
-    reduced, pivots = rref(matrix, ncols)
+    reduced, pivots = fraction_rref(matrix, ncols)
     free_columns = [c for c in range(ncols) if c not in pivots]
     assert len(kernel) == len(free_columns) == ncols - len(pivots)
     for vec, free in zip(kernel, free_columns):
@@ -216,7 +228,7 @@ def _primitive_positive_multiple(vec):
 def test_sparse_matrices_match_the_dense_reference(matrix, data):
     rows, ncols = matrix
     want_rows, want_pivots = naive_rref(rows, ncols)
-    got_rows, got_pivots = rref(rows, ncols)
+    got_rows, got_pivots = fraction_rref(rows, ncols)
     assert got_pivots == want_pivots
     assert [list(r) for r in got_rows] == want_rows
     assert rank(rows, ncols) == len(got_pivots)
@@ -228,7 +240,7 @@ def test_sparse_matrices_match_the_dense_reference(matrix, data):
         for row, p in zip(want_rows, want_pivots):
             want[p] = -row[free]
         assert vec[free] > 0 and [Fraction(x, vec[free]) for x in vec] == want
-    span = SpanBuilder(ncols)
+    span = SpanBuilder()
     for row in rows:
         span.add(row)
     assert list(span.rows.values()) == [_intify(r) for r in span.rows.values()]
@@ -275,7 +287,7 @@ def _stepwise_primitive_reduce(vec, rows):
 @given(integer_span_rows(), st.data())
 def test_content_taken_at_the_end_matches_the_stepwise_primitive_reduction(matrix, data):
     rows, ncols = matrix
-    span = SpanBuilder(ncols)
+    span = SpanBuilder()
     for row in rows:
         span.add(row)
     assume(any(row[p] > 1 for p, row in span.rows.items()))
@@ -291,7 +303,7 @@ def test_seeding_unit_rows_matches_adding_them_one_by_one(matrix, data):
     units = data.draw(st.lists(st.integers(0, ncols - 1), max_size=ncols))
     # Units into an empty span, as the build seeds them, and after other rows.
     for before, after in (([], rows), (rows, [])):
-        seeded, one_by_one = SpanBuilder(ncols), SpanBuilder(ncols)
+        seeded, one_by_one = SpanBuilder(), SpanBuilder()
         for row in before:
             seeded.add(row)
         seeded.add_units(units)
@@ -299,4 +311,4 @@ def test_seeding_unit_rows_matches_adding_them_one_by_one(matrix, data):
             seeded.add(row)
         for vec in before + [{c: 1} for c in units] + after:
             one_by_one.add(vec)
-        assert seeded.reduced == one_by_one.reduced
+        assert seeded.rows == one_by_one.rows

@@ -233,7 +233,7 @@ def test_socle_matches_brute_socle():
             engine = [c.polynomial() for c in classes if c.degree == e]
             assert len(engine) == len(basis), (str(pres), e)
             monomials = monomials_of_degree(pres.ctx, e)
-            spans = [rref([[f.coeff(m) for m in monomials] for f in fs], len(monomials))[0]
+            spans = [rref([[f.coeff(m) for m in monomials] for f in fs], len(monomials))
                      for fs in (engine, basis)]
             assert spans[0] == spans[1], (str(pres), e)
         degrees[len({c.degree for c in classes})] += 1

@@ -44,6 +44,8 @@ def test_sum_difference_negation_and_repr():
     for op in (f.__add__, f.__sub__):
         with pytest.raises(AmbientMismatchError):
             op(t)
+    with pytest.raises(AmbientMismatchError, match="term exponent"):
+        Polynomial(CTX, {ExponentVector(TCTX, (1, 0)): 1})
 
 
 def test_inhomogeneous_degree():
@@ -59,6 +61,8 @@ def test_scale_and_pow():
     assert f.scale(Fraction(1, 2)) == parse_polynomial("1/2*x + 1/2*y", CTX)
     assert 2 * f == parse_polynomial("2*x + 2*y", CTX)
     assert f ** 2 == parse_polynomial("x^2 + 2*x*y + y^2", CTX)
+    with pytest.raises(DomainError, match="negative polynomial power"):
+        f ** -1
 
 
 def test_diff_action_fixtures():
