@@ -2,7 +2,8 @@
 
 Every subcommand reads ideals/polynomials in the shared text syntax, runs
 one pipeline operation and prints text or JSON (schema version 1).  Exit
-codes: 0 success, 1 domain error or out of memory, 2 parse/usage error.
+codes: 0 success, 1 domain error or out of memory, 2 parse/usage error
+(an ``--out`` file that cannot be written is a usage error).
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ def _context(args) -> Context:
         names = tuple(n.strip() for n in args.vars_names.split(",") if n.strip())
         if not names:
             raise DomainError("--vars-names must list at least one name")
-        if args.vars and args.vars != len(names):
+        if args.vars is not None and args.vars != len(names):
             raise DomainError("--vars disagrees with --vars-names")
         return Context(names)
-    if not args.vars:
+    if args.vars is None:
         raise DomainError("one of --vars or --vars-names is required")
     return Context.of_dim(args.vars)
 
@@ -369,8 +370,12 @@ def main(argv=None) -> int:
         else:
             output = text
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(output + "\n")
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(output + "\n")
+            except OSError as exc:
+                print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+                return 2
         else:
             print(output)
         return 0

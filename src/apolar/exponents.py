@@ -139,14 +139,24 @@ def sub_checked(a: ExponentVector, b: ExponentVector) -> ExponentVector | None:
 @lru_cache(maxsize=CACHE_SIZE)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """The ways to write total as parts nonnegative parts, LEX-descending:
-    the last part runs from total down, as it is the most significant."""
-    if parts == 1:
-        return ((total,),) if total >= 0 else ()
-    return tuple(
-        rest + (last,)
-        for last in range(total, -1, -1)
-        for rest in _compositions(total - last, parts - 1)
-    )
+    the last part runs from total down, as it is the most significant.
+    Each one follows from the one before without recursion, so any number
+    of parts is listed: take one unit from the first part after the first
+    that holds any and put it, with all of the first part, a place lower."""
+    if total < 0:
+        return ()
+    p, i = [0] * (parts - 1) + [total], 1  # p[1:i] are zero
+    out = [tuple(p)]
+    while True:
+        while i < parts and not p[i]:
+            i += 1
+        if i == parts:
+            return tuple(out)
+        p[i] -= 1
+        p[0], p[i - 1] = 0, p[0] + 1
+        out.append(tuple(p))
+        if i > 1:
+            i -= 1
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -18,7 +18,7 @@ from operator import add, sub
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree
 from .linalg import SpanBuilder, _intify, left_kernel, rref
-from .monomial_ideal import MonomialIdeal, docle
+from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial
 
 # The most columns, binomial(e + d - 1, d - 1) in degree e, that a slice may
@@ -135,7 +135,6 @@ class HomogeneousIdealPresentation:
                 gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
         self._slices: dict[int, GradedSlice] = {}
-        self._initial: MonomialIdeal | None = None  # read by initial_monomials
 
     @classmethod
     def from_monomial_ideal(cls, ideal: MonomialIdeal) -> "HomogeneousIdealPresentation":
@@ -174,54 +173,51 @@ class HomogeneousIdealPresentation:
 
     def socle(self, cutoff: int | None = None) -> list["SocleClass"]:
         """Per-degree kernel of multiplication by the variables on R/I, only
-        in degrees where docle(in_<(I)) has a point: graded Betti numbers
-        only grow under Groebner degeneration (Herzog-Hibi, Monomial Ideals,
-        GTM 260, Thm 3.3.4), and a monomial ideal's socle monomials outside
-        it are its docle, so dim socle(R/I)_e is at most the number of
-        degree-e docle points.  Row s holds, in block u, the integer coset
+        in degrees where docle(in_<(I)) has a point, read off the slices as a
+        standard s with every x_u*s a pivot one degree up: graded Betti
+        numbers only grow under Groebner degeneration (Herzog-Hibi, Monomial
+        Ideals, GTM 260, Thm 3.3.4), and a monomial ideal's socle monomials
+        outside it are its docle, so dim socle(R/I)_e is at most the number
+        of degree-e docle points.  Row s holds, in block u, the integer coset
         of x_u*s in degree e+1 times lambda_s, the lcm of the blocks' pivot
         entries: a kernel vector of these rows with entry s times lambda_s
         is the unscaled one times a positive constant, which dividing by its
         last nonzero, at its largest index, removes."""
-        hilbert = self.hilbert_function(cutoff)
-        if not hilbert:
-            return []
-        degrees = {sum(ev.coords) for ev in docle(self.initial_monomials(cutoff))}
         classes: list[SocleClass] = []
-        for e in sorted(degrees):
-            std, nxt = self.slice(e).standard_monomials, self.slice(e + 1)
+        for e in range(len(self.hilbert_function(cutoff))):
+            sl, nxt = self.slice(e), self.slice(e + 1)  # both built by hilbert_function
+            shifts = [_shift_table(self.ctx, e + 1, u) for u in range(self.ctx.dim)]
+            images = [[shift[c] for shift in shifts] for c in sl._std_columns]  # x_u*s
+            if not any(all(j in nxt._rows for j in img) for img in images):
+                continue  # no docle point of in_<(I) in degree e
             at = {c: j for j, c in enumerate(nxt._std_columns)}
             rows, scales = [], []
-            for s in std:
-                blocks = [nxt._cosets[s.coords[:u] + (x + 1,) + s.coords[u + 1:]]
-                          for u, x in enumerate(s.coords)]
+            for img in images:
+                blocks = [nxt._cosets[nxt.monomial_basis[j].coords] for j in img]
                 scales.append(lcm(*[a for _, a in blocks]))
                 rows.append({u * len(at) + at[c]: -v * (scales[-1] // a)
                              for u, (r, a) in enumerate(blocks) for c, v in r.items() if c in at})
             for vec in left_kernel(rows, self.ctx.dim * len(at)):
                 last = max(vec)
                 free = vec[last] * scales[last]
-                classes.append(SocleClass(e, std, [Fraction(vec.get(j, 0) * scale, free)
-                                                   for j, scale in enumerate(scales)]))
+                classes.append(SocleClass(e, sl.standard_monomials, [
+                    Fraction(vec.get(j, 0) * scale, free) for j, scale in enumerate(scales)]))
         return classes
 
     def socle_dimension(self, cutoff: int | None = None) -> int:
         return len(self.socle(cutoff))
 
     def initial_monomials(self, cutoff: int | None = None) -> MonomialIdeal:
-        """The LEX initial ideal (artinian only), assembled once from the
-        slice pivots that are no variable times a pivot of the degree below."""
-        top = len(self.hilbert_function(cutoff))
-        if self._initial is None:
-            gens, prev = [], []
-            for e in range(top + 1):
-                sl = self.slice(e)
-                shifts = (_shift_table(self.ctx, e, i) for i in range(self.ctx.dim))
-                lifted = {s[p] for s in shifts for p in prev}
-                gens += [sl.monomial_basis[c] for c in sl._pivots if c not in lifted]
-                prev = sl._pivots
-            self._initial = MonomialIdeal.from_generators(self.ctx, gens)
-        return self._initial
+        """The LEX initial ideal (artinian only), generated by the slice
+        pivots that are no variable times a pivot of the degree below."""
+        gens, prev = [], []
+        for e in range(len(self.hilbert_function(cutoff)) + 1):
+            sl = self.slice(e)
+            shifts = (_shift_table(self.ctx, e, i) for i in range(self.ctx.dim))
+            lifted = {s[p] for s in shifts for p in prev}
+            gens += [sl.monomial_basis[c] for c in sl._pivots if c not in lifted]
+            prev = sl._pivots
+        return MonomialIdeal.from_generators(self.ctx, gens)
 
     def equals(self, other: "HomogeneousIdealPresentation") -> bool:
         """Slice-by-slice row space equality through the last generator degree,

@@ -158,12 +158,11 @@ def _minimal(points) -> list[tuple]:
     """The componentwise-minimal tuples of a finite set of coordinate tuples.
 
     A proper divisor has a smaller degree, so in degree order each tuple need
-    only be checked against the minimal ones kept so far.
+    only be checked against the minimal ones of lower degrees.
     """
     minimal = []
-    for c in sorted(set(points), key=sum):
-        if not any(all(map(le, h, c)) for h in minimal):
-            minimal.append(c)
+    for _, same_degree in itertools.groupby(sorted(set(points), key=sum), key=sum):
+        minimal += [c for c in same_degree if not any(all(map(le, h, c)) for h in minimal)]
     return minimal
 
 

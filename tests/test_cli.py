@@ -24,6 +24,12 @@ def test_docle_fixture(capsys):
         assert (code, out) == (1, "") and "at least one name" in err
     code, _, err = run(capsys, "docle", "--vars", "3", "(x^2, y)", "--vars-names", "x,y")
     assert code == 1 and "disagrees" in err
+    # --vars 0 is given, not absent: it disagrees with two names, and alone
+    # it is refused as an ambient dimension.
+    code, out, err = run(capsys, "docle", "--vars", "0", "--vars-names", "x,y", "(x^2, y)")
+    assert (code, out) == (1, "") and "disagrees" in err
+    code, out, err = run(capsys, "docle", "--vars", "0", "(x1^2)")
+    assert (code, out) == (1, "") and "ambient dimension must be >= 1" in err
     code, out, _ = run(capsys, "docle", "--vars", "2", "(x1^3, x1*x2, x2^2)")
     assert code == 0
     assert out == "{x1^2, x2}"
@@ -137,6 +143,12 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_hilbert_of_more_variables_than_the_recursion_limit(capsys):
+    ideal = "(" + ", ".join(f"x{i}" for i in range(1, 1201)) + ")"
+    code, out, err = run(capsys, "hilbert", "--vars", "1200", ideal)
+    assert (code, out, err) == (0, "[1] dim=1", "")
+
+
 def test_out_of_memory_is_a_domain_exit(capsys, monkeypatch):
     def exhausted(args, ctx):
         raise MemoryError
@@ -167,6 +179,13 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["elems"] == [[2, 1]]
+
+
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "f.txt", tmp_path):
+        code, out, err = run(capsys, "docle", "--vars", "2", "(x1^2, x2)", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
 
 
 def test_oracle_subcommands(capsys):

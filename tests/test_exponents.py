@@ -152,6 +152,21 @@ def test_monomials_of_degree_match_sorted_listing():
         assert monomials_of_degree(ctx, -1) == ()
 
 
+def test_listing_takes_any_number_of_variables():
+    # One composition follows from the last without recursion, so more
+    # variables than the interpreter's recursion limit are listed.
+    from apolar import exponents
+
+    ctx = Context.of_dim(1500)
+    try:
+        listing = monomials_of_degree(ctx, 1)
+        assert len(listing) == 1500
+        assert [ev.coords.index(1) for ev in listing] == list(range(1499, -1, -1))
+    finally:
+        exponents._compositions.cache_clear()
+        monomials_of_degree.cache_clear()
+
+
 def test_monomial_caches_are_bounded():
     from apolar import exponents, graded_engine
 

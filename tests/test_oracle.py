@@ -23,6 +23,7 @@ from apolar import (
     random_spec,
     series_annihilator_check,
 )
+from apolar import monomial_ideal
 from apolar.linalg import rref
 from apolar.oracle import (
     brute_ann,
@@ -219,26 +220,42 @@ def test_colon_socles_are_bounded_by_the_docle_of_the_initial_ideal(spec):
         assert dim <= points, (str(pres), e)
 
 
+def _assert_socle_matches_brute_socle(pres: HomogeneousIdealPresentation, classes) -> None:
+    """Per degree, the engine's classes and the oracle's basis have the same
+    number and span the same space (both are normal forms under LEX)."""
+    cutoff = sum(g.homogeneous_degree() for g in pres.generators) + pres.ctx.dim
+    brute = brute_socle(list(pres.generators), cutoff)
+    assert sorted(brute) == list(range(len(pres.hilbert_function())))
+    for e, basis in brute.items():
+        engine = [c.polynomial() for c in classes if c.degree == e]
+        assert len(engine) == len(basis), (str(pres), e)
+        monomials = monomials_of_degree(pres.ctx, e)
+        spans = [rref([[f.coeff(m) for m in monomials] for f in fs], len(monomials))
+                 for fs in (engine, basis)]
+        assert spans[0] == spans[1], (str(pres), e)
+
+
 def test_socle_matches_brute_socle():
-    # Per degree, the engine's classes and the oracle's basis have the same
-    # number and span the same space (both are normal forms under LEX).
     items, degrees, fractional, larger = [], Counter(), False, False
     for pres in _socle_presentations():
         classes = pres.socle()
         items.append([str(pres), [f"degree {c.degree}: {c}" for c in classes]])
-        cutoff = sum(g.homogeneous_degree() for g in pres.generators) + pres.ctx.dim
-        brute = brute_socle(list(pres.generators), cutoff)
-        assert sorted(brute) == list(range(len(pres.hilbert_function())))
-        for e, basis in brute.items():
-            engine = [c.polynomial() for c in classes if c.degree == e]
-            assert len(engine) == len(basis), (str(pres), e)
-            monomials = monomials_of_degree(pres.ctx, e)
-            spans = [rref([[f.coeff(m) for m in monomials] for f in fs], len(monomials))
-                     for fs in (engine, basis)]
-            assert spans[0] == spans[1], (str(pres), e)
+        _assert_socle_matches_brute_socle(pres, classes)
         degrees[len({c.degree for c in classes})] += 1
         fractional |= any(x.denominator > 1 for c in classes for x in c.coords)
         larger |= len(classes) > 1
     assert degrees[2] and fractional and larger
     blob = json.dumps(items, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == SOCLE_DIGEST
+
+
+def test_socle_reads_neither_the_initial_ideal_nor_its_docle(monkeypatch):
+    # socle finds the degrees of docle(in_<(I)) on the slices themselves:
+    # it builds no initial ideal and folds no irreducible decomposition.
+    def refuse(*args):
+        raise AssertionError("socle read the initial ideal or folded its docle")
+
+    monkeypatch.setattr(HomogeneousIdealPresentation, "initial_monomials", refuse)
+    monkeypatch.setattr(monomial_ideal, "_fold_splits", refuse)
+    for pres in _socle_presentations():
+        _assert_socle_matches_brute_socle(pres, pres.socle())
