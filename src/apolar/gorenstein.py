@@ -70,20 +70,15 @@ class GorensteinSpec:
         return self._colon
 
     @cached_property
-    def _phi(self) -> dict[tuple[int, ...], Fraction]:
-        """The socle functional: phi(x^j) for every degree-M exponent j, M the
-        top degree, is the coordinate of x^j's class on the socle monomial,
-        read from the colon ideal's own top slice.  phi gives both the dual
-        generator and the pairings."""
+    def _phi(self) -> dict[tuple[int, ...], int]:
+        """The socle functional, one primitive integer row with zeros kept:
+        phi(x^j), for each degree-M exponent j (M the top degree), is one fixed
+        positive multiple of x^j's coordinate on the socle monomial, read from
+        the colon ideal's own top slice.  It gives the dual generator and pairings."""
         sl = self._colon.slice(self.top_degree)
         if sl.standard_monomials != (self.socle_monomial,):
             raise DomainError("top graded piece is not spanned by the socle monomial")
-        return {j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis}
-
-    @cached_property
-    def _phi_int(self) -> dict[tuple[int, ...], int]:
-        """phi as a primitive integer row, zeros kept, which the pairing ranks read."""
-        return _intify(self._phi)
+        return _intify({j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis})
 
     def __repr__(self) -> str:
         return f"GorensteinSpec(d={self.d}, k={self.k}, p={self.p})"
@@ -105,7 +100,7 @@ def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
 
     Expanded by the multinomial theorem, each x^j weighted by the socle
     functional phi(x^j); the result is normalized so its LEX-largest term
-    agrees with the antipodal polynomial exactly.
+    agrees with the antipodal polynomial exactly, which cancels phi's scale.
     """
     raw_poly = Polynomial(spec.dual_ctx, {
         ExponentVector(spec.dual_ctx, j): multinomial(spec.top_degree, j) * c
@@ -222,12 +217,12 @@ def series_annihilator_check(spec: GorensteinSpec, series: SeriesSpec) -> bool:
     return not ideal.slice(top + 1).standard_monomials
 
 
-def _pairing(spec: GorensteinSpec, i: int, phi: dict) -> list[list]:
+def _pairing(spec: GorensteinSpec, i: int) -> list[list[int]]:
     """Entry (r, c) is phi(r*c) over the degree-i and degree-(M-i) standard
-    monomials, for ``spec._phi`` or its integer multiple ``spec._phi_int``."""
+    monomials, phi the integer ``spec._phi``."""
     if not 0 <= i <= spec.top_degree:
         raise DomainError("pairing degree out of range")
-    ideal = spec.colon_ideal()
+    ideal, phi = spec.colon_ideal(), spec._phi
     cols = [c.coords for c in ideal.slice(spec.top_degree - i).standard_monomials]
     return [[phi[tuple(map(add, r.coords, c))] for c in cols]
             for r in ideal.slice(i).standard_monomials]
@@ -235,15 +230,17 @@ def _pairing(spec: GorensteinSpec, i: int, phi: dict) -> list[list]:
 
 def pairing_matrix(spec: GorensteinSpec, i: int) -> list[list[Fraction]]:
     """Matrix of the multiplication pairing (R/I)_i x (R/I)_(M-i) -> (R/I)_M
-    in the standard monomial bases: entry (r, c) is phi(r*c), phi the socle
-    functional."""
-    return _pairing(spec, i, spec._phi)
+    in the standard monomial bases: entry (r, c) is the coordinate of r*c's
+    class on the socle monomial, phi(r*c) / phi(socle monomial)."""
+    matrix = _pairing(spec, i)
+    scale = spec._phi[spec.socle_monomial.coords]
+    return [[Fraction(v, scale) for v in row] for row in matrix]
 
 
 def pairing_is_nondegenerate(spec: GorensteinSpec, i: int) -> bool:
     """Full rank of the pairing matrix, ranked on its integer multiple."""
     # spec._phi checks (R/I)_M != 0, so neither basis is empty
-    matrix = _pairing(spec, i, spec._phi_int)
+    matrix = _pairing(spec, i)
     cols = len(matrix[0])
     return rank(matrix, cols) == min(len(matrix), cols)
 

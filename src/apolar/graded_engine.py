@@ -332,8 +332,9 @@ def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
 
 
 def reduce_mod_power_ideal(p: Polynomial, k: int) -> Polynomial:
-    """Drop the terms of p lying in (x_1^k, ..., x_d^k)."""
-    return Polynomial(p.ctx, {ev: c for ev, c in p._terms.items() if max(ev.coords) < k})
+    """Drop the terms of p lying in (x_1^k, ..., x_d^k); p itself if none does."""
+    kept = {ev: c for ev, c in p._terms.items() if max(ev.coords) < k}
+    return p if len(kept) == len(p._terms) else Polynomial(p.ctx, kept)
 
 
 def _reduced_mod_power(k: int, p: Polynomial | None = None) -> Polynomial | None:

@@ -230,34 +230,24 @@ def inverse_ideal(antichain: Antichain) -> MonomialIdeal:
     return antichain._inverse_ideal
 
 
-def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
-    """(I : x_var) for a 0-based variable index."""
+def _map_var(ideal: MonomialIdeal, var: int, f) -> MonomialIdeal:
+    """The ideal generated by the generators with coordinate var replaced by f of it."""
     d = ideal.ctx.dim
     if not 0 <= var < d:
         raise DomainError(f"variable index {var} out of range for dim {d}")
-    shifted = [
-        ExponentVector(
-            ideal.ctx,
-            tuple(c - 1 if i == var and c >= 1 else c for i, c in enumerate(g.coords)),
-        )
-        for g in ideal.gens
-    ]
-    return MonomialIdeal.from_generators(ideal.ctx, shifted)
+    mapped = [ExponentVector(ideal.ctx, g.coords[:var] + (f(g.coords[var]),) + g.coords[var + 1:])
+              for g in ideal.gens]
+    return MonomialIdeal.from_generators(ideal.ctx, mapped)
+
+
+def colon_var(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
+    """(I : x_var) for a 0-based variable index."""
+    return _map_var(ideal, var, lambda c: max(c - 1, 0))
 
 
 def colon_var_saturate(ideal: MonomialIdeal, var: int) -> MonomialIdeal:
     """(I : x_var^infinity): the var coordinate of every generator is zeroed."""
-    d = ideal.ctx.dim
-    if not 0 <= var < d:
-        raise DomainError(f"variable index {var} out of range for dim {d}")
-    zeroed = [
-        ExponentVector(
-            ideal.ctx,
-            tuple(0 if i == var else c for i, c in enumerate(g.coords)),
-        )
-        for g in ideal.gens
-    ]
-    return MonomialIdeal.from_generators(ideal.ctx, zeroed)
+    return _map_var(ideal, var, lambda c: 0)
 
 
 def saturate(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -32,7 +32,8 @@ class _Scanner:
     def __init__(self, text: str, ctx: Context | None = None):
         self.text = text.replace("−", "-").replace("–", "-")
         self.ctx = ctx
-        self.names = sorted(ctx.names, key=len, reverse=True) if ctx else []
+        self.index = {name: i for i, name in enumerate(ctx.names)} if ctx else {}
+        self.lengths = sorted({len(name) for name in self.index}, reverse=True)
         self.pos = 0
 
     def skip_ws(self) -> None:
@@ -77,10 +78,11 @@ class _Scanner:
     def try_variable(self) -> int | None:
         """Greedy match of a declared variable name; returns its index."""
         self.skip_ws()
-        for name in self.names:
-            if self.text.startswith(name, self.pos):
-                self.pos += len(name)
-                return self.ctx.names.index(name)
+        for n in self.lengths:
+            name = self.text[self.pos:self.pos + n]
+            if name in self.index:
+                self.pos += len(name)  # shorter than n where the text ends
+                return self.index[name]
         return None
 
     def at_end(self) -> bool:

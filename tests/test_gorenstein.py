@@ -285,7 +285,11 @@ def test_socle_functional_on_random_specs():
         phi = spec._phi
         degree_m = monomials_of_degree(spec.ctx, spec.top_degree)
         assert set(phi) == {ev.coords for ev in degree_m}
-        assert phi == {j: expected.get(j, 0) for j in phi}
+        assert all(type(c) is int for c in phi.values())
+        scale = phi[spec.socle_monomial.coords]
+        assert {j: Fraction(c, scale) for j, c in phi.items()} == {
+            j: expected.get(j, 0) for j in phi
+        }
         assert spec._phi is phi
 
 

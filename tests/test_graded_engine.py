@@ -28,6 +28,7 @@ from apolar import (
     parse_polynomial,
     power_ideal,
     random_spec,
+    reduce_mod_power_ideal,
 )
 from apolar.exponents import box_monomials_of_degree
 from apolar.graded_engine import MAX_SLICE_COLUMNS, GradedSlice, _assemble_minimal, _shift_table
@@ -124,6 +125,16 @@ def test_colon_power_fixtures():
         colon_power_ideal(0, parse_polynomial("y", CTX))
     with pytest.raises(DomainError, match="p must be nonzero"):
         colon_power_ideal(3, Polynomial.zero(CTX))
+
+
+def test_reduce_mod_power_ideal_keeps_a_reduced_p():
+    p = parse_polynomial("x^2*y + 3*x*y^2", CTX)
+    assert reduce_mod_power_ideal(p, 3) is p
+    dropped = reduce_mod_power_ideal(p, 2)
+    assert dropped is not p and dropped == Polynomial.zero(CTX)
+    q = parse_polynomial("x^3 - 1/2*x*y^2", CTX)
+    assert reduce_mod_power_ideal(q, 3) == parse_polynomial("-1/2*x*y^2", CTX)
+    assert q == parse_polynomial("x^3 - 1/2*x*y^2", CTX)
 
 
 def test_colon_power_of_constant_is_power_ideal():

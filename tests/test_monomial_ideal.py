@@ -250,6 +250,25 @@ def test_colon_fixtures():
         colon_var(emmy, 2)
 
 
+def test_per_variable_maps_refuse_out_of_range_indices():
+    emmy = ideal(CTX, (2, 0), (1, 1))
+    for call in (colon_var, colon_var_saturate):
+        for var in (2, -1):
+            with pytest.raises(DomainError, match="out of range"):
+                call(emmy, var)
+
+
+def test_repeated_colon_var_reaches_the_saturation():
+    rng = random.Random(27)
+    for _ in range(30):
+        i = rand_proper_ideal(rng, rng.randint(2, 4))
+        for v in range(i.ctx.dim):
+            current, step = i, colon_var(i, v)
+            while step != current:
+                current, step = step, colon_var(step, v)
+            assert current == colon_var_saturate(i, v)
+
+
 def test_colon_var_matches_brute_membership():
     # (I : x) on a small grid, straight from the definition.
     rng = random.Random(25)

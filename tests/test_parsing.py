@@ -102,6 +102,10 @@ def test_numbered_names_parse_greedily():
     p = parse_polynomial("x12^2*x1", big)
     coords = next(iter(p.support())).coords
     assert coords[11] == 2 and coords[0] == 1
+    many = Context.of_dim(1500)
+    coords = next(iter(parse_polynomial("x1*x10*x100*x1000", many).support())).coords
+    assert [i for i, c in enumerate(coords) if c] == [0, 9, 99, 999]
+    assert all(coords[i] == 1 for i in (0, 9, 99, 999))
 
 
 def test_trailing_junk_rejected():
