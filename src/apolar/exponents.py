@@ -136,7 +136,6 @@ def sub_checked(a: ExponentVector, b: ExponentVector) -> ExponentVector | None:
     return ExponentVector(a.ctx, diff)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """The ways to write total as parts nonnegative parts, LEX-descending:
     the last part runs from total down, as it is the most significant.

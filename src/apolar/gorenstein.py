@@ -20,13 +20,12 @@ from .exponents import Context, ExponentVector, lex_key, monomials_of_degree
 from .graded_engine import (
     HomogeneousIdealPresentation,
     _catalecticant,
-    _integer_terms,
     _reduced_mod_power,
     ann_partial,
     colon_power_ideal,
 )
 from .linalg import _intify, rank
-from .polynomial import Polynomial, diff_action
+from .polynomial import Polynomial, _numerators, diff_action
 
 
 def multinomial(total: int, parts) -> int:
@@ -138,7 +137,7 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
     three checks of ``verify_gorenstein_ann``."""
     if not all(diff_action(g, f).is_zero for g in ideal.generators):
         return False
-    top, terms = f.homogeneous_degree(), _integer_terms(f)
+    top, terms = f.homogeneous_degree(), _numerators(f)[0]
     if ideal.slice(top + 1).hilbert_value:
         return False
     for e in range(top // 2 + 1):

@@ -17,9 +17,9 @@ from operator import add, sub
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree
-from .linalg import SpanBuilder, _intify, left_kernel, rref
+from .linalg import SpanBuilder, left_kernel, rref
 from .monomial_ideal import MonomialIdeal
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _numerators
 
 # The most columns, binomial(e + d - 1, d - 1) in degree e, that a slice may
 # have, whether built from generators or by colon_power_ideal / ann_partial
@@ -106,7 +106,7 @@ class _Multiples:
 
     def __init__(self, ctx: Context, generators, e: int):
         self.col = {ev.coords: i for i, ev in enumerate(monomials_of_degree(ctx, e))}
-        self.blocks = [(_integer_terms(g), monomials_of_degree(ctx, e - g.homogeneous_degree()))
+        self.blocks = [(_numerators(g)[0], monomials_of_degree(ctx, e - g.homogeneous_degree()))
                        for g in generators if g.homogeneous_degree() <= e]
 
     def __len__(self) -> int:
@@ -333,8 +333,8 @@ def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
 
 def reduce_mod_power_ideal(p: Polynomial, k: int) -> Polynomial:
     """Drop the terms of p lying in (x_1^k, ..., x_d^k); p itself if none does."""
-    kept = {ev: c for ev, c in p._terms.items() if max(ev.coords) < k}
-    return p if len(kept) == len(p._terms) else Polynomial(p.ctx, kept)
+    kept = {ev: c for ev, c in p.terms() if max(ev.coords) < k}
+    return p if len(kept) == len(p.support()) else Polynomial(p.ctx, kept)
 
 
 def _reduced_mod_power(k: int, p: Polynomial | None = None) -> Polynomial | None:
@@ -360,7 +360,7 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     the way.  The result is artinian Gorenstein.
     """
     p_red = _reduced_mod_power(k, p)
-    ctx, p_terms = p.ctx, _integer_terms(p_red)
+    ctx, p_terms = p.ctx, _numerators(p_red)[0]
     top = ctx.dim * (k - 1) - p_red.homogeneous_degree()  # top degree of R/I
 
     def image(mc):  # the terms of m*p inside the box [0, k-1]^d
@@ -383,13 +383,8 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
 
-    terms = _integer_terms(q)
+    terms = _numerators(q)[0]
     return _assemble_minimal(ctx, lambda cols: left_kernel(*_catalecticant(terms, cols)), m_deg + 1)
-
-
-def _integer_terms(f: Polynomial) -> list[tuple[tuple[int, ...], int]]:
-    """f's (exponent, coefficient) pairs as a primitive integer row (``_intify``)."""
-    return list(_intify({ev.coords: c for ev, c in f._terms.items()}).items())
 
 
 def _images(monomials, image) -> tuple[list[dict[int, int]], int]:
@@ -404,10 +399,10 @@ def _images(monomials, image) -> tuple[list[dict[int, int]], int]:
 
 def _catalecticant(terms, monomials) -> tuple[list[dict[int, int]], int]:
     """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
-    m -> m(d/dt) f, for f given by ``_integer_terms(f)`` (f scaled to a
-    primitive integer row, computed once per build), on the given degree-e
-    monomials (all of R_e's, or some), as ``_images``: one row per monomial
-    m, in the given order.  A term c*t^s of f with s >= m puts
+    m -> m(d/dt) f, for f given by the terms of ``_numerators(f)`` (f times
+    the lcm of its denominators, computed once per build), on the given
+    degree-e monomials (all of R_e's, or some), as ``_images``: one row per
+    monomial m, in the given order.  A term c*t^s of f with s >= m puts
     c * prod perm(s_i, m_i) in row m, at the column of s - m.
     """
 

@@ -149,11 +149,7 @@ def _parse_poly(sc: _Scanner, stop: str) -> Polynomial:
 
 
 def parse_polynomial(text: str, ctx: Context) -> Polynomial:
-    sc = _Scanner(text, ctx)
-    poly = _parse_poly(sc, stop="")
-    if not sc.at_end():
-        sc.fail_here("trailing input after polynomial")
-    return poly
+    return _parse_poly(_Scanner(text, ctx), stop="")
 
 
 def parse_monomial(text: str, ctx: Context) -> ExponentVector:

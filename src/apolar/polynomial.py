@@ -160,7 +160,9 @@ class Polynomial:
 
 
 def _numerators(f: Polynomial) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """f's (exponent, numerator) pairs over the lcm of its denominators, and that lcm."""
+    """The one integer form of f: its (exponent, numerator) pairs over the lcm
+    of its denominators, content kept, and that lcm, read by the action, the
+    Macaulay rows, the colon map, the catalecticant and the certificate."""
     den = lcm(*[c.denominator for c in f._terms.values()])
     return [(ev.coords, c.numerator * (den // c.denominator)) for ev, c in f._terms.items()], den
 

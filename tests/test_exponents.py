@@ -155,15 +155,12 @@ def test_monomials_of_degree_match_sorted_listing():
 def test_listing_takes_any_number_of_variables():
     # One composition follows from the last without recursion, so more
     # variables than the interpreter's recursion limit are listed.
-    from apolar import exponents
-
     ctx = Context.of_dim(1500)
     try:
         listing = monomials_of_degree(ctx, 1)
         assert len(listing) == 1500
         assert [ev.coords.index(1) for ev in listing] == list(range(1499, -1, -1))
     finally:
-        exponents._compositions.cache_clear()
         monomials_of_degree.cache_clear()
 
 
@@ -171,8 +168,8 @@ def test_monomial_caches_are_bounded():
     from apolar import exponents, graded_engine
 
     line = Context.of_dim(1)
-    caches = (exponents._compositions, exponents.monomials_of_degree,
-              exponents.box_monomials_of_degree, graded_engine._shift_table)
+    caches = (exponents.monomials_of_degree, exponents.box_monomials_of_degree,
+              graded_engine._shift_table)
     try:
         for n in range(exponents.CACHE_SIZE + 10):
             assert monomials_of_degree(line, n)[0].coords == (n,)

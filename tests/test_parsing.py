@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,13 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_ideal("(x^3,", XY)
     assert err.value.position == 5
+    for parse, text, message in (
+        (parse_ideal, "(x", "expected ')', found 'end of input' at offset 2"),
+        (parse_monomial, "2", "expected a monomial at offset 0"),
+        (parse_antichain, "x", "expected '{', found 'x' at offset 0"),
+    ):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(text, XY)
 
 
 def test_unknown_variable():
@@ -109,10 +117,14 @@ def test_numbered_names_parse_greedily():
 
 
 def test_trailing_junk_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape("unexpected ')' in polynomial at offset 5")):
         parse_polynomial("x + y)", XY)
     with pytest.raises(ParseError):
         parse_ideal("(x) y", XY)
+    with pytest.raises(ParseError, match="trailing input after monomial at offset 1"):
+        parse_monomial("x+y", XY)
+    with pytest.raises(ParseError, match="trailing input after antichain at offset 4"):
+        parse_antichain("{x} y", XY)
 
 
 def test_zero_denominator_is_a_parse_error():

@@ -26,6 +26,16 @@ def test_only_graded_engine_reads_a_slices_private_state():
     assert not found, found
 
 
+def test_only_polynomial_reads_a_polynomials_terms():
+    # Polynomial owns its term dict: other modules read terms() or the one
+    # integer form, polynomial._numerators.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "polynomial.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+    assert not found, found
+
+
 def test_linalg_makes_no_fraction():
     # linalg works on integer rows; Fractions may be passed in, never made.
     tree = ast.parse((SRC / "linalg.py").read_text())
