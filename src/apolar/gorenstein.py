@@ -126,8 +126,11 @@ def verify_gorenstein_ann(spec: GorensteinSpec) -> bool:
        dim (R/Ann F)_e, which is at most h_I(e) by step 1, with equality iff
        I_e = Ann(F)_e.  Cat_e and Cat_(M-e) differ by a nonzero column
        scaling and a transpose (entry (m, u) is c_(m+u) (m+u)!/u!), so their
-       ranks agree: for e <= M/2 it suffices to find max(h_I(e), h_I(M-e))
-       independent columns of Cat_e.
+       ranks agree and only e <= M/2 is checked: h_I(M-e) > h_I(e) is
+       rejected, else the rows of Cat_e at I_e's h_I(e) standard monomials
+       must be independent, giving rank h_I(e) >= h_I(M-e).  If I_e =
+       Ann(F)_e, no dependency among them exists: it would be a form of I_e
+       with no pivot in its support.
     """
     return _is_annihilator_of(spec.colon_ideal(), antipodal(spec))
 
@@ -141,8 +144,9 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
     if ideal.slice(top + 1).hilbert_value:
         return False
     for e in range(top // 2 + 1):
-        need = max(ideal.slice(e).hilbert_value, ideal.slice(top - e).hilbert_value)
-        if rank(*_catalecticant(terms, monomials_of_degree(ideal.ctx, e))) < need:
+        standard = ideal.slice(e).standard_monomials
+        if (ideal.slice(top - e).hilbert_value > len(standard)
+                or rank(*_catalecticant(terms, standard)) < len(standard)):
             return False
     return True
 

@@ -272,7 +272,12 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     the previous degree's rows shifts their pivots: lifts with distinct leads
     span L', and I_e is L' plus the kernel on the columns S it leaves free.
     A lift of a unit row (a monomial of I) is a unit row, so those enter the
-    span in one step; only the other lifts are eliminated.  A lift that is
+    span in one step; only the other lifts are eliminated.  Pivots are
+    carried forward: each degree hands the next its unit rows' pivots and its
+    other rows with their pivots, in pivot order.  A stored row leads at its
+    pivot (``SpanBuilder`` keys a row by its lowest column and back-elimination
+    only changes higher ones), so x_i's lift of row p leads at s[p], s the
+    shift table, and no row is scanned for its lead.  A lift that is
     not a unit row but leads where a unit lift does is one of the other
     lifts, which are added up to dim I_e; one dimension left is a generator
     read off the kernel on S, two or more are read off the full kernel in
@@ -284,17 +289,17 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     ``MAX_SLICE_COLUMNS`` monomials.
     """
     _check_slice_size(ctx, max_degree)
-    gens, slices, prev = [], {}, []  # prev: degree e-1's rows in pivot order
+    gens, slices = [], {}
+    unit_pivots, pairs = [], []  # degree e-1's unit rows' pivots, other (pivot, row)s
     for e in range(max_degree + 1):
         basis = monomials_of_degree(ctx, e)
         span, shifts = SpanBuilder(), [_shift_table(ctx, e, i) for i in range(ctx.dim)]
-        units = {s[min(row)] for s in shifts for row in prev if len(row) == 1}
+        units = {s[p] for s in shifts for p in unit_pivots}
         span.add_units(units)
-        rows = [row for row in prev if len(row) > 1]
-        leads = [s[min(row)] for s in shifts for row in rows]  # lift n = i*len(rows) + r
+        leads = [s[p] for s in shifts for p, _ in pairs]  # lift n = i*len(pairs) + r
 
         def lift(n):  # x_i times row r of degree e - 1, made only when it is added
-            s, row = shifts[n // len(rows)], rows[n % len(rows)]
+            s, row = shifts[n // len(pairs)], pairs[n % len(pairs)][1]
             return {s[j]: c for j, c in row.items()}
 
         owner = {lead: n for n, lead in enumerate(leads) if lead not in units}  # one lift per lead
@@ -308,7 +313,7 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
                 break  # the span is already all of I_e
             if owner.get(lead) != n:
                 span.add(lift(n))
-        if prev and dim - len(span.rows) > 1:
+        if (unit_pivots or pairs) and dim - len(span.rows) > 1:
             kernel = kernel_fn(basis)
         for vec in kernel:
             if len(span.rows) == dim:
@@ -318,7 +323,8 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
                 gens.append(Polynomial(ctx, {basis[c]: v for c, v in row.items()}))
         del kernel  # as large as the slice: free it before making the slice
         slices[e] = GradedSlice(e, basis, span.rows)
-        prev = [span.rows[p] for p in slices[e]._pivots]
+        unit_pivots = [p for p in slices[e]._pivots if len(span.rows[p]) == 1]
+        pairs = [(p, span.rows[p]) for p in slices[e]._pivots if len(span.rows[p]) > 1]
     ideal = HomogeneousIdealPresentation(ctx, gens)
     ideal._slices = slices
     return ideal
@@ -364,8 +370,7 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     top = ctx.dim * (k - 1) - p_red.homogeneous_degree()  # top degree of R/I
 
     def image(mc):  # the terms of m*p inside the box [0, k-1]^d
-        products = [(tuple(map(add, mc, s)), a) for s, a in p_terms]
-        return [(t, a) for t, a in products if max(t) < k]
+        return [(t, a) for s, a in p_terms if max(t := tuple(map(add, mc, s))) < k]
 
     return _assemble_minimal(ctx, lambda cols: left_kernel(*_images(cols, image)), top + 1)
 

@@ -32,31 +32,37 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _cleared(row) -> tuple[dict[int, int], int]:
+def _cleared(row) -> tuple[dict[int, int], int, int]:
     """A dense row (its nonzeros), or a dict, of ints and Fractions, times the
-    lcm m of its denominators, as a dict of ints, and m."""
+    lcm m of its denominators, as a dict of ints, m, and the dict's content."""
     if not isinstance(row, dict):
         row = {c: row[c] for c in compress(count(), row)}
     try:
-        gcd(*row.values())  # refuses a Fraction
-        return row, 1
+        return row, 1, gcd(*row.values())  # refuses a Fraction
     except TypeError:
         mult = lcm(*[x.denominator for x in row.values()])
-        return {c: x.numerator * (mult // x.denominator) for c, x in row.items()}, mult
+        row = {c: x.numerator * (mult // x.denominator) for c, x in row.items()}
+        return row, mult, gcd(*row.values())
 
 
 def _intify(row) -> dict[int, int]:
     """A dense row, or a dict of its nonzeros, of ints and Fractions as a
-    primitive sparse integer row."""
-    return _primitive(_cleared(row)[0])
+    primitive sparse integer row, its content taken once."""
+    row, _, g = _cleared(row)
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _difference(vec: dict[int, int], row: dict[int, int], a: int, b: int) -> dict[int, int]:
-    """The nonzeros of a*vec - b*row."""
-    out = {c: a * v for c, v in vec.items()}
+    """The nonzeros of a*vec - b*row (both nonzeros only, b != 0), made in one
+    pass: an entry that cancels is removed as it is reached."""
+    out = vec.copy() if a == 1 else {c: a * v for c, v in vec.items()}
     for c, v in row.items():
-        out[c] = out.get(c, 0) - b * v
-    return {c: v for c, v in out.items() if v}
+        x = out.get(c, 0) - b * v
+        if x:
+            out[c] = x
+        else:
+            del out[c]
+    return out
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, int]:
@@ -101,7 +107,7 @@ def _lead_echelon(rows, combine: bool) -> tuple[int, list[dict[int, int]]]:
     for i, row in enumerate(rows):
         if isinstance(row, dict):
             row = {c: v for c, v in row.items() if v}
-        vec, mult = _cleared(row)
+        vec, mult, _ = _cleared(row)
         comb = {i: mult} if combine else {}
         while vec:
             lead = min(vec)

@@ -25,7 +25,7 @@ from .exponents import (
 class Polynomial:
     """A finitely supported map from exponent vectors to rationals."""
 
-    __slots__ = ("ctx", "_terms")
+    __slots__ = ("ctx", "_terms", "_ints")
     __hash__ = None
 
     def __init__(self, ctx: Context, terms=None):
@@ -37,7 +37,7 @@ class Polynomial:
             c = Fraction(c)
             if c != 0:
                 clean[ev] = c
-        self._terms = clean
+        self._terms, self._ints = clean, None
 
     @classmethod
     def zero(cls, ctx: Context) -> "Polynomial":
@@ -159,12 +159,17 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _numerators(f: Polynomial) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+def _numerators(f: Polynomial) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
     """The one integer form of f: its (exponent, numerator) pairs over the lcm
     of its denominators, content kept, and that lcm, read by the action, the
-    Macaulay rows, the colon map, the catalecticant and the certificate."""
-    den = lcm(*[c.denominator for c in f._terms.values()])
-    return [(ev.coords, c.numerator * (den // c.denominator)) for ev, c in f._terms.items()], den
+    Macaulay rows, the colon map, the catalecticant and the certificate.  It
+    is kept in ``f._ints`` when first made: ``_terms`` is set only in
+    ``__init__``."""
+    if f._ints is None:
+        den = lcm(*[c.denominator for c in f._terms.values()])
+        f._ints = tuple((ev.coords, c.numerator * (den // c.denominator))
+                        for ev, c in f._terms.items()), den
+    return f._ints
 
 
 def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial:

@@ -172,17 +172,39 @@ def test_certificate_matches_the_slice_comparison():
         swapped = HomogeneousIdealPresentation.from_monomial_ideal(
             rand_zero_dim_ideal(rng, spec.d, max_coord=spec.top_degree + 2)
         )
-        # I without its first minimal generator, plus all of R_(top+1): it
-        # kills f and holds R_(top+1), so only the ranks can tell it from I.
-        dropped = HomogeneousIdealPresentation(
-            spec.ctx,
-            ideal.generators[1:]
-            + tuple(map(Polynomial.monomial, monomials_of_degree(spec.ctx, spec.top_degree + 1))),
-        )
+        # I without one minimal generator g, plus all of R_(top+1), or with g
+        # replaced by its multiples x_u*g: each kills f and, but for g of
+        # degree top+1, only step 3 can tell it from I.
+        top_forms = tuple(map(Polynomial.monomial, monomials_of_degree(spec.ctx, spec.top_degree + 1)))
+        changed = []
+        for i, g in enumerate(ideal.generators):
+            rest = ideal.generators[:i] + ideal.generators[i + 1:]
+            lifted = tuple(Polynomial.variable(spec.ctx, u) * g for u in range(spec.d))
+            changed += [HomogeneousIdealPresentation(spec.ctx, rest + top_forms),
+                        HomogeneousIdealPresentation(spec.ctx, rest + lifted)]
         assert _certified(ideal, f)
-        for pair in ((ideal, unweighted), (ideal, perturbed), (swapped, f), (dropped, f)):
+        for pair in ((ideal, unweighted), (ideal, perturbed), (swapped, f), *((j, f) for j in changed)):
             verdicts[_certified(*pair)] += 1
-    assert verdicts[True] >= 10 and verdicts[False] >= 40, verdicts
+    assert verdicts[True] >= 10 and verdicts[False] >= 100, verdicts
+
+
+@pytest.mark.parametrize(
+    "ideal, hilbert",
+    [
+        # (x^2, y^4) = Ann(t1*t2^3) with x^2 (degree 2 <= M/2) replaced by
+        # x^3, x^2*y: h is symmetric, so the rows of Cat_2 at the standard
+        # monomials, x^2's among them, must be found dependent.
+        ("(x^3, x^2*y, y^4)", [1, 2, 3, 2, 1]),
+        # y^4 (degree 4 > M/2) replaced by x*y^4, y^5: h_I(4) > h_I(0).
+        ("(x^2, x*y^4, y^5)", [1, 2, 2, 2, 2]),
+    ],
+)
+def test_certificate_rejects_a_generator_replaced_by_its_multiples(ideal, hilbert):
+    f = parse_polynomial("t1*t2^3", TCTX)
+    assert _certified(_monomial_pres("(x^2, y^4)"), f)
+    pres = _monomial_pres(ideal)
+    assert [pres.slice(e).hilbert_value for e in range(6)] == hilbert + [0]
+    assert not _certified(pres, f)
 
 
 @given(gorenstein_specs())

@@ -571,6 +571,17 @@ def test_single_entry_rows_are_the_monomials_no_term_of_f_is_divisible_by(spec):
             assert units == {m for m in sl.monomial_basis if monomial_part.contains(m)}
 
 
+@given(gorenstein_specs(dims=(1, 2, 3, 4)))
+def test_every_stored_row_leads_at_its_pivot(spec):
+    # _assemble_minimal reads a lift's lead off the pivot of the row it
+    # shifts, never off the row: each stored row's lowest column is its key.
+    colon = spec.colon_ideal()
+    for ideal in (colon, ann_partial(antipodal(spec), spec.ctx),
+                  HomogeneousIdealPresentation(spec.ctx, colon.generators)):
+        for e in range(spec.top_degree + 2):
+            assert all(min(row) == p for p, row in ideal.slice(e)._rows.items())
+
+
 def test_shift_tables_multiply_by_a_variable():
     ctx = Context.of_dim(3)
     for e in range(1, 5):

@@ -4,8 +4,10 @@ from math import gcd, lcm
 
 from hypothesis import assume, given, strategies as st
 
+from apolar import linalg
 from apolar.linalg import (
     SpanBuilder,
+    _difference,
     _intify,
     left_kernel,
     rank,
@@ -312,3 +314,33 @@ def test_seeding_unit_rows_matches_adding_them_one_by_one(matrix, data):
         for vec in before + [{c: 1} for c in units] + after:
             one_by_one.add(vec)
         assert seeded.rows == one_by_one.rows
+
+
+sparse_int_rows = st.dictionaries(st.integers(0, 20), st.integers(-9, 9).filter(bool), max_size=8)
+
+
+@given(sparse_int_rows, sparse_int_rows, st.integers(1, 5), st.integers(-5, 5).filter(bool))
+def test_difference_is_the_nonzeros_of_the_combination(vec, row, a, b):
+    want = {c: a * vec.get(c, 0) - b * row.get(c, 0) for c in vec.keys() | row.keys()}
+    assert _difference(vec, row, a, b) == {c: v for c, v in want.items() if v}
+    assert _difference(vec, vec, 1, 1) == {}
+
+
+@given(sparse_rational_matrices())
+def test_stored_rows_and_kernel_vectors_hold_no_zero(matrix):
+    rows, ncols = matrix
+    span = SpanBuilder()
+    for row in rows:
+        span.add(row)
+    kernel = left_kernel([dict(enumerate(row)) for row in rows], ncols)  # zeros included
+    assert all(all(vec.values()) for vec in [*span.rows.values(), *kernel])
+
+
+def test_intify_takes_one_gcd_of_an_integer_dict(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "gcd", lambda *xs: calls.append(xs) or gcd(*xs))
+    assert _intify({0: 4, 3: -6, 5: 10}) == {0: 2, 3: -3, 5: 5}
+    assert len(calls) == 1
+    assert _intify({1: Fraction(2, 3), 2: Fraction(-4, 9)}) == {1: 3, 2: -2}
+    assert _intify({0: 0, 2: 6, 4: -9}) == {0: 0, 2: 2, 4: -3}  # a dict's zero is kept
+    assert _intify([0, Fraction(1, 2), 0, 3]) == {1: 1, 3: 6}

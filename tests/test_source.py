@@ -44,3 +44,23 @@ def test_linalg_makes_no_fraction():
              or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
              or isinstance(node, ast.Name) and node.id == "Fraction"]
     assert not found, found
+
+
+def test_terms_are_set_only_in_polynomial_init():
+    # _numerators keeps a polynomial's integer form on first read, which is
+    # only sound if _terms never changes after __init__: no other function
+    # assigns, deletes or writes into it.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        init = next((f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "Polynomial"
+                     for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"), None)
+        allowed = {id(n) for n in ast.walk(init)} if init else set()
+        for node in ast.walk(tree):
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            for target in targets:  # f._terms, f._terms[...] and tuples of them
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr == "_terms" and id(t) not in allowed:
+                        found.append(f"{path.name}:{t.lineno}")
+    assert not found, found
