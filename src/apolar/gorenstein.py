@@ -73,7 +73,8 @@ class GorensteinSpec:
         """The socle functional, one primitive integer row with zeros kept:
         phi(x^j), for each degree-M exponent j (M the top degree), is one fixed
         positive multiple of x^j's coordinate on the socle monomial, read from
-        the colon ideal's own top slice.  It gives the dual generator and pairings."""
+        the colon ideal's own top slice as Fractions (``_intify`` is ``linalg``'s
+        one Fraction entry).  It gives the dual generator and pairings."""
         sl = self._colon.slice(self.top_degree)
         if sl.standard_monomials != (self.socle_monomial,):
             raise DomainError("top graded piece is not spanned by the socle monomial")
@@ -220,32 +221,33 @@ def series_annihilator_check(spec: GorensteinSpec, series: SeriesSpec) -> bool:
     return not ideal.slice(top + 1).standard_monomials
 
 
-def _pairing(spec: GorensteinSpec, i: int) -> list[list[int]]:
-    """Entry (r, c) is phi(r*c) over the degree-i and degree-(M-i) standard
-    monomials, phi the integer ``spec._phi``."""
+def _pairing(spec: GorensteinSpec, i: int) -> tuple[list[dict[int, int]], int]:
+    """Row r holds phi(r*c) at column c, phi's zeros skipped, over the
+    degree-i and degree-(M-i) standard monomials, phi the integer
+    ``spec._phi``: ``rank``'s sparse rows, and the number of columns."""
     if not 0 <= i <= spec.top_degree:
         raise DomainError("pairing degree out of range")
     ideal, phi = spec.colon_ideal(), spec._phi
     cols = [c.coords for c in ideal.slice(spec.top_degree - i).standard_monomials]
-    return [[phi[tuple(map(add, r.coords, c))] for c in cols]
+    rows = [{j: v for j, c in enumerate(cols) if (v := phi[tuple(map(add, r.coords, c))])}
             for r in ideal.slice(i).standard_monomials]
+    return rows, len(cols)
 
 
 def pairing_matrix(spec: GorensteinSpec, i: int) -> list[list[Fraction]]:
     """Matrix of the multiplication pairing (R/I)_i x (R/I)_(M-i) -> (R/I)_M
     in the standard monomial bases: entry (r, c) is the coordinate of r*c's
     class on the socle monomial, phi(r*c) / phi(socle monomial)."""
-    matrix = _pairing(spec, i)
+    rows, ncols = _pairing(spec, i)
     scale = spec._phi[spec.socle_monomial.coords]
-    return [[Fraction(v, scale) for v in row] for row in matrix]
+    return [[Fraction(row.get(c, 0), scale) for c in range(ncols)] for row in rows]
 
 
 def pairing_is_nondegenerate(spec: GorensteinSpec, i: int) -> bool:
     """Full rank of the pairing matrix, ranked on its integer multiple."""
     # spec._phi checks (R/I)_M != 0, so neither basis is empty
-    matrix = _pairing(spec, i)
-    cols = len(matrix[0])
-    return rank(matrix, cols) == min(len(matrix), cols)
+    rows, ncols = _pairing(spec, i)
+    return rank(rows, ncols) == min(len(rows), ncols)
 
 
 def random_spec(rng, dims=(2, 3), max_k: int = 4, max_support: int = 4) -> GorensteinSpec:

@@ -100,9 +100,9 @@ class GradedSlice:
 
 class _Multiples:
     """The rows m*g of degree e's Macaulay matrix (g a generator, m a monomial),
-    each made dense when reached.  ``rref`` needs neither the size nor dense
-    rows: they serve ``perfbench``'s ``_count_rref``, which calls
-    ``len(rows)`` and reads the rows densely."""
+    each made dense when reached, as ``rref`` takes them.  They stay dense, with
+    a ``len``, for ``perfbench``'s ``_count_rref``, which reads them densely,
+    until slices stop being built by ``rref`` (ROADMAP item 1 part A)."""
 
     def __init__(self, ctx: Context, generators, e: int):
         self.col = {ev.coords: i for i, ev in enumerate(monomials_of_degree(ctx, e))}
@@ -166,7 +166,8 @@ class HomogeneousIdealPresentation:
             if h == 0:
                 return values
             values.append(h)
-        raise NotArtinianError(f"no vanishing slice up to degree {cutoff}; ideal is not artinian")
+        raise NotArtinianError(f"no vanishing slice up to degree {cutoff}; the ideal is not "
+                               f"artinian, or its quotient ends above degree {cutoff}")
 
     def dimension(self, cutoff: int | None = None) -> int:
         return sum(self.hilbert_function(cutoff))

@@ -1,13 +1,15 @@
 """Exact rational row reduction on sparse primitive integer rows.
 
-The one place that shapes an integer row: a dict {column: nonzero int},
-primitive, positive at its lead once a span stores it.  ``_intify`` makes one
-from a dense row or a dict of ints or Fractions, keeping a dict's zeros, so
-dict rows fed to elimination hold nonzeros only, except where they enter
-``rref``, ``rank`` or ``left_kernel``, which drop zeros.
-``SpanBuilder.rows``, {pivot column: row}, is the one echelon format: the
-full integer RREF, which ``rref`` returns for a slice to store.  ``rank``
-and ``left_kernel`` read only the leads or the dependent rows, so
+Every row entering elimination has one shape: a dict {column: nonzero int}.
+``rank``, ``left_kernel``, ``reduce_vector`` and ``SpanBuilder.add`` take
+such rows as given, with no conversion and no zero filter, and change none
+they are handed.  ``rref`` takes dense integer rows, as a slice's Macaulay
+matrix yields them, and keeps each row's nonzeros.  ``_intify`` is the one
+entry for Fractions: it makes a primitive integer row of a dict of ints and
+Fractions, zeros kept.  A span stores its rows primitive, positive at the
+lead.  ``SpanBuilder.rows``, {pivot column: row}, is the one echelon format:
+the full integer RREF, which ``rref`` returns for a slice to store.
+``rank`` and ``left_kernel`` read only the leads or the dependent rows, so
 ``_lead_echelon`` reduces each row only at its lead, with no
 back-substitution.
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): clearing
@@ -17,12 +19,10 @@ nonzeros (against a unit row it drops r[p]).  Each step scales r by a
 positive factor, so ``reduce_vector`` divides by the content once, at the
 end.  Echelon rows have positive pivots and are zero in every other pivot
 column: each is its RREF row times a positive integer, unique for the span.
-Fractions may come in; none is made here.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
 from math import gcd, lcm
 
 
@@ -32,24 +32,11 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _cleared(row) -> tuple[dict[int, int], int, int]:
-    """A dense row (its nonzeros), or a dict, of ints and Fractions, times the
-    lcm m of its denominators, as a dict of ints, m, and the dict's content."""
-    if not isinstance(row, dict):
-        row = {c: row[c] for c in compress(count(), row)}
-    try:
-        return row, 1, gcd(*row.values())  # refuses a Fraction
-    except TypeError:
-        mult = lcm(*[x.denominator for x in row.values()])
-        row = {c: x.numerator * (mult // x.denominator) for c, x in row.items()}
-        return row, mult, gcd(*row.values())
-
-
-def _intify(row) -> dict[int, int]:
-    """A dense row, or a dict of its nonzeros, of ints and Fractions as a
-    primitive sparse integer row, its content taken once."""
-    row, _, g = _cleared(row)
-    return {c: v // g for c, v in row.items()} if g > 1 else row
+def _intify(row: dict) -> dict[int, int]:
+    """A dict of ints and Fractions, zeros kept, times the lcm of its
+    denominators, as a primitive integer row with the same keys."""
+    mult = lcm(*[x.denominator for x in row.values()])
+    return _primitive({c: x.numerator * (mult // x.denominator) for c, x in row.items()})
 
 
 def _difference(vec: dict[int, int], row: dict[int, int], a: int, b: int) -> dict[int, int]:
@@ -78,37 +65,32 @@ def _eliminate(vec: dict[int, int], row: dict[int, int], p: int) -> dict[int, in
 
 
 def rref(rows, ncols: int) -> dict[int, dict[int, int]]:
-    """The integer RREF of the span of ``rows`` (dense, or dicts whose zeros
-    are dropped) in ``ncols`` columns, as ``SpanBuilder.rows``: {pivot column:
-    primitive integer row, positive at the pivot, zero in every other pivot
-    column}, each row its RREF row over Q times a positive integer."""
+    """The integer RREF of the span of dense integer ``rows`` in ``ncols``
+    columns, as ``SpanBuilder.rows``: {pivot column: primitive integer row,
+    positive at the pivot, zero in every other pivot column}, each row its
+    RREF row over Q times a positive integer."""
     span = SpanBuilder()
     for row in rows:
         if len(span.rows) == ncols:
             break
-        if isinstance(row, dict):
-            row = {c: v for c, v in row.items() if v}
+        row = {c: v for c, v in enumerate(row) if v}
         if row:
             span.add(row)
     return span.rows
 
 
 def _lead_echelon(rows, combine: bool) -> tuple[int, list[dict[int, int]]]:
-    """Lead-only elimination of the rows in order (dense, or dicts whose zeros
-    are dropped): each is reduced at its lead against the stored row there
-    until its lead is new (it is stored) or it vanishes.  Returns the rank
-    and, when ``combine``, each vanished row i's combination, carried from
-    {i: m} (m clears i's denominators) by positive steps and made primitive:
-    supported on i and the stored rows before it, it is the RREF kernel
-    vector of the transpose at free column i.
+    """Lead-only elimination of the rows in order: each is reduced at its
+    lead against the stored row there until its lead is new (it is stored)
+    or it vanishes.  Returns the rank and, when ``combine``, each vanished
+    row i's combination, carried from {i: 1} by positive steps and made
+    primitive: supported on i and the stored rows before it, it is the RREF
+    kernel vector of the transpose at free column i.
     """
     stored: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
     kernel = []
-    for i, row in enumerate(rows):
-        if isinstance(row, dict):
-            row = {c: v for c, v in row.items() if v}
-        vec, mult, _ = _cleared(row)
-        comb = {i: mult} if combine else {}
+    for i, vec in enumerate(rows):
+        comb = {i: 1} if combine else {}
         while vec:
             lead = min(vec)
             if lead not in stored:
@@ -129,28 +111,26 @@ def _lead_echelon(rows, combine: bool) -> tuple[int, list[dict[int, int]]]:
 
 
 def rank(rows, ncols: int) -> int:
-    """The rank over Q of ``rows`` (dense, or dicts whose zeros are dropped)."""
+    """The rank over Q of ``rows``, {column: nonzero int} dicts."""
     return _lead_echelon(rows, False)[0]
 
 
 def left_kernel(rows, ncols: int) -> list[dict[int, int]]:
-    """Basis of {c : sum_i c_i row_i = 0} for {column: value} rows (zeros
-    dropped): per row i dependent on the rows before it, in order, a sparse
-    primitive integer vector positive at i, the transpose's RREF kernel basis."""
+    """Basis of {c : sum_i c_i row_i = 0} for {column: nonzero int} rows: per
+    row i dependent on the rows before it, in order, a sparse primitive
+    integer vector positive at i, the transpose's RREF kernel basis."""
     return _lead_echelon(rows, True)[1]
 
 
 def reduce_vector(vec, rows: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Remainder of vec (dense, or a dict of its nonzeros only) modulo the
-    span of ``SpanBuilder.rows``: a primitive sparse integer row, a positive
-    multiple of vec minus a combination of the rows, zero at every pivot.
-    Clearing a pivot column leaves the other pivot columns as they were, so
-    only those in vec's support are cleared; the content is taken once, at
-    the end."""
-    out = _intify(vec)
-    for p in [c for c in out if c in rows]:
-        out = _eliminate(out, rows[p], p)
-    return _primitive(out)
+    """Remainder of vec, a {column: nonzero int} dict, modulo the span of
+    ``SpanBuilder.rows``: a primitive sparse integer row, a positive multiple
+    of vec minus a combination of the rows, zero at every pivot.  Clearing a
+    pivot column leaves the other pivot columns as they were, so only those
+    in vec's support are cleared; the content is taken once, at the end."""
+    for p in [c for c in vec if c in rows]:
+        vec = _eliminate(vec, rows[p], p)
+    return _primitive(vec)
 
 
 class SpanBuilder:
@@ -167,9 +147,9 @@ class SpanBuilder:
         self._seen: set[int] = set()
 
     def add(self, vec) -> dict[int, int] | None:
-        """Add a vector (dense, or a dict of its nonzeros only) to the span.
-        Returns the echelon row stored for it, primitive and positive at its
-        lead, or None when vec is dependent."""
+        """Add a vector, a {column: nonzero int} dict, to the span.  Returns
+        the echelon row stored for it, primitive and positive at its lead, or
+        None when vec is dependent."""
         rem = reduce_vector(vec, self.rows)
         if not rem:
             return None

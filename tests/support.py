@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
@@ -15,6 +16,18 @@ from apolar import (
     Polynomial,
 )
 from apolar.exponents import box_monomials_of_degree
+
+
+def cleared(row) -> dict[int, int]:
+    """A dense row, or a dict, of ints and Fractions in the one row shape
+    ``linalg`` takes: its nonzeros times the lcm of their denominators,
+    divided by their content, a primitive positive multiple of the row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    nonzero = {c: Fraction(x) for c, x in items if x}
+    mult = lcm(*[x.denominator for x in nonzero.values()])
+    ints = {c: int(x * mult) for c, x in nonzero.items()}
+    g = gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
 def rand_point(rng, ctx, max_coord):

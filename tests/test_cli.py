@@ -306,6 +306,17 @@ def test_max_degree_only_where_read(capsys):
         assert exc.value.code == 2 and message in capsys.readouterr().err
 
 
+def test_short_cutoff_is_not_called_not_artinian(capsys):
+    # (x1^2, x2^2) is artinian with quotient [1, 2, 1]: cut off at degree 1,
+    # the error names the cutoff rather than calling the ideal not artinian.
+    code, out, err = run(capsys, "hilbert", "--vars", "2", "(x1^2, x2^2)", "--max-degree", "1")
+    assert (code, out) == (1, "") and "its quotient ends above degree 1" in err
+    assert "; ideal is not artinian" not in err  # the old, flat verdict
+    # Degree 3, the first vanishing slice, is within a cutoff of 3.
+    code, out, _ = run(capsys, "hilbert", "--vars", "2", "(x1^2, x2^2)", "--max-degree", "3")
+    assert (code, out) == (0, "[1, 2, 1] dim=4")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,10 +1,24 @@
+import copy
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from hypothesis import assume, given, strategies as st
 
-from apolar import linalg
+from apolar import (
+    Context,
+    ann_partial,
+    antipodal,
+    gorenstein,
+    graded_engine,
+    linalg,
+    monomial_iff_test,
+    pairing_is_nondegenerate,
+    parse_ideal,
+    random_spec,
+    verify_gorenstein_ann,
+)
 from apolar.linalg import (
     SpanBuilder,
     _difference,
@@ -14,6 +28,7 @@ from apolar.linalg import (
     reduce_vector,
     rref,
 )
+from support import cleared
 
 
 def densified(vec, n):
@@ -21,16 +36,26 @@ def densified(vec, n):
     return [vec.get(i, 0) for i in range(n)]
 
 
+def integer_rows(rows, ncols):
+    """Dense rows of ints and Fractions, each cleared to a primitive integer
+    row (its multiple by a positive scale), as dense rows."""
+    return [densified(cleared(row), ncols) for row in rows]
+
+
 def nullspace(rows, ncols):
-    """Basis of {x : A x = 0} for dense rows: the left kernel of the
-    columns, as {row index: value} rows."""
-    return left_kernel([{i: row[c] for i, row in enumerate(rows)} for c in range(ncols)], len(rows))
+    """Basis of {x : A x = 0} for dense rows: the left kernel of the columns
+    of the cleared rows (scaling a row keeps the kernel), as {row index:
+    value} rows."""
+    ints = integer_rows(rows, ncols)
+    return left_kernel([{i: row[c] for i, row in enumerate(ints) if row[c]} for c in range(ncols)],
+                       len(rows))
 
 
 def fraction_rref(rows, ncols):
-    """``rref``'s integer echelon rows as Fraction RREF rows (pivot 1), in
-    pivot order, and the pivot columns."""
-    echelon = rref(rows, ncols)
+    """``rref``'s integer echelon rows, of the cleared rows (the same row
+    space), as Fraction RREF rows (pivot 1), in pivot order, and the pivot
+    columns."""
+    echelon = rref(integer_rows(rows, ncols), ncols)
     pivots = sorted(echelon)
     out = []
     for p in pivots:
@@ -94,12 +119,9 @@ def test_rref_is_canonical_for_row_space():
             [a + b for a, b in zip(shuffled[0], shuffled[-1])],
             [Fraction(0)] * 5,
         ]
-        assert rref(m, 5) == rref(mixed, 5)
-        assert rref([dict(enumerate(row)) for row in mixed], 5) == rref(m, 5)
-    # rref drops the zeros of dict rows, so a zero is never taken as a pivot.
-    assert rref([{0: 0, 1: 1}], 2) == rref([[0, 1]], 2)
-    assert fraction_rref([{0: 0, 1: 1}], 2)[1] == [1]
-    assert rank([{0: 0, 1: 1}], 2) == 1
+        assert rref(integer_rows(m, 5), 5) == rref(integer_rows(mixed, 5), 5)
+    # rref keeps a dense row's nonzeros, so a zero is never taken as a pivot.
+    assert fraction_rref([[0, 1]], 2)[1] == [1]
 
 
 def test_nullspace_property():
@@ -108,16 +130,16 @@ def test_nullspace_property():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         m = rand_matrix(rng, nrows, ncols, frac=True)
         basis = [densified(v, ncols) for v in nullspace(m, ncols)]
-        assert len(basis) == ncols - rank(m, ncols)
+        assert len(basis) == ncols - rank([cleared(row) for row in m], ncols)
         for v in basis:
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 def test_left_kernel_property():
-    # The kernel kills the rows, and {column: value} rows of the nonzeros
-    # give the same kernel as rows of every entry; zero rows (empty dicts)
-    # and Fraction entries included.
+    # The kernel kills the rows; zero rows (empty dicts) included, and rows
+    # with Fraction entries cleared first (the kernel is of the cleared rows,
+    # since scaling a row scales its kernel coordinate).
     rng = random.Random(54)
     for n in range(150):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
@@ -125,8 +147,8 @@ def test_left_kernel_property():
         if rng.random() < 0.3:
             m.insert(rng.randint(0, nrows), [Fraction(0)] * ncols)
             nrows += 1
-        sparse = left_kernel([{c: x for c, x in enumerate(row) if x} for row in m], ncols)
-        assert left_kernel([dict(enumerate(row)) for row in m], ncols) == sparse
+        sparse = left_kernel([cleared(row) for row in m], ncols)
+        m = integer_rows(m, ncols)
         kernel = [densified(v, nrows) for v in sparse]
         for c in kernel:
             combo = [
@@ -139,16 +161,16 @@ def test_left_kernel_property():
 def test_reduce_vector_and_membership():
     # add returns the echelon row it stored, positive at its lead, or None.
     span = SpanBuilder()
-    assert span.add([1, 0, 2]) == {0: 1, 2: 2}
-    stored = span.add({1: -2, 2: Fraction(-6)})
+    assert span.add({0: 1, 2: 2}) == {0: 1, 2: 2}
+    stored = span.add({1: -2, 2: -6})
     assert stored == {1: 1, 2: 3} and span.rows[1] is stored
-    assert span.add([2, 1, 7]) is None
-    assert not reduce_vector([1, 1, 5], span.rows)
-    assert reduce_vector([0, 0, 1], span.rows)
-    assert reduce_vector([1, 1, 6], span.rows) == {2: 1}
+    assert span.add({0: 2, 1: 1, 2: 7}) is None
+    assert not reduce_vector({0: 1, 1: 1, 2: 5}, span.rows)
+    assert reduce_vector({2: 1}, span.rows)
+    assert reduce_vector({0: 1, 1: 1, 2: 6}, span.rows) == {2: 1}
     halves = [Fraction(1, 2), Fraction(1, 2), Fraction(3)]
-    assert reduce_vector(halves, span.rows) == {2: 1}
-    assert span.add([0, 0, -5]) == {2: 1}
+    assert reduce_vector(cleared(halves), span.rows) == {2: 1}
+    assert span.add({2: -5}) == {2: 1}
     assert span.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
 
@@ -159,10 +181,10 @@ def test_span_builder_matches_rref():
         vecs = rand_matrix(rng, rng.randint(1, 6), ncols, frac=True)
         builder = SpanBuilder()
         for v in vecs:
-            builder.add(v)
-        assert builder.rows == rref(vecs, ncols)
+            builder.add(cleared(v))
+        assert builder.rows == rref(integer_rows(vecs, ncols), ncols)
         for v in vecs:
-            assert not reduce_vector(v, builder.rows)
+            assert not reduce_vector(cleared(v), builder.rows)
 
 
 @st.composite
@@ -196,8 +218,9 @@ def _assert_integer_rref_kernel(matrix, ncols, kernel):
 def test_kernels_are_integer_multiples_of_rref_basis_vectors(matrix):
     rows, ncols = matrix
     _assert_integer_rref_kernel(rows, ncols, nullspace(rows, ncols))
-    transpose = [[row[c] for row in rows] for c in range(ncols)]
-    sparse = [dict(enumerate(row)) for row in rows]
+    # The left kernel is of the cleared rows, so the reference transposes them.
+    transpose = [[row[c] for row in integer_rows(rows, ncols)] for c in range(ncols)]
+    sparse = [cleared(row) for row in rows]
     _assert_integer_rref_kernel(transpose, len(rows), left_kernel(sparse, ncols))
 
 
@@ -218,14 +241,6 @@ def sparse_rational_matrices(draw):
     return rows, ncols
 
 
-def _primitive_positive_multiple(vec):
-    """The primitive integer vector that is a positive multiple of vec."""
-    mult = lcm(*[Fraction(x).denominator for x in vec])
-    ints = [int(x * mult) for x in vec]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g else ints
-
-
 @given(sparse_rational_matrices(), st.data())
 def test_sparse_matrices_match_the_dense_reference(matrix, data):
     rows, ncols = matrix
@@ -233,7 +248,7 @@ def test_sparse_matrices_match_the_dense_reference(matrix, data):
     got_rows, got_pivots = fraction_rref(rows, ncols)
     assert got_pivots == want_pivots
     assert [list(r) for r in got_rows] == want_rows
-    assert rank(rows, ncols) == len(got_pivots)
+    assert rank([cleared(row) for row in rows], ncols) == len(got_pivots)
     free_columns = [c for c in range(ncols) if c not in want_pivots]
     kernel = [densified(v, ncols) for v in nullspace(rows, ncols)]
     assert len(kernel) == len(free_columns)
@@ -244,16 +259,16 @@ def test_sparse_matrices_match_the_dense_reference(matrix, data):
         assert vec[free] > 0 and [Fraction(x, vec[free]) for x in vec] == want
     span = SpanBuilder()
     for row in rows:
-        span.add(row)
+        span.add(cleared(row))
     assert list(span.rows.values()) == [_intify(r) for r in span.rows.values()]
     assert all(span.rows[p][p] > 0 for p in span.rows)
     vec = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
     dense = [Fraction(x) for x in vec]
     for row, p in zip(want_rows, want_pivots):
         dense = [x - dense[p] * y for x, y in zip(dense, row)]
-    rem = reduce_vector(vec, span.rows)
+    rem = reduce_vector({c: x for c, x in enumerate(vec) if x}, span.rows)
     assert not any(c in rem for c in want_pivots)
-    assert [rem.get(c, 0) for c in range(ncols)] == _primitive_positive_multiple(dense)
+    assert rem == cleared(dense)
 
 
 @st.composite
@@ -331,8 +346,8 @@ def test_stored_rows_and_kernel_vectors_hold_no_zero(matrix):
     rows, ncols = matrix
     span = SpanBuilder()
     for row in rows:
-        span.add(row)
-    kernel = left_kernel([dict(enumerate(row)) for row in rows], ncols)  # zeros included
+        span.add(cleared(row))
+    kernel = left_kernel([cleared(row) for row in rows], ncols)
     assert all(all(vec.values()) for vec in [*span.rows.values(), *kernel])
 
 
@@ -343,4 +358,48 @@ def test_intify_takes_one_gcd_of_an_integer_dict(monkeypatch):
     assert len(calls) == 1
     assert _intify({1: Fraction(2, 3), 2: Fraction(-4, 9)}) == {1: 3, 2: -2}
     assert _intify({0: 0, 2: 6, 4: -9}) == {0: 0, 2: 2, 4: -3}  # a dict's zero is kept
-    assert _intify([0, Fraction(1, 2), 0, 3]) == {1: 1, 3: 6}
+
+
+def test_every_row_reaching_linalg_is_a_dict_of_nonzero_ints(monkeypatch):
+    # rank, left_kernel, reduce_vector and SpanBuilder.add take rows as given,
+    # with no zero filter, so a zero would be stored as a pivot.  Every row the
+    # package hands them is {column: nonzero int}, and no call changes one.
+    calls = Counter()
+
+    def checking(name, fn, rows_of):
+        def wrapper(*args):
+            rows = rows_of(args)
+            for row in rows:
+                assert type(row) is dict, (name, row)
+                assert all(type(c) is int and type(v) is int and v
+                           for c, v in row.items()), (name, row)
+            before = copy.deepcopy(rows)
+            out = fn(*args)
+            assert rows_of(args) == before, name
+            calls[name] += 1
+            return out
+        return wrapper
+
+    def first_arg(args):
+        return args[0]
+
+    for module in (linalg, gorenstein):
+        monkeypatch.setattr(module, "rank", checking("rank", linalg.rank, first_arg))
+    for module in (linalg, graded_engine):
+        monkeypatch.setattr(module, "left_kernel",
+                            checking("left_kernel", linalg.left_kernel, first_arg))
+    monkeypatch.setattr(linalg, "reduce_vector", checking(
+        "reduce_vector", linalg.reduce_vector, lambda args: [args[0], *args[1].values()]))
+    monkeypatch.setattr(SpanBuilder, "add", checking("add", SpanBuilder.add, lambda args: [args[1]]))
+
+    rng = random.Random(61)
+    for _ in range(12):
+        spec = random_spec(rng, dims=(1, 2, 3), max_k=4)
+        spec.colon_ideal().socle()
+        assert verify_gorenstein_ann(spec)
+        for i in range(spec.top_degree + 1):
+            pairing_is_nondegenerate(spec, i)
+        monomial_iff_test(spec)
+        ann_partial(antipodal(spec), spec.ctx).hilbert_function()
+    parse_ideal("(x^3, y^3, 3*x^2*y - 2*x*y^2)", Context(("x", "y"))).socle()  # from generators
+    assert all(calls[name] for name in ("rank", "left_kernel", "reduce_vector", "add")), calls

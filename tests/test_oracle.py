@@ -34,7 +34,7 @@ from apolar.oracle import (
 )
 
 from hypothesis import given, settings
-from support import gorenstein_specs, rand_zero_dim_ideal
+from support import cleared, gorenstein_specs, rand_zero_dim_ideal
 
 CTX = Context.of_dim(2)
 TCTX = CTX.dual()
@@ -230,8 +230,9 @@ def _assert_socle_matches_brute_socle(pres: HomogeneousIdealPresentation, classe
         engine = [c.polynomial() for c in classes if c.degree == e]
         assert len(engine) == len(basis), (str(pres), e)
         monomials = monomials_of_degree(pres.ctx, e)
-        spans = [rref([[f.coeff(m) for m in monomials] for f in fs], len(monomials))
-                 for fs in (engine, basis)]
+        n = len(monomials)
+        rows = [[cleared([f.coeff(m) for m in monomials]) for f in fs] for fs in (engine, basis)]
+        spans = [rref([[row.get(c, 0) for c in range(n)] for row in rs], n) for rs in rows]
         assert spans[0] == spans[1], (str(pres), e)
 
 

@@ -37,12 +37,23 @@ def test_only_polynomial_reads_a_polynomials_terms():
 
 
 def test_linalg_makes_no_fraction():
-    # linalg works on integer rows; Fractions may be passed in, never made.
+    # linalg works on integer rows; Fractions enter only through _intify.
     tree = ast.parse((SRC / "linalg.py").read_text())
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "fractions"
              or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
              or isinstance(node, ast.Name) and node.id == "Fraction"]
+    assert not found, found
+
+
+def test_linalg_probes_no_row_shape():
+    # linalg takes one row shape, {column: nonzero int}: no isinstance test
+    # and no TypeError probe tells dense, Fraction or zero-holding rows apart.
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "isinstance"
+             or isinstance(node, ast.ExceptHandler) and node.type is not None
+             and any(isinstance(n, ast.Name) and n.id == "TypeError" for n in ast.walk(node.type))]
     assert not found, found
 
 
