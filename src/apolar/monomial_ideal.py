@@ -14,7 +14,7 @@ from math import inf
 from operator import ge, le
 
 from .errors import AmbientMismatchError, DomainError
-from .exponents import Context, ExponentVector, leq, lex_key, zero_vector
+from .exponents import Context, ExponentVector, lex_key, zero_vector
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,6 @@ class Antichain:
             # LEX order puts a proper divisor first, so only a | b can hold.
             if all(map(le, a.coords, b.coords)):
                 raise DomainError(f"comparable pair in antichain: {a}, {b}")
-
-    @classmethod
-    def maxima(cls, ctx: Context, points) -> "Antichain":
-        """The antichain of componentwise-maximal elements of a finite set."""
-        pts = list(set(points))
-        keep = [p for p in pts if not any(q != p and leq(p, q) for q in pts)]
-        return cls(ctx, tuple(keep))
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -146,11 +139,17 @@ def _in_upset(gens, c: tuple) -> bool:
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection, via componentwise max (lcm) of generator pairs."""
+    """Intersection, via componentwise max (lcm) of generator pairs.  A
+    generator lying in the other ideal divides every lcm pair it is in, so it
+    is kept as it is; lcm pairs are formed only among the rest, and one that a
+    kept generator divides is dropped."""
     if a.ctx != b.ctx:
         raise AmbientMismatchError("intersection across contexts")
-    lcms = {tuple(map(max, g.coords, h.coords)) for g in a.gens for h in b.gens}
-    gens = [ExponentVector(a.ctx, c) for c in _minimal(lcms)]
+    kept = {g.coords: g for x, y in ((a, b), (b, a)) for g in x.gens if _in_upset(y.gens, g.coords)}
+    rest = [h.coords for h in b.gens if h.coords not in kept]
+    lcms = {tuple(map(max, g.coords, h)) for g in a.gens if g.coords not in kept for h in rest}
+    new = [c for c in _minimal(lcms) if not _in_upset(kept.values(), c)]
+    gens = [*kept.values(), *(ExponentVector(a.ctx, c) for c in new)]
     return MonomialIdeal(a.ctx, tuple(sorted(gens, key=lex_key)))
 
 
@@ -177,10 +176,11 @@ def _fold_splits(codes, pivots) -> list[tuple]:
     or infinite g_i is an absent variable and splits nothing).  A code below
     another is redundant and dropped, so the result is the irredundant
     irreducible decomposition (Miller-Sturmfels, Combinatorial Commutative
-    Algebra, ch. 5; Roune, JSC 44, 2009).  ``_intersection`` folds the same
-    step with every coordinate negated.
+    Algebra, ch. 5; Roune, JSC 44, 2009).  That decomposition is unique, so
+    the pivot order is free; they are taken sorted.  ``_intersection`` folds
+    the same step with every coordinate negated.
     """
-    for g in pivots:
+    for g in sorted(pivots):
         stay, cut = [], []
         for a in codes:
             (stay if any(map(ge, g, a)) else cut).append(a)

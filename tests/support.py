@@ -15,7 +15,7 @@ from apolar import (
     MonomialIdeal,
     Polynomial,
 )
-from apolar.exponents import box_monomials_of_degree
+from apolar.exponents import box_monomials_of_degree, leq
 
 
 def cleared(row) -> dict[int, int]:
@@ -30,6 +30,13 @@ def cleared(row) -> dict[int, int]:
     return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
+def maxima(ctx, points) -> Antichain:
+    """The antichain of componentwise-maximal elements of a finite set."""
+    pts = list(set(points))
+    keep = [p for p in pts if not any(q != p and leq(p, q) for q in pts)]
+    return Antichain(ctx, tuple(keep))
+
+
 def rand_point(rng, ctx, max_coord):
     return ExponentVector(ctx, tuple(rng.randint(0, max_coord) for _ in range(ctx.dim)))
 
@@ -37,7 +44,7 @@ def rand_point(rng, ctx, max_coord):
 def rand_antichain(rng, d, max_coord=8, max_pts=6) -> Antichain:
     ctx = Context.of_dim(d)
     pts = [rand_point(rng, ctx, max_coord) for _ in range(rng.randint(1, max_pts))]
-    return Antichain.maxima(ctx, pts)
+    return maxima(ctx, pts)
 
 
 def rand_zero_dim_ideal(rng, d, max_coord=8) -> MonomialIdeal:

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -29,9 +30,10 @@ from apolar import (
     saturate,
     sq_leq,
 )
+from apolar.monomial_ideal import _fold_splits
 from apolar.oracle import brute_docle
 
-from support import rand_antichain, rand_proper_ideal, rand_zero_dim_ideal
+from support import maxima, rand_antichain, rand_proper_ideal, rand_zero_dim_ideal
 
 CTX = Context.of_dim(2)
 
@@ -118,7 +120,7 @@ def antichains(draw):
     d = draw(st.integers(1, 4))
     ctx = Context.of_dim(d)
     points = draw(st.lists(st.tuples(*[st.integers(0, 6)] * d), min_size=1, max_size=6))
-    return Antichain.maxima(ctx, [ExponentVector(ctx, p) for p in points])
+    return maxima(ctx, [ExponentVector(ctx, p) for p in points])
 
 
 @given(monomial_ideals())
@@ -239,6 +241,78 @@ def test_intersect_fixtures():
     assert intersect(emmy, emmy) == emmy
     assert intersect(emmy, MonomialIdeal.unit(CTX)) == emmy
     assert intersect(emmy, MonomialIdeal.zero(CTX)).is_zero
+
+
+@st.composite
+def ideal_pairs(draw):
+    """Two ideals in one context, zero or unit at times; b often shares
+    generators with a, so one may lie inside the other."""
+    d = draw(st.integers(1, 4))
+    ctx = Context.of_dim(d)
+    point = st.tuples(*[st.integers(0, 5 if d <= 2 else 3)] * d)
+    a = draw(st.lists(point, max_size=2 * d + 2))
+    b = draw(st.lists(st.sampled_from(a), max_size=len(a))) if a else []
+    b += draw(st.lists(point, max_size=2 * d + 2))
+    if draw(st.booleans()):
+        a, b = b, a
+    return tuple(MonomialIdeal.from_generators(ctx, [ExponentVector(ctx, g) for g in gens])
+                 for gens in (a, b))
+
+
+def lcm_intersect(a, b):
+    """The intersection by its definition: the minimal lcms of all generator pairs."""
+    lcms = {tuple(map(max, g.coords, h.coords)) for g in a.gens for h in b.gens}
+    return MonomialIdeal.from_generators(a.ctx, [ExponentVector(a.ctx, c) for c in lcms])
+
+
+@given(ideal_pairs())
+def test_intersect_matches_the_lcm_pairs_property(pair):
+    a, b = pair
+    both = intersect(a, b)
+    assert both.gens == lcm_intersect(a, b).gens
+    top = [max((g.coords[i] for g in a.gens + b.gens), default=0) + 1 for i in range(a.ctx.dim)]
+    for c in itertools.product(*(range(t + 1) for t in top)):
+        m = ExponentVector(a.ctx, c)
+        assert both.contains(m) == (a.contains(m) and b.contains(m))
+
+
+def test_intersect_keeps_generators_lying_in_the_other_ideal():
+    emmy = ideal(CTX, (2, 0), (1, 1))
+    outer = ideal(CTX, (1, 0), (0, 3))
+    assert intersect(emmy, outer) == emmy
+    assert intersect(outer, emmy) == emmy
+    # (1, 1) is in both lists and kept once; (4, 0) and (0, 4) lie in the
+    # other ideal; the one lcm pair left, (3, 2), is a multiple of (1, 1).
+    a = ideal(CTX, (3, 0), (1, 1), (0, 4))
+    b = ideal(CTX, (4, 0), (1, 1), (0, 2))
+    for x, y in ((a, b), (b, a)):
+        assert intersect(x, y).gens == (ev(CTX, 4, 0), ev(CTX, 1, 1), ev(CTX, 0, 4))
+    zero, unit = MonomialIdeal.zero(CTX), MonomialIdeal.unit(CTX)
+    for x in (emmy, outer, a, zero, unit):
+        assert intersect(x, zero).is_zero and intersect(zero, x).is_zero
+        assert intersect(x, unit) == x and intersect(unit, x) == x
+    assert intersect(unit, unit).is_unit
+
+
+def fold_in_order(codes, pivots):
+    """The split fold with its pivots taken in the given order, one call each."""
+    for g in pivots:
+        codes = _fold_splits(codes, [g])
+    return codes
+
+
+@given(monomial_ideals(), st.data())
+def test_fold_does_not_depend_on_pivot_order_property(i, data):
+    d = i.ctx.dim
+    pivots = [g.coords for g in i.gens]
+    plain = set(_fold_splits([(inf,) * d], pivots))
+    assert plain == set(i._components)
+    assert set(fold_in_order([(inf,) * d], data.draw(st.permutations(pivots)))) == plain
+    # The negated fold of _intersection, over the components, gives back I.
+    negated = [tuple(-x for x in a) for a in i._components]
+    folded = set(_fold_splits([(0,) * d], negated))
+    assert folded == {tuple(-x for x in g.coords) for g in i.gens}
+    assert set(fold_in_order([(0,) * d], data.draw(st.permutations(negated)))) == folded
 
 
 def test_colon_fixtures():
