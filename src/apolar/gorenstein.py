@@ -24,7 +24,7 @@ from .graded_engine import (
     ann_partial,
     colon_power_ideal,
 )
-from .linalg import _intify, rank
+from .linalg import rank
 from .polynomial import Polynomial, _numerators, diff_action
 
 
@@ -70,15 +70,17 @@ class GorensteinSpec:
 
     @cached_property
     def _phi(self) -> dict[tuple[int, ...], int]:
-        """The socle functional, one primitive integer row with zeros kept:
-        phi(x^j), for each degree-M exponent j (M the top degree), is one fixed
-        positive multiple of x^j's coordinate on the socle monomial, read from
-        the colon ideal's own top slice as Fractions (``_intify`` is ``linalg``'s
-        one Fraction entry).  It gives the dual generator and pairings."""
+        """The socle functional, one integer row with zeros kept: phi(x^j),
+        for each degree-M exponent j (M the top degree), is x^j's coordinate
+        on the socle monomial times L, the ``denominator`` of the colon
+        ideal's own top slice, so phi(socle monomial) = L > 0.  It gives the
+        dual generator and pairings, which read phi only up to that scale."""
         sl = self._colon.slice(self.top_degree)
         if sl.standard_monomials != (self.socle_monomial,):
             raise DomainError("top graded piece is not spanned by the socle monomial")
-        return _intify({j.coords: sl.reduce_monomial(j)[0] for j in sl.monomial_basis})
+        den = sl.denominator
+        return {j.coords: (x := sl.reduce_monomial(j)[0]).numerator * (den // x.denominator)
+                for j in sl.monomial_basis}
 
     def __repr__(self) -> str:
         return f"GorensteinSpec(d={self.d}, k={self.k}, p={self.p})"

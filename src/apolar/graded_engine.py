@@ -45,8 +45,8 @@ class GradedSlice:
     slice is the only reader of its integer echelon rows, ``linalg``'s
     {pivot: primitive row} dict, whose pivots it sorts once, and makes the
     rest on first read: the Fraction RREF ``reduced_rows`` (in pivot order),
-    ``pivot_monomials`` (the degree-e piece of the LEX initial ideal) and
-    ``standard_monomials``.
+    ``pivot_monomials`` (the degree-e piece of the LEX initial ideal),
+    ``standard_monomials`` and ``denominator``, the one scale of its cosets.
     """
 
     def __init__(self, degree: int, monomial_basis, rows: dict[int, dict[int, int]]):
@@ -80,6 +80,12 @@ class GradedSlice:
     @cached_property
     def standard_monomials(self) -> tuple[ExponentVector, ...]:
         return tuple(self.monomial_basis[c] for c in self._std_columns)
+
+    @cached_property
+    def denominator(self) -> int:
+        """The lcm L of the echelon rows' pivot entries: every coset
+        coordinate of every monomial of the slice is an integer over L."""
+        return lcm(*[row[p] for p, row in self._rows.items()])
 
     @cached_property
     def _cosets(self) -> dict[tuple[int, ...], tuple[dict[int, int], int]]:
@@ -179,11 +185,10 @@ class HomogeneousIdealPresentation:
         numbers only grow under Groebner degeneration (Herzog-Hibi, Monomial
         Ideals, GTM 260, Thm 3.3.4), and a monomial ideal's socle monomials
         outside it are its docle, so dim socle(R/I)_e is at most the number
-        of degree-e docle points.  Row s holds, in block u, the integer coset
-        of x_u*s in degree e+1 times lambda_s, the lcm of the blocks' pivot
-        entries: a kernel vector of these rows with entry s times lambda_s
-        is the unscaled one times a positive constant, which dividing by its
-        last nonzero, at its largest index, removes."""
+        of degree-e docle points.  Row s holds, in block u, the coset of
+        x_u*s in degree e+1 over the slice's one ``denominator``, so the
+        kernel is the unscaled one; each class is its vector divided by its
+        last nonzero, at its largest index."""
         classes: list[SocleClass] = []
         for e in range(len(self.hilbert_function(cutoff))):
             sl, nxt = self.slice(e), self.slice(e + 1)  # both built by hilbert_function
@@ -191,18 +196,16 @@ class HomogeneousIdealPresentation:
             images = [[shift[c] for shift in shifts] for c in sl._std_columns]  # x_u*s
             if not any(all(j in nxt._rows for j in img) for img in images):
                 continue  # no docle point of in_<(I) in degree e
-            at = {c: j for j, c in enumerate(nxt._std_columns)}
-            rows, scales = [], []
+            at, den = {c: j for j, c in enumerate(nxt._std_columns)}, nxt.denominator
+            rows = []
             for img in images:
                 blocks = [nxt._cosets[nxt.monomial_basis[j].coords] for j in img]
-                scales.append(lcm(*[a for _, a in blocks]))
-                rows.append({u * len(at) + at[c]: -v * (scales[-1] // a)
+                rows.append({u * len(at) + at[c]: -v * (den // a)
                              for u, (r, a) in enumerate(blocks) for c, v in r.items() if c in at})
             for vec in left_kernel(rows, self.ctx.dim * len(at)):
-                last = max(vec)
-                free = vec[last] * scales[last]
+                free = vec[max(vec)]
                 classes.append(SocleClass(e, sl.standard_monomials, [
-                    Fraction(vec.get(j, 0) * scale, free) for j, scale in enumerate(scales)]))
+                    Fraction(vec.get(j, 0), free) for j in range(len(images))]))
         return classes
 
     def socle_dimension(self, cutoff: int | None = None) -> int:

@@ -4,11 +4,11 @@ Every row entering elimination has one shape: a dict {column: nonzero int}.
 ``rank``, ``left_kernel``, ``reduce_vector`` and ``SpanBuilder.add`` take
 such rows as given, with no conversion and no zero filter, and change none
 they are handed.  ``rref`` takes dense integer rows, as a slice's Macaulay
-matrix yields them, and keeps each row's nonzeros.  ``_intify`` is the one
-entry for Fractions: it makes a primitive integer row of a dict of ints and
-Fractions, zeros kept.  A span stores its rows primitive, positive at the
-lead.  ``SpanBuilder.rows``, {pivot column: row}, is the one echelon format:
-the full integer RREF, which ``rref`` returns for a slice to store.
+matrix yields them, and keeps each row's nonzeros.  No Fraction ever
+enters: callers clear denominators first.  A span stores its rows
+primitive, positive at the lead.  ``SpanBuilder.rows``, {pivot column:
+row}, is the one echelon format: the full integer RREF, which ``rref``
+returns for a slice to store.
 ``rank`` and ``left_kernel`` read only the leads or the dependent rows, so
 ``_lead_echelon`` reduces each row only at its lead, with no
 back-substitution.
@@ -23,20 +23,13 @@ column: each is its RREF row times a positive integer, unique for the span.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
     """An integer row divided by its content, the gcd of its entries."""
     g = gcd(*row.values())
     return {c: v // g for c, v in row.items()} if g > 1 else row
-
-
-def _intify(row: dict) -> dict[int, int]:
-    """A dict of ints and Fractions, zeros kept, times the lcm of its
-    denominators, as a primitive integer row with the same keys."""
-    mult = lcm(*[x.denominator for x in row.values()])
-    return _primitive({c: x.numerator * (mult // x.denominator) for c, x in row.items()})
 
 
 def _difference(vec: dict[int, int], row: dict[int, int], a: int, b: int) -> dict[int, int]:

@@ -8,7 +8,7 @@ all computed on generator antichains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 from operator import ge, le
@@ -54,14 +54,11 @@ class Antichain:
 class MonomialIdeal:
     """A monomial ideal, stored as its unique minimal generator antichain.
 
-    Equality is structural equality of the canonical generator tuple;
-    ``whole_poset`` is a display-only marker set by ``closure`` when the
-    closed object is the full monoid, and is ignored by comparisons.
+    Equality is structural equality of the canonical generator tuple.
     """
 
     ctx: Context
     gens: tuple[ExponentVector, ...]
-    whole_poset: bool = field(default=False, compare=False)
 
     @classmethod
     def from_generators(cls, ctx: Context, raw) -> "MonomialIdeal":
@@ -78,8 +75,8 @@ class MonomialIdeal:
         return cls(ctx, ())
 
     @classmethod
-    def unit(cls, ctx: Context, whole_poset: bool = False) -> "MonomialIdeal":
-        return cls(ctx, (zero_vector(ctx),), whole_poset)
+    def unit(cls, ctx: Context) -> "MonomialIdeal":
+        return cls(ctx, (zero_vector(ctx),))
 
     @property
     def is_zero(self) -> bool:
@@ -88,6 +85,13 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].degree == 0
+
+    @property
+    def whole_poset(self) -> bool:
+        """Whether the ideal is the full monoid, as ``closure`` marks it: the
+        unit ideal, which ``closure`` returns exactly when the docle is empty
+        (the inverse ideal of a nonempty antichain is never the unit ideal)."""
+        return self.is_unit
 
     @property
     def is_zero_dimensional(self) -> bool:
@@ -280,14 +284,11 @@ def decompose(ideal: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal]:
 
 
 def closure(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The closure I(G \\ D(docle(I))); the whole monoid when the docle is empty.
-
-    The whole-monoid case is returned as the unit ideal with the
-    ``whole_poset`` marker set.
-    """
+    """The closure I(G \\ D(docle(I))); the whole monoid, the unit ideal,
+    when the docle is empty."""
     m = ideal._docle
     if not m.elems:
-        return MonomialIdeal.unit(ideal.ctx, whole_poset=True)
+        return MonomialIdeal.unit(ideal.ctx)
     return inverse_ideal(m)
 
 

@@ -171,6 +171,20 @@ def test_staircase(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("mode", [[], ["--svg"]])
+def test_staircase_over_the_cell_limit_is_refused_before_drawing(capsys, mode):
+    # 1002 x 1002 cells, above MAX_STAIRCASE_CELLS = 100000
+    code, out, err = run(capsys, "staircase", "--vars", "2", *mode, "(x1^1000, x2^1000)")
+    assert (code, out) == (1, "")
+    assert "1002 x 1002 cells" in err and "limit of 100000" in err
+
+
+@pytest.mark.parametrize("command", ["docle", "closure", "decompose", "staircase"])
+def test_monomial_only_commands_refuse_a_non_monomial_ideal(capsys, command):
+    code, out, err = run(capsys, command, "--vars", "2", "(x1 + x2)")
+    assert (code, out) == (1, "") and "requires a monomial ideal" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run(

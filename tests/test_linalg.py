@@ -22,7 +22,7 @@ from apolar import (
 from apolar.linalg import (
     SpanBuilder,
     _difference,
-    _intify,
+    _primitive,
     left_kernel,
     rank,
     reduce_vector,
@@ -260,7 +260,7 @@ def test_sparse_matrices_match_the_dense_reference(matrix, data):
     span = SpanBuilder()
     for row in rows:
         span.add(cleared(row))
-    assert list(span.rows.values()) == [_intify(r) for r in span.rows.values()]
+    assert list(span.rows.values()) == [_primitive(r) for r in span.rows.values()]
     assert all(span.rows[p][p] > 0 for p in span.rows)
     vec = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
     dense = [Fraction(x) for x in vec]
@@ -349,15 +349,6 @@ def test_stored_rows_and_kernel_vectors_hold_no_zero(matrix):
         span.add(cleared(row))
     kernel = left_kernel([cleared(row) for row in rows], ncols)
     assert all(all(vec.values()) for vec in [*span.rows.values(), *kernel])
-
-
-def test_intify_takes_one_gcd_of_an_integer_dict(monkeypatch):
-    calls = []
-    monkeypatch.setattr(linalg, "gcd", lambda *xs: calls.append(xs) or gcd(*xs))
-    assert _intify({0: 4, 3: -6, 5: 10}) == {0: 2, 3: -3, 5: 5}
-    assert len(calls) == 1
-    assert _intify({1: Fraction(2, 3), 2: Fraction(-4, 9)}) == {1: 3, 2: -2}
-    assert _intify({0: 0, 2: 6, 4: -9}) == {0: 0, 2: 2, 4: -3}  # a dict's zero is kept
 
 
 def test_every_row_reaching_linalg_is_a_dict_of_nonzero_ints(monkeypatch):

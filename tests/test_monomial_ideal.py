@@ -612,3 +612,11 @@ def test_ambient_mismatch():
         intersect(ideal(CTX, (1, 0)), MonomialIdeal.unit(other))
     with pytest.raises(AmbientMismatchError):
         sq_leq(ideal(CTX, (1, 0)), MonomialIdeal.unit(other))
+    with pytest.raises(AmbientMismatchError):
+        is_subideal(ideal(CTX, (1, 0)), MonomialIdeal.unit(other))
+    with pytest.raises(AmbientMismatchError):
+        ideal(CTX, (1, 0)).contains(ev(other, 1, 0, 0))
+    with pytest.raises(AmbientMismatchError):
+        Antichain(CTX, (ev(CTX, 1, 0), ev(other, 0, 1, 0)))
+    with pytest.raises(AmbientMismatchError):
+        MonomialIdeal.from_generators(CTX, [ev(CTX, 1, 0), ev(other, 0, 1, 0)])

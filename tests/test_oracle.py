@@ -23,7 +23,7 @@ from apolar import (
     random_spec,
     series_annihilator_check,
 )
-from apolar import monomial_ideal
+from apolar import monomial_ideal, oracle
 from apolar.linalg import rref
 from apolar.oracle import (
     brute_ann,
@@ -53,6 +53,27 @@ def test_brute_docle_fixtures():
 def test_brute_docle_box_guard():
     with pytest.raises(DomainError):
         brute_docle(parse_ideal("(x1^3, x2^2)", CTX), ev(2, 2))
+
+
+def test_brute_docle_refuses_a_box_over_the_point_limit_before_scanning(monkeypatch):
+    def scanned(ideal, m):
+        raise AssertionError("a point was scanned")
+
+    monkeypatch.setattr(MonomialIdeal, "contains", scanned)
+    # 1001 * 1001 points, above MAX_BOX_POINTS = 10^6
+    with pytest.raises(DomainError, match="limit of 1000000"):
+        brute_docle(parse_ideal("(x1^3, x2^2)", CTX), ev(1000, 1000))
+
+
+def test_brute_ann_refuses_a_degree_over_the_cell_limit_before_building_it(monkeypatch):
+    # For deg q = 3 in two variables, degree e's matrix has (e + 1) * max(e + 1, 4 - e)
+    # cells: 4, 6, 9 and 16 up to degree 3, then 25 in degree 4.
+    monkeypatch.setattr(oracle, "MAX_ORACLE_CELLS", 20)
+    actions, act = [], oracle.diff_action
+    monkeypatch.setattr(oracle, "diff_action", lambda f, g: actions.append(f) or act(f, g))
+    with pytest.raises(DomainError, match="degree-4 oracle matrix has 5 x 5 cells"):
+        brute_ann(parse_polynomial("t1^2*t2", TCTX), 4, CTX)
+    assert len(actions) == 1 + 2 + 3 + 4  # the monomials of degrees 0 to 3 only
 
 
 def test_brute_ann_fixtures():

@@ -37,13 +37,22 @@ def test_only_polynomial_reads_a_polynomials_terms():
 
 
 def test_linalg_makes_no_fraction():
-    # linalg works on integer rows; Fractions enter only through _intify.
+    # linalg works on integer rows and no Fraction ever enters it: it makes
+    # none and reads no numerator or denominator, and no other module reaches
+    # past its public names.
     tree = ast.parse((SRC / "linalg.py").read_text())
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "fractions"
              or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
-             or isinstance(node, ast.Name) and node.id == "Fraction"]
+             or isinstance(node, ast.Name) and node.id == "Fraction"
+             or isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")]
     assert not found, found
+    private = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py")) if path.name != "linalg.py"
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom) and node.module == "linalg"
+               and any(a.name.startswith("_") for a in node.names)]
+    assert not private, private
 
 
 def test_linalg_probes_no_row_shape():
