@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DomainError
-from .exponents import Context, ExponentVector, lex_key, monomials_of_degree
+from .exponents import Context, ExponentVector, box_monomials_of_degree, lex_key
 from .graded_engine import (
     HomogeneousIdealPresentation,
     _catalecticant,
@@ -71,16 +71,14 @@ class GorensteinSpec:
     @cached_property
     def _phi(self) -> dict[tuple[int, ...], int]:
         """The socle functional, one integer row with zeros kept: phi(x^j),
-        for each degree-M exponent j (M the top degree), is x^j's coordinate
-        on the socle monomial times L, the ``denominator`` of the colon
-        ideal's own top slice, so phi(socle monomial) = L > 0.  It gives the
-        dual generator and pairings, which read phi only up to that scale."""
+        for each degree-M exponent j (M the top degree), is x^j's ``coset``
+        in the colon ideal's top slice, an integer over its ``denominator`` L,
+        so phi(socle monomial) = L > 0.  It gives the dual generator and
+        pairings, which read phi only up to that scale."""
         sl = self._colon.slice(self.top_degree)
         if sl.standard_monomials != (self.socle_monomial,):
             raise DomainError("top graded piece is not spanned by the socle monomial")
-        den = sl.denominator
-        return {j.coords: (x := sl.reduce_monomial(j)[0]).numerator * (den // x.denominator)
-                for j in sl.monomial_basis}
+        return {j.coords: sl.coset(c).get(0, 0) for c, j in enumerate(sl.monomial_basis)}
 
     def __repr__(self) -> str:
         return f"GorensteinSpec(d={self.d}, k={self.k}, p={self.p})"
@@ -258,7 +256,7 @@ def random_spec(rng, dims=(2, 3), max_k: int = 4, max_support: int = 4) -> Goren
     k = rng.randint(1, max_k)
     ctx = Context.of_dim(d)
     n = rng.randint(0, d * (k - 1))
-    pool = [ev for ev in monomials_of_degree(ctx, n) if all(c <= k - 1 for c in ev.coords)]
+    pool = box_monomials_of_degree(ctx, n, k - 1)
     terms = {ev: Fraction(rng.randint(1, 6) * rng.choice([1, -1]), rng.randint(1, 4))
              for ev in rng.sample(pool, rng.randint(1, min(max_support, len(pool))))}
     return GorensteinSpec(k, Polynomial(ctx, terms))

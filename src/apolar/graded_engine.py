@@ -26,8 +26,6 @@ from .polynomial import Polynomial, _numerators
 # (up to their top degree); larger requests are refused before allocation.
 MAX_SLICE_COLUMNS = 5000
 
-_ZERO = Fraction(0)
-
 
 def _check_slice_size(ctx: Context, e: int) -> None:
     """Refuse a degree-e slice with more than ``MAX_SLICE_COLUMNS`` columns."""
@@ -46,7 +44,7 @@ class GradedSlice:
     {pivot: primitive row} dict, whose pivots it sorts once, and makes the
     rest on first read: the Fraction RREF ``reduced_rows`` (in pivot order),
     ``pivot_monomials`` (the degree-e piece of the LEX initial ideal),
-    ``standard_monomials`` and ``denominator``, the one scale of its cosets.
+    ``standard_monomials`` and ``denominator``, the one scale of its ``coset``s.
     """
 
     def __init__(self, degree: int, monomial_basis, rows: dict[int, dict[int, int]]):
@@ -62,7 +60,7 @@ class GradedSlice:
     def reduced_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         out = []
         for p in self._pivots:
-            row, dense = self._rows[p], [_ZERO] * len(self.monomial_basis)
+            row, dense = self._rows[p], [Fraction(0)] * len(self.monomial_basis)
             for c, v in row.items():
                 dense[c] = Fraction(v, row[p])
             out.append(tuple(dense))
@@ -73,9 +71,13 @@ class GradedSlice:
         return frozenset(self.monomial_basis[c] for c in self._pivots)
 
     @cached_property
-    def _std_columns(self) -> list[int]:
-        pivots = set(self._pivots)
-        return [c for c in range(len(self.monomial_basis)) if c not in pivots]
+    def _std_columns(self) -> dict[int, int]:
+        std = [c for c in range(len(self.monomial_basis)) if c not in self._rows]
+        return {c: i for i, c in enumerate(std)}
+
+    @cached_property
+    def _columns(self) -> dict[ExponentVector, int]:
+        return {ev: c for c, ev in enumerate(self.monomial_basis)}
 
     @cached_property
     def standard_monomials(self) -> tuple[ExponentVector, ...]:
@@ -87,21 +89,22 @@ class GradedSlice:
         coordinate of every monomial of the slice is an integer over L."""
         return lcm(*[row[p] for p, row in self._rows.items()])
 
-    @cached_property
-    def _cosets(self) -> dict[tuple[int, ...], tuple[dict[int, int], int]]:
-        """Each monomial's integer RREF row and pivot entry, by exponent: its
-        coset is -row[c]/a at each standard column c (x^c itself: -x^c over 1)."""
-        out = {ev.coords: ({c: -1}, 1) for c, ev in enumerate(self.monomial_basis)}
-        for p, row in self._rows.items():
-            out[self.monomial_basis[p].coords] = row, row[p]
-        return out
+    def coset(self, c: int) -> dict[int, int]:
+        """The class of the column-c monomial, {standard position: int} over
+        ``denominator`` L: L at its own position if c is standard, else -v*(L/a)
+        at each entry v off c of the echelon row led by a at c, 0 at other pivots."""
+        std, row = self._std_columns, self._rows.get(c)
+        if row is None:
+            return {std[c]: self.denominator}
+        scale = self.denominator // row[c]
+        return {std[j]: -v * scale for j, v in row.items() if j != c}
 
     def reduce_monomial(self, ev: ExponentVector) -> list[Fraction]:
         """Coordinates of a degree-e monomial's coset over the standard monomials."""
-        if ev.ctx != self.monomial_basis[0].ctx or ev.coords not in self._cosets:
+        if ev not in self._columns:
             raise DomainError("monomial is not of the slice's degree and context")
-        row, a = self._cosets[ev.coords]
-        return [Fraction(-row[c], a) if c in row else _ZERO for c in self._std_columns]
+        coset = self.coset(self._columns[ev])
+        return [Fraction(coset.get(i, 0), self.denominator) for i in range(self.hilbert_value)]
 
 
 class _Multiples:
@@ -110,10 +113,10 @@ class _Multiples:
     a ``len``, for ``perfbench``'s ``_count_rref``, which reads them densely,
     until slices stop being built by ``rref`` (ROADMAP item 1 part A)."""
 
-    def __init__(self, ctx: Context, generators, e: int):
+    def __init__(self, ctx: Context, generators, degrees, e: int):
         self.col = {ev.coords: i for i, ev in enumerate(monomials_of_degree(ctx, e))}
-        self.blocks = [(_numerators(g)[0], monomials_of_degree(ctx, e - g.homogeneous_degree()))
-                       for g in generators if g.homogeneous_degree() <= e]
+        self.blocks = [(_numerators(g)[0], monomials_of_degree(ctx, e - n))
+                       for g, n in zip(generators, degrees) if n <= e]
 
     def __len__(self) -> int:
         return sum(len(ms) for _, ms in self.blocks)
@@ -132,14 +135,15 @@ class HomogeneousIdealPresentation:
 
     def __init__(self, ctx: Context, generators):
         self.ctx = ctx
-        gens = []
+        gens, degrees = [], []
         for g in generators:
             if g.ctx != ctx:
                 raise AmbientMismatchError("generator from a different context")
             if not g.is_zero:
-                g.homogeneous_degree()  # raises DomainError when inhomogeneous
+                degrees.append(g.homogeneous_degree())  # raises DomainError when inhomogeneous
                 gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
+        self._degrees: tuple[int, ...] = tuple(degrees)
         self._slices: dict[int, GradedSlice] = {}
 
     @classmethod
@@ -147,7 +151,7 @@ class HomogeneousIdealPresentation:
         return cls(ideal.ctx, [Polynomial.monomial(g) for g in ideal.gens])
 
     def max_generator_degree(self) -> int:
-        return max((g.homogeneous_degree() for g in self.generators), default=0)
+        return max(self._degrees, default=0)
 
     def slice(self, e: int) -> GradedSlice:
         if e < 0:
@@ -156,14 +160,14 @@ class HomogeneousIdealPresentation:
             return self._slices[e]
         _check_slice_size(self.ctx, e)
         basis = monomials_of_degree(self.ctx, e)
-        rows = rref(_Multiples(self.ctx, self.generators, e), len(basis))
+        rows = rref(_Multiples(self.ctx, self.generators, self._degrees, e), len(basis))
         self._slices[e] = GradedSlice(e, basis, rows)
         return self._slices[e]
 
     def hilbert_function(self, cutoff: int | None = None) -> list[int]:
         """Values of dim (R/I)_e from 0 until the first vanishing degree."""
         if cutoff is None:
-            cutoff = sum(g.homogeneous_degree() for g in self.generators) + self.ctx.dim
+            cutoff = sum(self._degrees) + self.ctx.dim
         if cutoff < 0:
             raise DomainError("cutoff must be >= 0")
         values = []
@@ -185,10 +189,10 @@ class HomogeneousIdealPresentation:
         numbers only grow under Groebner degeneration (Herzog-Hibi, Monomial
         Ideals, GTM 260, Thm 3.3.4), and a monomial ideal's socle monomials
         outside it are its docle, so dim socle(R/I)_e is at most the number
-        of degree-e docle points.  Row s holds, in block u, the coset of
-        x_u*s in degree e+1 over the slice's one ``denominator``, so the
-        kernel is the unscaled one; each class is its vector divided by its
-        last nonzero, at its largest index."""
+        of degree-e docle points.  Row s holds, in block u, the integer
+        ``coset`` of x_u*s in degree e+1, all over that slice's one
+        ``denominator``, so the kernel is the unscaled one; each class is its
+        vector divided by its last nonzero, at its largest index."""
         classes: list[SocleClass] = []
         for e in range(len(self.hilbert_function(cutoff))):
             sl, nxt = self.slice(e), self.slice(e + 1)  # both built by hilbert_function
@@ -196,13 +200,10 @@ class HomogeneousIdealPresentation:
             images = [[shift[c] for shift in shifts] for c in sl._std_columns]  # x_u*s
             if not any(all(j in nxt._rows for j in img) for img in images):
                 continue  # no docle point of in_<(I) in degree e
-            at, den = {c: j for j, c in enumerate(nxt._std_columns)}, nxt.denominator
-            rows = []
-            for img in images:
-                blocks = [nxt._cosets[nxt.monomial_basis[j].coords] for j in img]
-                rows.append({u * len(at) + at[c]: -v * (den // a)
-                             for u, (r, a) in enumerate(blocks) for c, v in r.items() if c in at})
-            for vec in left_kernel(rows, self.ctx.dim * len(at)):
+            h = nxt.hilbert_value
+            rows = [{u * h + i: v for u, j in enumerate(img) for i, v in nxt.coset(j).items()}
+                    for img in images]
+            for vec in left_kernel(rows, self.ctx.dim * h):
                 free = vec[max(vec)]
                 classes.append(SocleClass(e, sl.standard_monomials, [
                     Fraction(vec.get(j, 0), free) for j in range(len(images))]))

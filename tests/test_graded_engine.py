@@ -32,7 +32,7 @@ from apolar import (
 )
 from apolar.exponents import box_monomials_of_degree
 from apolar.graded_engine import MAX_SLICE_COLUMNS, GradedSlice, _assemble_minimal, _shift_table
-from apolar.linalg import left_kernel
+from apolar.linalg import left_kernel, reduce_vector
 from apolar.oracle import brute_ann, brute_quotient_dim
 from hypothesis import given
 from support import gorenstein_specs
@@ -112,6 +112,48 @@ def test_reduce_monomial_rejects_other_degrees():
     assert sl.reduce_monomial(ExponentVector(CTX, (1, 1))) == [1]
     with pytest.raises(DomainError):
         sl.reduce_monomial(ExponentVector(CTX, (1, 0)))
+
+
+def _random_presentation(rng, d):
+    """Up to three random forms of degree 1..3 with rational coefficients."""
+    ctx, gens = Context.of_dim(d), []
+    for _ in range(rng.randint(1, 3)):
+        basis = monomials_of_degree(ctx, rng.randint(1, 3))
+        terms = {ev: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+                 for ev in rng.sample(basis, rng.randint(1, min(3, len(basis))))}
+        gens.append(Polynomial(ctx, terms))
+    return HomogeneousIdealPresentation(ctx, gens)
+
+
+def test_coset_is_an_integer_class_over_the_slice_denominator():
+    # Slices built from generators (rref) and by the colon build (SpanBuilder).
+    rng = random.Random(66)
+    ideals = [_random_presentation(rng, rng.choice([1, 2, 3])) for _ in range(15)]
+    ideals += [random_spec(rng, dims=(1, 2, 3)).colon_ideal() for _ in range(15)]
+    read = 0
+    for ideal in ideals:
+        for e in range(5):
+            sl = ideal.slice(e)
+            den, basis = sl.denominator, sl.monomial_basis
+            std = [basis.index(ev) for ev in sl.standard_monomials]
+            pivots = sorted(basis.index(ev) for ev in sl.pivot_monomials)
+            for c in range(len(basis)):
+                coset = sl.coset(c)
+                assert all(type(v) is int for v in coset.values())
+                assert set(coset) <= set(range(len(std)))
+                if c in std:
+                    assert coset == {std.index(c): den}
+                else:
+                    row = sl.reduced_rows[pivots.index(c)]
+                    assert [Fraction(coset.get(i, 0), den) for i in range(len(std))] == [
+                        -row[s] for s in std]
+                    read += 1
+                vec = Counter({c: den})
+                vec.subtract({std[i]: v for i, v in coset.items()})
+                assert reduce_vector({j: v for j, v in vec.items() if v}, sl._rows) == {}
+                assert sl.reduce_monomial(basis[c]) == [
+                    Fraction(coset.get(i, 0), den) for i in range(len(std))]
+    assert read > 100
 
 
 def test_colon_power_fixtures():

@@ -18,11 +18,20 @@ def test_no_assert_statements():
 
 def test_only_graded_engine_reads_a_slices_private_state():
     # GradedSlice owns its echelon rows: no other module reads them.
-    private = {"_rows", "_pivots", "_cosets", "_std_columns"}
+    private = {"_rows", "_pivots", "_std_columns", "_columns"}
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py")) if path.name != "graded_engine.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not found, found
+
+
+def test_gorenstein_scales_no_coset():
+    # A slice's cosets are scaled to integers in one place, GradedSlice.coset:
+    # gorenstein reads no numerator or denominator of its own.
+    tree = ast.parse((SRC / "gorenstein.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")]
     assert not found, found
 
 
