@@ -10,9 +10,10 @@ apolarity annihilators at desk scale.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm, perm, prod
+from math import comb, inf, lcm, perm, prod
 from operator import add, sub
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
@@ -131,7 +132,9 @@ class _Multiples:
 
 
 class HomogeneousIdealPresentation:
-    """A homogeneous ideal given by generators, with cached graded slices."""
+    """A homogeneous ideal given by generators, with cached graded slices.
+    ``_assemble_minimal``'s build runs through a slice's degree when that
+    slice is first read, and to its end when every generator is needed."""
 
     def __init__(self, ctx: Context, generators):
         self.ctx = ctx
@@ -142,31 +145,52 @@ class HomogeneousIdealPresentation:
             if not g.is_zero:
                 degrees.append(g.homogeneous_degree())  # raises DomainError when inhomogeneous
                 gens.append(g)
-        self.generators: tuple[Polynomial, ...] = tuple(gens)
+        self._gens: tuple[Polynomial, ...] = tuple(gens)
         self._degrees: tuple[int, ...] = tuple(degrees)
         self._slices: dict[int, GradedSlice] = {}
+        self._build: _Build | None = None
 
     @classmethod
     def from_monomial_ideal(cls, ideal: MonomialIdeal) -> "HomogeneousIdealPresentation":
         return cls(ideal.ctx, [Polynomial.monomial(g) for g in ideal.gens])
 
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        self._pull()
+        return self._gens
+
     def max_generator_degree(self) -> int:
+        self._pull()
         return max(self._degrees, default=0)
+
+    def _pull(self, e: float = inf) -> None:
+        """Run the unfinished build through degree e (all by default); a degree
+        is kept only once complete, so one that raises is run again on read."""
+        while self._build and self._build.next <= e:
+            b = self._build
+            gens, sl, carry = _minimal_degree(self.ctx, b.kernel_fn, b.next, *b.carry)
+            self._gens += gens
+            self._degrees += (b.next,) * len(gens)
+            self._slices[b.next] = sl
+            self._build = _Build(b.kernel_fn, b.top, b.next + 1, carry) if b.next < b.top else None
 
     def slice(self, e: int) -> GradedSlice:
         if e < 0:
             raise DomainError("slice degree must be >= 0")
+        if e not in self._slices:
+            _check_slice_size(self.ctx, e)
+            self._pull(e)
         if e in self._slices:
             return self._slices[e]
-        _check_slice_size(self.ctx, e)
-        basis = monomials_of_degree(self.ctx, e)
-        rows = rref(_Multiples(self.ctx, self.generators, self._degrees, e), len(basis))
+        basis = monomials_of_degree(self.ctx, e)  # no build, or e above its top
+        rows = rref(_Multiples(self.ctx, self._gens, self._degrees, e), len(basis))
         self._slices[e] = GradedSlice(e, basis, rows)
         return self._slices[e]
 
     def hilbert_function(self, cutoff: int | None = None) -> list[int]:
         """Values of dim (R/I)_e from 0 until the first vanishing degree."""
         if cutoff is None:
+            self._pull()  # the default cutoff reads every generator degree
             cutoff = sum(self._degrees) + self.ctx.dim
         if cutoff < 0:
             raise DomainError("cutoff must be >= 0")
@@ -225,11 +249,13 @@ class HomogeneousIdealPresentation:
         return MonomialIdeal.from_generators(self.ctx, gens)
 
     def equals(self, other: "HomogeneousIdealPresentation") -> bool:
-        """Slice-by-slice row space equality through the last generator degree,
-        compared on the slices' integer echelon rows."""
+        """Slice-by-slice equality of the integer echelon rows, upward: False
+        at the first degree that differs, True past both sides' generator
+        degree bounds (an unfinished build's top degree, else the largest
+        generator degree), so neither build is finished to learn its bound."""
         if self.ctx != other.ctx:
             raise AmbientMismatchError("ideal comparison across contexts")
-        top = max(self.max_generator_degree(), other.max_generator_degree())
+        top = max(x._build.top if x._build else x.max_generator_degree() for x in (self, other))
         for e in range(top + 1):
             if self.slice(e)._rows != other.slice(e)._rows:
                 return False
@@ -269,8 +295,14 @@ def _shift_table(ctx: Context, e: int, i: int) -> tuple[int, ...]:
     return tuple(c for c, ev in enumerate(monomials_of_degree(ctx, e)) if ev.coords[i])
 
 
+# An unfinished _assemble_minimal build: its next degree, and the carry from
+# the degree before, its unit rows' pivots and other (pivot, row)s.
+_Build = namedtuple("_Build", "kernel_fn top next carry")
+
+
 def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
-    """The ideal given by minimal generators, built degree by degree.
+    """The ideal given by minimal generators, one ``_minimal_degree`` step per
+    degree up to ``max_degree``, each run when a slice first needs it.
 
     kernel_fn(columns) is a basis of I_e's vectors on some degree-e monomials
     (LEX-descending), keyed by position.  x_i keeps the LEX order, so lifting
@@ -290,49 +322,52 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     is the degree-e slice.  Generators do not depend on the order lifts
     enter: before any is read the span is R_1*I_(e-1), whose echelon rows
     are unique, and S and the full-kernel condition depend only on the
-    leads.  Raises ``DomainError`` first if degree ``max_degree`` has over
-    ``MAX_SLICE_COLUMNS`` monomials.
+    leads.  Raises ``DomainError`` at the call, before any kernel runs, if
+    degree ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
     """
     _check_slice_size(ctx, max_degree)
-    gens, slices = [], {}
-    unit_pivots, pairs = [], []  # degree e-1's unit rows' pivots, other (pivot, row)s
-    for e in range(max_degree + 1):
-        basis = monomials_of_degree(ctx, e)
-        span, shifts = SpanBuilder(), [_shift_table(ctx, e, i) for i in range(ctx.dim)]
-        units = {s[p] for s in shifts for p in unit_pivots}
-        span.add_units(units)
-        leads = [s[p] for s in shifts for p, _ in pairs]  # lift n = i*len(pairs) + r
-
-        def lift(n):  # x_i times row r of degree e - 1, made only when it is added
-            s, row = shifts[n // len(pairs)], pairs[n % len(pairs)][1]
-            return {s[j]: c for j, c in row.items()}
-
-        owner = {lead: n for n, lead in enumerate(leads) if lead not in units}  # one lift per lead
-        for lead in sorted(owner, reverse=True):  # leads descending: no back-elimination
-            span.add(lift(owner[lead]))
-        free = [c for c in range(len(basis)) if c not in owner and c not in units]
-        kernel = [{free[j]: x for j, x in v.items()} for v in kernel_fn([basis[c] for c in free])]
-        dim = len(span.rows) + len(kernel)
-        for n, lead in enumerate(leads):
-            if len(span.rows) == dim:
-                break  # the span is already all of I_e
-            if owner.get(lead) != n:
-                span.add(lift(n))
-        if (unit_pivots or pairs) and dim - len(span.rows) > 1:
-            kernel = kernel_fn(basis)
-        for vec in kernel:
-            if len(span.rows) == dim:
-                break
-            row = span.add(vec)
-            if row:  # a generator, positive at its LEX-leading (lowest) column
-                gens.append(Polynomial(ctx, {basis[c]: v for c, v in row.items()}))
-        del kernel  # as large as the slice: free it before making the slice
-        slices[e] = GradedSlice(e, basis, span.rows)
-        unit_pivots = [p for p in slices[e]._pivots if len(span.rows[p]) == 1]
-        pairs = [(p, span.rows[p]) for p in slices[e]._pivots if len(span.rows[p]) > 1]
-    ideal = HomogeneousIdealPresentation(ctx, gens)
-    ideal._slices = slices
+    ideal = HomogeneousIdealPresentation(ctx, ())
+    ideal._build = _Build(kernel_fn, max_degree, 0, ([], []))
     return ideal
+
+
+def _minimal_degree(ctx: Context, kernel_fn, e: int, unit_pivots, pairs):
+    """Degree e of ``_assemble_minimal``'s build from degree e-1's carry: the
+    new generators, the slice and the carry to degree e+1."""
+    basis = monomials_of_degree(ctx, e)
+    span, shifts = SpanBuilder(), [_shift_table(ctx, e, i) for i in range(ctx.dim)]
+    units = {s[p] for s in shifts for p in unit_pivots}
+    span.add_units(units)
+    leads = [s[p] for s in shifts for p, _ in pairs]  # lift n = i*len(pairs) + r
+
+    def lift(n):  # x_i times row r of degree e - 1, made only when it is added
+        s, row = shifts[n // len(pairs)], pairs[n % len(pairs)][1]
+        return {s[j]: c for j, c in row.items()}
+
+    owner = {lead: n for n, lead in enumerate(leads) if lead not in units}  # one lift per lead
+    for lead in sorted(owner, reverse=True):  # leads descending: no back-elimination
+        span.add(lift(owner[lead]))
+    free = [c for c in range(len(basis)) if c not in owner and c not in units]
+    kernel = [{free[j]: x for j, x in v.items()} for v in kernel_fn([basis[c] for c in free])]
+    dim = len(span.rows) + len(kernel)
+    for n, lead in enumerate(leads):
+        if len(span.rows) == dim:
+            break  # the span is already all of I_e
+        if owner.get(lead) != n:
+            span.add(lift(n))
+    if (unit_pivots or pairs) and dim - len(span.rows) > 1:
+        kernel = kernel_fn(basis)
+    gens = []
+    for vec in kernel:
+        if len(span.rows) == dim:
+            break
+        row = span.add(vec)
+        if row:  # a generator, positive at its LEX-leading (lowest) column
+            gens.append(Polynomial(ctx, {basis[c]: v for c, v in row.items()}))
+    del kernel  # as large as the slice: free it before making the slice
+    sl = GradedSlice(e, basis, span.rows)
+    return tuple(gens), sl, ([p for p in sl._pivots if len(span.rows[p]) == 1],
+                             [(p, span.rows[p]) for p in sl._pivots if len(span.rows[p]) > 1])
 
 
 def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
@@ -368,7 +403,7 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
 
     Degree by degree, the kernel of multiplication by p into the monomial
     quotient R/(x_1^k, ..., x_d^k); minimal generators are extracted along
-    the way.  The result is artinian Gorenstein.
+    the way, as slices are read.  The result is artinian Gorenstein.
     """
     p_red = _reduced_mod_power(k, p)
     ctx, p_terms = p.ctx, _numerators(p_red)[0]
@@ -383,8 +418,8 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
 def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> HomogeneousIdealPresentation:
     """The apolarity annihilator Ann(q) = {f : f(d/dt_1, ..., d/dt_d) q = 0}.
 
-    Computed from the catalecticant maps R_e -> S_(deg q - e) given by the
-    differential action, degree by degree up to deg q + 1.
+    From the catalecticant maps R_e -> S_(deg q - e) of the differential
+    action, each degree up to deg q + 1 built when a slice first needs it.
     """
     m_deg = q.homogeneous_degree()
     if m_deg is None:

@@ -23,6 +23,7 @@ from apolar import (
     colon_power_ideal,
     ideal_equals,
     inverse_ideal,
+    monomial_iff_test,
     monomials_of_degree,
     parse_ideal,
     parse_polynomial,
@@ -505,6 +506,79 @@ def test_each_build_path_keeps_generators_and_slices(monkeypatch):
     assert len(paths) == 4, paths
 
 
+def test_reads_in_any_order_keep_generators_and_slices():
+    # Slices read top-down, then equals pulling Ann(F) degree by degree, then
+    # the generators: each build must still give what a plain read gives.
+    colon, ann = [], []
+    for spec in _build_specs():
+        ideal = colon_power_ideal(spec.k, spec.p)
+        for e in reversed(range(spec.top_degree + 2)):
+            ideal.slice(e)
+        other = ann_partial(antipodal(spec), spec.ctx)
+        assert ideal.equals(other)
+        colon.append(_build_text(ideal, spec.top_degree))
+        ann.append(_build_text(other, spec.top_degree))
+    for text in (colon, ann):
+        assert hashlib.sha256(json.dumps(text).encode()).hexdigest() == BUILD_DIGEST
+
+
+def _socle_ann(spec):
+    q = Polynomial.monomial(ExponentVector(spec.dual_ctx, spec.socle_monomial.coords))
+    return ann_partial(q, spec.ctx)
+
+
+def test_equals_reads_no_slice_past_what_decides_it(monkeypatch):
+    # A finished presentation is bounded by its largest generator degree, not
+    # by its build's top: the colon ideal below, (x1^4, x2^5, x3^5, x4^5), has
+    # a build top of 16, which the parsed initial ideal must not be sliced up to.
+    made = []
+    from_monomial = HomogeneousIdealPresentation.from_monomial_ideal
+    monkeypatch.setattr(HomogeneousIdealPresentation, "from_monomial_ideal",
+                        classmethod(lambda cls, ideal: made.append(from_monomial(ideal)) or made[-1]))
+    spec = GorensteinSpec(5, parse_polynomial("x1", Context.of_dim(4)))
+    result = monomial_iff_test(spec)
+    assert result.is_monomial_ideal and result.ann_of_socle_equals_ideal
+    (initial,) = made
+    bound = max(spec.colon_ideal().max_generator_degree(), initial.max_generator_degree())
+    assert bound < spec.top_degree + 1 and max(initial._slices) <= bound
+    # An unequal Ann(t^a) is built only through the first degree that differs.
+    unequal = 0
+    for spec in _build_specs():
+        colon, ann = spec.colon_ideal(), _socle_ann(spec)
+        if colon.equals(ann):
+            continue
+        full = _socle_ann(spec)
+        first = next(e for e in range(spec.top_degree + 2)
+                     if colon.slice(e)._rows != full.slice(e)._rows)
+        assert max(ann._slices) == first
+        unequal += 1
+    assert unequal
+
+
+def test_a_degree_that_raises_is_built_again_by_the_next_read(monkeypatch):
+    # Ann(t1^5 + t2^5) = (x*y, x^5 - y^5): degree 2 gains a generator.
+    q = parse_polynomial("t1^5 + t2^5", CTX.dual("t"))
+    fresh = ann_partial(q, CTX)
+    failed = []
+
+    def flaky(ctx, kernel_fn, max_degree):
+        def once(columns):
+            if columns and columns[0].degree == 2 and not failed:
+                failed.append(columns)
+                raise _KernelReached
+            return kernel_fn(columns)
+        return _assemble_minimal(ctx, once, max_degree)
+
+    monkeypatch.setattr("apolar.graded_engine._assemble_minimal", flaky)
+    ideal = ann_partial(q, CTX)
+    with pytest.raises(_KernelReached):
+        ideal.slice(2)
+    assert failed
+    assert ideal.slice(3)._rows == fresh.slice(3)._rows
+    assert [str(g) for g in ideal.generators] == [str(g) for g in fresh.generators]
+    assert ideal.hilbert_function() == fresh.hilbert_function()
+
+
 class _KernelReached(Exception):
     pass
 
@@ -515,12 +589,13 @@ def _kernel_reached(columns):
 
 def test_size_guard_refuses_before_any_kernel():
     # The d=5, k=4 verify rung (top degree 11) builds up to degree 12, with
-    # binomial(16, 4) = 1,820 columns; it must be admitted.
+    # binomial(16, 4) = 1,820 columns; it must be admitted.  An admitted
+    # build runs its first kernel when its first slice is read.
     with pytest.raises(_KernelReached):
-        _assemble_minimal(Context.of_dim(5), _kernel_reached, 12)
+        _assemble_minimal(Context.of_dim(5), _kernel_reached, 12).slice(0)
     # In 2 variables degree e has e + 1 columns.
     with pytest.raises(_KernelReached):
-        _assemble_minimal(CTX, _kernel_reached, MAX_SLICE_COLUMNS - 1)
+        _assemble_minimal(CTX, _kernel_reached, MAX_SLICE_COLUMNS - 1).slice(0)
     with pytest.raises(DomainError, match="above the limit"):
         _assemble_minimal(CTX, _kernel_reached, MAX_SLICE_COLUMNS)
     with pytest.raises(DomainError, match="above the limit"):
