@@ -145,9 +145,9 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
     if ideal.slice(top + 1).hilbert_value:
         return False
     for e in range(top // 2 + 1):
-        standard = ideal.slice(e).standard_monomials
-        if (ideal.slice(top - e).hilbert_value > len(standard)
-                or rank(*_catalecticant(terms, standard)) < len(standard)):
+        sl = ideal.slice(e)
+        if (ideal.slice(top - e).hilbert_value > sl.hilbert_value
+                or rank(*_catalecticant(ideal.ctx, terms, e, sl.standard_columns)) < sl.hilbert_value):
             return False
     return True
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, inf, lcm, perm, prod
-from operator import add, sub
+from operator import add
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree
@@ -79,6 +79,10 @@ class GradedSlice:
     @cached_property
     def _columns(self) -> dict[ExponentVector, int]:
         return {ev: c for c, ev in enumerate(self.monomial_basis)}
+
+    @property
+    def standard_columns(self):  # the positions of standard_monomials, ascending
+        return self._std_columns.keys()
 
     @cached_property
     def standard_monomials(self) -> tuple[ExponentVector, ...]:
@@ -295,6 +299,19 @@ def _shift_table(ctx: Context, e: int, i: int) -> tuple[int, ...]:
     return tuple(c for c, ev in enumerate(monomials_of_degree(ctx, e)) if ev.coords[i])
 
 
+def _pack(coords, b: int) -> int:
+    """The packed code sum_i c_i * 2^(b*i) of an exponent vector, in b-bit
+    fields: while no field leaves [0, 2^b), adding or subtracting codes adds
+    or subtracts exponents, and a field's top bit compares it with 2^(b-1)."""
+    return sum(c << b * i for i, c in enumerate(coords))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _codes(ctx: Context, e: int, b: int) -> tuple[int, ...]:
+    """The ``_pack`` code of each degree-e monomial, LEX-descending."""
+    return tuple(_pack(ev.coords, b) for ev in monomials_of_degree(ctx, e))
+
+
 # An unfinished _assemble_minimal build: its next degree, and the carry from
 # the degree before, its unit rows' pivots and other (pivot, row)s.
 _Build = namedtuple("_Build", "kernel_fn top next carry")
@@ -304,8 +321,9 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     """The ideal given by minimal generators, one ``_minimal_degree`` step per
     degree up to ``max_degree``, each run when a slice first needs it.
 
-    kernel_fn(columns) is a basis of I_e's vectors on some degree-e monomials
-    (LEX-descending), keyed by position.  x_i keeps the LEX order, so lifting
+    kernel_fn(e, columns) is a basis of I_e's vectors on the degree-e monomials
+    at some ascending positions (LEX-descending), keyed by index into
+    ``columns``.  x_i keeps the LEX order, so lifting
     the previous degree's rows shifts their pivots: lifts with distinct leads
     span L', and I_e is L' plus the kernel on the columns S it leaves free.
     A lift of a unit row (a monomial of I) is a unit row, so those enter the
@@ -348,7 +366,7 @@ def _minimal_degree(ctx: Context, kernel_fn, e: int, unit_pivots, pairs):
     for lead in sorted(owner, reverse=True):  # leads descending: no back-elimination
         span.add(lift(owner[lead]))
     free = [c for c in range(len(basis)) if c not in owner and c not in units]
-    kernel = [{free[j]: x for j, x in v.items()} for v in kernel_fn([basis[c] for c in free])]
+    kernel = [{free[j]: x for j, x in v.items()} for v in kernel_fn(e, free)]
     dim = len(span.rows) + len(kernel)
     for n, lead in enumerate(leads):
         if len(span.rows) == dim:
@@ -356,7 +374,7 @@ def _minimal_degree(ctx: Context, kernel_fn, e: int, unit_pivots, pairs):
         if owner.get(lead) != n:
             span.add(lift(n))
     if (unit_pivots or pairs) and dim - len(span.rows) > 1:
-        kernel = kernel_fn(basis)
+        kernel = kernel_fn(e, range(len(basis)))
     gens = []
     for vec in kernel:
         if len(span.rows) == dim:
@@ -404,15 +422,26 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     Degree by degree, the kernel of multiplication by p into the monomial
     quotient R/(x_1^k, ..., x_d^k); minimal generators are extracted along
     the way, as slices are read.  The result is artinian Gorenstein.
+    The map runs on ``_pack`` codes in b-bit fields, 2^(b-1) > top + k, above
+    every coordinate of m*x^s (m of degree <= top + 1), so no field carries:
+    with ``off`` adding 2^(b-1) - k to each field and ``mask`` their top bits,
+    m*x^s is in the box [0, k-1]^d iff (code(m) + code(s) + off) & mask == 0.
     """
     p_red = _reduced_mod_power(k, p)
-    ctx, p_terms = p.ctx, _numerators(p_red)[0]
+    ctx = p.ctx
     top = ctx.dim * (k - 1) - p_red.homogeneous_degree()  # top degree of R/I
+    b = (top + k).bit_length() + 1
+    mask = _pack((1 << b - 1,) * ctx.dim, b)
+    off = mask - _pack((k,) * ctx.dim, b)
+    terms = [(_pack(s, b) + off, a) for s, a in _numerators(p_red)[0]]
 
-    def image(mc):  # the terms of m*p inside the box [0, k-1]^d
-        return [(t, a) for s, a in p_terms if max(t := tuple(map(add, mc, s))) < k]
+    def kernel(e, columns):  # row m: the terms of m*p in the box, columns by first appearance
+        codes, at = _codes(ctx, e, b), {}
+        rows = [{at.setdefault(t, len(at)): a for s, a in terms if not (t := codes[c] + s) & mask}
+                for c in columns]
+        return left_kernel(rows, len(at))
 
-    return _assemble_minimal(ctx, lambda cols: left_kernel(*_images(cols, image)), top + 1)
+    return _assemble_minimal(ctx, kernel, top + 1)
 
 
 def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> HomogeneousIdealPresentation:
@@ -429,32 +458,26 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
         raise AmbientMismatchError("operator and target dimensions differ")
 
     terms = _numerators(q)[0]
-    return _assemble_minimal(ctx, lambda cols: left_kernel(*_catalecticant(terms, cols)), m_deg + 1)
+    return _assemble_minimal(ctx, lambda e, cols: left_kernel(*_catalecticant(ctx, terms, e, cols)),
+                             m_deg + 1)
 
 
-def _images(monomials, image) -> tuple[list[dict[int, int]], int]:
-    """A linear map on the span of some degree-e monomials, image(m) the
-    (exponent, coefficient) terms of the image of a monomial's coordinates,
-    as one sparse row per monomial, in the given order (``left_kernel``'s
-    rows), with a column per exponent hit, and their width."""
-    at: dict[tuple[int, ...], int] = {}
-    rows = [{at.setdefault(t, len(at)): c for t, c in image(m.coords)} for m in monomials]
-    return rows, len(at)
-
-
-def _catalecticant(terms, monomials) -> tuple[list[dict[int, int]], int]:
+def _catalecticant(ctx: Context, terms, e: int, columns) -> tuple[list[dict[int, int]], int]:
     """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
     m -> m(d/dt) f, for f given by the terms of ``_numerators(f)`` (f times
-    the lcm of its denominators, computed once per build), on the given
-    degree-e monomials (all of R_e's, or some), as ``_images``: one row per
-    monomial m, in the given order.  A term c*t^s of f with s >= m puts
-    c * prod perm(s_i, m_i) in row m, at the column of s - m.
+    the lcm of its denominators, computed once per build), on the degree-e
+    monomials of ``ctx`` at the given positions (all of R_e's, or some): one
+    sparse row per monomial m, in the given order, a column per exponent hit
+    by first appearance (``left_kernel``'s rows), and the width.  A term c*t^s
+    of f with s >= m puts c * prod perm(s_i, m_i) in row m, at the column of
+    s - m.  On ``_pack`` codes in b-bit fields, 2^(b-1) > max s_i + e so that
+    no field borrows, and ``guard`` their top bits, s >= m iff ((code(s) |
+    guard) - code(m)) & guard == guard; only those terms compute the product.
     """
-
-    def image(mc):
-        for s, c in terms:
-            u = tuple(map(sub, s, mc))
-            if min(u) >= 0:
-                yield u, c * prod(map(perm, s, mc))
-
-    return _images(monomials, image)
+    b = (max(max(s) for s, _ in terms) + e).bit_length() + 1
+    guard = _pack((1 << b - 1,) * ctx.dim, b)
+    packed = [(_pack(s, b) | guard, s, c) for s, c in terms]
+    codes, basis, at = _codes(ctx, e, b), monomials_of_degree(ctx, e), {}
+    rows = [{at.setdefault(u, len(at)): c * prod(map(perm, s, basis[j].coords))
+             for g, s, c in packed if (u := g - codes[j]) & guard == guard} for j in columns]
+    return rows, len(at)
