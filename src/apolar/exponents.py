@@ -4,6 +4,14 @@ A monomial x1^a1*...*xd^ad is identified with its exponent vector
 (a1, ..., ad).  Two orders matter: the componentwise partial order ``leq``
 (divisibility of monomials) and the total order ``lex_cmp`` determined by
 x1 < x2 < ... < xd, which compares the *last* coordinate first.
+
+``Context`` and ``ExponentVector`` are frozen, slotted value types.  Their
+``__init__`` stores tuples and checks every input (string names, distinct
+and at least one; as many coordinates as names, none negative);
+``monomials_of_degree`` alone skips it.  Equality tries identity first.  A
+context hashes its names and a vector its coordinates alone: vectors over
+different names may share a hash but never compare equal, and a set of
+vectors iterates in one order whatever ``PYTHONHASHSEED`` is.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from .errors import AmbientMismatchError, DomainError
 CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Context:
     """Ambient context: the number of variables and their display names.
 
@@ -30,11 +38,26 @@ class Context:
 
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.names) < 1:
+    def __init__(self, names):
+        names = tuple(names)
+        if not names:
             raise DomainError("ambient context needs at least one variable")
-        if len(set(self.names)) != len(self.names):
+        for name in names:
+            if not isinstance(name, str):
+                raise DomainError(f"variable name {name!r} is not a string")
+        if len(set(names)) != len(names):
             raise DomainError("variable names must be distinct")
+        object.__setattr__(self, "names", names)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Context:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
 
     @classmethod
     def of_dim(cls, d: int, prefix: str = "x") -> "Context":
@@ -51,20 +74,33 @@ class Context:
         return Context.of_dim(self.dim, prefix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ExponentVector:
     """A point of N_0^d, i.e. the exponent vector of a monomial."""
 
     ctx: Context
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coords) != self.ctx.dim:
+    def __init__(self, ctx: Context, coords):
+        coords = tuple(coords)
+        if len(coords) != len(ctx.names):
             raise AmbientMismatchError(
-                f"expected {self.ctx.dim} coordinates, got {len(self.coords)}"
+                f"expected {len(ctx.names)} coordinates, got {len(coords)}"
             )
-        if any(c < 0 for c in self.coords):
-            raise DomainError(f"negative exponent in {self.coords}")
+        if min(coords) < 0:  # a context has at least one variable
+            raise DomainError(f"negative exponent in {coords}")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not ExponentVector:
+            return NotImplemented
+        return self.coords == other.coords and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash(self.coords)
 
     @property
     def degree(self) -> int:
@@ -161,7 +197,7 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=CACHE_SIZE)
 def monomials_of_degree(ctx: Context, n: int) -> tuple[ExponentVector, ...]:
     """All exponent vectors of total degree n, LEX-descending (leading first),
-    made without ``__post_init__``: compositions are valid by construction."""
+    made without ``__init__``'s checks: compositions are valid by construction."""
     out = []
     for c in _compositions(n, ctx.dim):
         ev = object.__new__(ExponentVector)

@@ -80,6 +80,11 @@ class GorensteinSpec:
             raise DomainError("top graded piece is not spanned by the socle monomial")
         return {j.coords: sl.coset(c).get(0, 0) for c, j in enumerate(sl.monomial_basis)}
 
+    @cached_property
+    def _pairing_verdicts(self) -> dict[int, bool]:
+        """``pairing_is_nondegenerate``'s answers, keyed by min(i, M - i)."""
+        return {}
+
     def __repr__(self) -> str:
         return f"GorensteinSpec(d={self.d}, k={self.k}, p={self.p})"
 
@@ -244,10 +249,18 @@ def pairing_matrix(spec: GorensteinSpec, i: int) -> list[list[Fraction]]:
 
 
 def pairing_is_nondegenerate(spec: GorensteinSpec, i: int) -> bool:
-    """Full rank of the pairing matrix, ranked on its integer multiple."""
-    # spec._phi checks (R/I)_M != 0, so neither basis is empty
-    rows, ncols = _pairing(spec, i)
-    return rank(rows, ncols) == min(len(rows), ncols)
+    """Full rank of the pairing matrix, ranked on its integer multiple.
+    Pairing M-i is the transpose of pairing i, as phi(r*c) is symmetric in
+    r and c, so one rank per spec answers both."""
+    if not 0 <= i <= spec.top_degree:
+        raise DomainError("pairing degree out of range")
+    i = min(i, spec.top_degree - i)
+    verdicts = spec._pairing_verdicts
+    if i not in verdicts:
+        # spec._phi checks (R/I)_M != 0, so neither basis is empty
+        rows, ncols = _pairing(spec, i)
+        verdicts[i] = rank(rows, ncols) == min(len(rows), ncols)
+    return verdicts[i]
 
 
 def random_spec(rng, dims=(2, 3), max_k: int = 4, max_support: int = 4) -> GorensteinSpec:

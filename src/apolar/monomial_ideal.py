@@ -30,10 +30,11 @@ class Antichain:
                 raise AmbientMismatchError("antichain element from a different context")
         sorted_elems = tuple(sorted(set(self.elems), key=lex_key))
         object.__setattr__(self, "elems", sorted_elems)
-        for a, b in itertools.combinations(sorted_elems, 2):
+        for a, b in itertools.combinations([e.coords for e in sorted_elems], 2):
             # LEX order puts a proper divisor first, so only a | b can hold.
-            if all(map(le, a.coords, b.coords)):
-                raise DomainError(f"comparable pair in antichain: {a}, {b}")
+            if all(map(le, a, b)):
+                raise DomainError("comparable pair in antichain: "
+                                  f"{ExponentVector(self.ctx, a)}, {ExponentVector(self.ctx, b)}")
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -183,24 +184,37 @@ def _fold_splits(codes, pivots) -> list[tuple]:
     Algebra, ch. 5; Roune, JSC 44, 2009).  That decomposition is unique, so
     the pivot order is free; they are taken sorted.  ``_intersection`` folds
     the same step with every coordinate negated.
+
+    A pivot that cuts no code changes nothing and is skipped.  Each split is
+    tested against the other cut codes' splits only when more than one code
+    is cut, and against the kept codes only once it survives that test.
     """
     for g in sorted(pivots):
         stay, cut = [], []
         for a in codes:
             (stay if any(map(ge, g, a)) else cut).append(a)
+        if not cut:
+            continue
         codes = list(stay)
         for i, x in enumerate(g):
             if not 0 < abs(x) < inf:
                 continue
             # g_j < a_j for every cut a, so a code split at i can lie below
             # only another split at i or a kept code c with c_i = g_i; it
-            # equals no kept code, as that code would lie below a.
-            split = {a[:i] + (x,) + a[i + 1:] for a in cut}
-            above = [c for c in stay if c[i] == x] + list(split)
-            codes += [
-                b for b in split
-                if not any(b != c and all(map(le, b, c)) for c in above)
-            ]
+            # equals no kept code, as that code would lie below a.  Of equal
+            # splits the first is kept.
+            splits = [a[:i] + (x,) + a[i + 1:] for a in cut]
+            level = None
+            for n, b in enumerate(splits):
+                if len(splits) > 1 and (
+                    any(all(map(le, b, c)) for c in splits[:n])
+                    or any(b != c and all(map(le, b, c)) for c in splits[n + 1:])
+                ):
+                    continue
+                if level is None:
+                    level = [c for c in stay if c[i] == x]
+                if not level or not any(all(map(le, b, c)) for c in level):
+                    codes.append(b)
     return codes
 
 

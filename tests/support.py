@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
+from operator import ge, le
 
 from hypothesis import strategies as st
 
@@ -35,6 +36,32 @@ def maxima(ctx, points) -> Antichain:
     pts = list(set(points))
     keep = [p for p in pts if not any(q != p and leq(p, q) for q in pts)]
     return Antichain(ctx, tuple(keep))
+
+
+def reference_fold(codes, pivots) -> list[tuple]:
+    """The split fold of ``monomial_ideal._fold_splits`` in its plainest form:
+    each pivot's splits at coordinate i are made as one set, and each is
+    tested against all of them and against every kept code c with c_i = g_i.
+    ``_fold_splits``' docstring gives the algebra; the property tests compare
+    the two folds as sets."""
+    for g in sorted(pivots):
+        stay, cut = [], []
+        for a in codes:
+            (stay if any(map(ge, g, a)) else cut).append(a)
+        codes = list(stay)
+        for i, x in enumerate(g):
+            if not 0 < abs(x) < inf:
+                continue
+            # g_j < a_j for every cut a, so a code split at i can lie below
+            # only another split at i or a kept code c with c_i = g_i; it
+            # equals no kept code, as that code would lie below a.
+            split = {a[:i] + (x,) + a[i + 1:] for a in cut}
+            above = [c for c in stay if c[i] == x] + list(split)
+            codes += [
+                b for b in split
+                if not any(b != c and all(map(le, b, c)) for c in above)
+            ]
+    return codes
 
 
 def rand_point(rng, ctx, max_coord):

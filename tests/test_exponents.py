@@ -1,5 +1,11 @@
+import copy
+import dataclasses
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -180,3 +186,57 @@ def test_monomial_caches_are_bounded():
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+def test_value_types_round_trip_and_stay_frozen():
+    v = ev(Context(("x", "y")), 2, 0)
+    for value in (v.ctx, v):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.coords = (0, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.ctx.names = ("a", "b")
+    assert repr(v) == "ExponentVector(ctx=Context(names=('x', 'y')), coords=(2, 0))"
+    assert [f.name for f in dataclasses.fields(Context)] == ["names"]
+    assert [f.name for f in dataclasses.fields(ExponentVector)] == ["ctx", "coords"]
+
+
+def test_value_type_equality_and_hashing():
+    a, b = Context.of_dim(3), Context(("x1", "x2", "x3"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert ev(a, 1, 0, 2) == ev(b, 1, 0, 2) and hash(ev(a, 1, 0, 2)) == hash(ev(b, 1, 0, 2))
+    assert len({ev(a, 1, 0, 2), ev(b, 1, 0, 2)}) == 1
+    # Vectors over different names are never equal, whatever their coordinates.
+    tctx = a.dual()
+    assert ev(a, 1, 0, 2) != ev(tctx, 1, 0, 2)
+    assert len({ev(a, 1, 0, 2), ev(tctx, 1, 0, 2)}) == 2
+    assert ev(a, 1, 0, 2).__eq__((1, 0, 2)) is NotImplemented
+    assert a.__eq__(("x1", "x2", "x3")) is NotImplemented
+    assert ev(a, 1, 0, 2) != (1, 0, 2) and a != ("x1", "x2", "x3")
+
+
+def test_set_order_does_not_depend_on_the_string_hash_seed():
+    # An exponent vector hashes its integer coordinates alone, so a set of
+    # them iterates in one order under every PYTHONHASHSEED.
+    code = ("from apolar import Context, ExponentVector\n"
+            "ctx = Context(('a', 'b', 'c'))\n"
+            "print([e.coords for e in {ExponentVector(ctx, (i % 5, i % 7, i % 3)) "
+            "for i in range(60)}])")
+    outputs = {
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outputs) == 1
+
+
+def test_value_types_store_tuples_and_string_names():
+    listed = Context(["x", "y"])
+    assert listed.names == ("x", "y") and listed == Context(("x", "y"))
+    assert hash(listed) == hash(Context(("x", "y")))
+    v = ExponentVector(listed, [1, 2])
+    assert v.coords == (1, 2) and v == ev(listed, 1, 2) and {v: 1}[ev(listed, 1, 2)] == 1
+    for bad in (("x", 1), ("x", None), (("x",), "y")):
+        with pytest.raises(DomainError, match="not a string"):
+            Context(bad)

@@ -393,6 +393,44 @@ def test_pairing_verdict_is_the_rank_of_the_pairing_matrix():
     assert verdicts[True] and verdicts[False]
 
 
+def test_pairing_verdicts_rank_one_of_each_dual_pair(monkeypatch):
+    # Pairing M-i is the transpose of pairing i: a full sweep, read before
+    # any pairing matrix, ranks floor(M/2) + 1 matrices and every verdict
+    # still equals the rank of its own pairing matrix.
+    import apolar.gorenstein as gorenstein
+
+    ranked = []
+
+    def counted(rows, ncols):
+        ranked.append(len(rows))
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(gorenstein, "rank", counted)
+    rng = random.Random(77)
+    verdicts = Counter()
+    for n in range(60):
+        spec = random_spec(rng, dims=(1, 2, 3), max_k=4)
+        if n % 2:
+            initial = GorensteinSpec(spec.k, spec.p).colon_ideal().initial_monomials()
+            spec._colon = HomogeneousIdealPresentation.from_monomial_ideal(initial)
+        top = spec.top_degree
+        ranked.clear()
+        sweep = [pairing_is_nondegenerate(spec, i) for i in reversed(range(top + 1))][::-1]
+        assert len(ranked) == top // 2 + 1
+        assert [pairing_is_nondegenerate(spec, i) for i in range(top + 1)] == sweep
+        assert len(ranked) == top // 2 + 1
+        for i, verdict in enumerate(sweep):
+            matrix = pairing_matrix(spec, i)
+            ncols = len(matrix[0])
+            assert verdict == (rank([cleared(row) for row in matrix], ncols)
+                               == min(len(matrix), ncols)), (spec, i)
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+    for i in (-1, SPEC1.top_degree + 1):
+        with pytest.raises(DomainError, match="out of range"):
+            pairing_is_nondegenerate(SPEC1, i)
+
+
 def test_two_dimensional_top_slice_is_refused():
     # (x^3, y^3) has quotient basis x^2*y, x*y^2 in degree 3, SPEC1's top.
     spec = GorensteinSpec(4, parse_polynomial("x*y^2 + x^2*y + x^3", CTX))

@@ -33,7 +33,13 @@ from apolar import (
 from apolar.monomial_ideal import _fold_splits
 from apolar.oracle import brute_docle
 
-from support import maxima, rand_antichain, rand_proper_ideal, rand_zero_dim_ideal
+from support import (
+    maxima,
+    rand_antichain,
+    rand_proper_ideal,
+    rand_zero_dim_ideal,
+    reference_fold,
+)
 
 CTX = Context.of_dim(2)
 
@@ -313,6 +319,37 @@ def test_fold_does_not_depend_on_pivot_order_property(i, data):
     folded = set(_fold_splits([(0,) * d], negated))
     assert folded == {tuple(-x for x in g.coords) for g in i.gens}
     assert set(fold_in_order([(0,) * d], data.draw(st.permutations(negated)))) == folded
+
+
+@st.composite
+def fold_cases(draw):
+    """A start code and pivots, d = 1..5, some repeated: a plain fold from
+    (inf, ..., inf) over generator coordinates, or a negated one from
+    (0, ..., 0) over negated codes, some coordinates -inf."""
+    d = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        start, coord = (0,) * d, st.one_of(st.integers(-4, -1), st.just(-inf))
+    else:
+        start, coord = (inf,) * d, st.integers(0, 4)
+    pivots = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=2 * d + 3))
+    pivots += draw(st.lists(st.sampled_from(pivots), max_size=3))
+    return [start], pivots
+
+
+@given(fold_cases(), st.randoms(use_true_random=False))
+def test_fold_matches_the_reference_fold_property(case, rnd):
+    # All pivots in one call, then one call per pivot in a shuffled order,
+    # each step against the reference fold's, as sets with no repeats.
+    start, pivots = case
+    folded = _fold_splits(start, pivots)
+    assert len(set(folded)) == len(folded)
+    assert set(folded) == set(reference_fold(start, pivots))
+    rnd.shuffle(pivots)
+    new = ref = start
+    for g in pivots:
+        new, ref = _fold_splits(new, [g]), reference_fold(ref, [g])
+        assert len(set(new)) == len(new)
+        assert set(new) == set(ref)
 
 
 def test_colon_fixtures():

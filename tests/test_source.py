@@ -93,3 +93,21 @@ def test_terms_are_set_only_in_polynomial_init():
                     if isinstance(t, ast.Attribute) and t.attr == "_terms" and id(t) not in allowed:
                         found.append(f"{path.name}:{t.lineno}")
     assert not found, found
+
+
+def test_only_the_degree_listing_skips_exponent_vector_checks():
+    # ExponentVector.__init__ checks length and signs; monomials_of_degree
+    # alone makes vectors without it, from compositions valid by construction.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(n) for f in tree.body if path.name == "exponents.py"
+                   and isinstance(f, ast.FunctionDef) and f.name == "monomials_of_degree"
+                   for n in ast.walk(f)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__new__" and id(node) not in allowed
+                  and any(isinstance(a, ast.Name) and a.id == "ExponentVector" for a in node.args)]
+        if path.name == "exponents.py":
+            assert allowed, "monomials_of_degree is gone"
+    assert not found, found
