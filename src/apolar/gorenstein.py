@@ -21,11 +21,12 @@ from .graded_engine import (
     HomogeneousIdealPresentation,
     _catalecticant,
     _reduced_mod_power,
+    _weights,
     ann_partial,
     colon_power_ideal,
 )
 from .linalg import rank
-from .polynomial import Polynomial, _numerators, diff_action
+from .polynomial import Polynomial, diff_action
 
 
 def multinomial(total: int, parts) -> int:
@@ -130,13 +131,17 @@ def verify_gorenstein_ann(spec: GorensteinSpec) -> bool:
     2. I_(M+1) = R_(M+1), as Ann(F) holds every form of degree > M;
     3. for e <= M, the catalecticant Cat_e(F): R_e -> S_(M-e) has rank
        dim (R/Ann F)_e, which is at most h_I(e) by step 1, with equality iff
-       I_e = Ann(F)_e.  Cat_e and Cat_(M-e) differ by a nonzero column
-       scaling and a transpose (entry (m, u) is c_(m+u) (m+u)!/u!), so their
-       ranks agree and only e <= M/2 is checked: h_I(M-e) > h_I(e) is
-       rejected, else the rows of Cat_e at I_e's h_I(e) standard monomials
-       must be independent, giving rank h_I(e) >= h_I(M-e).  If I_e =
-       Ann(F)_e, no dependency among them exists: it would be a form of I_e
-       with no pivot in its support.
+       I_e = Ann(F)_e.  Read in divided powers, F = sum w_s t^[s] with
+       w_s = c_s s!, Cat_e with column u scaled by u! holds w_(m+u) at
+       (m, u), so Cat_(M-e) is its transpose, their ranks agree and only
+       e <= M/2 is checked: h_I(M-e) > h_I(e) is rejected for every such e,
+       else the rows of Cat_e at I_e's h_I(e) standard monomials must be
+       independent, giving rank h_I(e) >= h_I(M-e).  If I_e = Ann(F)_e, no
+       dependency among them exists: it would be a form of I_e with no
+       pivot in its support.  Ranks run only from e = max(z, 0) up, z the
+       largest e <= M/2 with I_e = 0: a nonzero g in R_e, e < z, with
+       g(d/dt) F = 0 would make x_1^(z-e) g a nonzero kernel vector of
+       Cat_z(F), which the rank at z rejects.
     """
     return _is_annihilator_of(spec.colon_ideal(), antipodal(spec))
 
@@ -146,15 +151,17 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
     three checks of ``verify_gorenstein_ann``."""
     if not all(diff_action(g, f).is_zero for g in ideal.generators):
         return False
-    top, terms = f.homogeneous_degree(), _numerators(f)[0]
+    top = f.homogeneous_degree()
     if ideal.slice(top + 1).hilbert_value:
         return False
-    for e in range(top // 2 + 1):
-        sl = ideal.slice(e)
-        if (ideal.slice(top - e).hilbert_value > sl.hilbert_value
-                or rank(*_catalecticant(ideal.ctx, terms, e, sl.standard_columns)) < sl.hilbert_value):
-            return False
-    return True
+    slices = [ideal.slice(e) for e in range(top + 1)]
+    half = slices[:top // 2 + 1]
+    if any(slices[top - e].hilbert_value > sl.hilbert_value for e, sl in enumerate(half)):
+        return False
+    z = max((e for e, sl in enumerate(half) if sl.hilbert_value == len(sl.monomial_basis)), default=0)
+    weights = _weights(f)
+    return all(rank(*_catalecticant(ideal.ctx, weights, e, sl.standard_columns)) >= sl.hilbert_value
+               for e, sl in enumerate(half[z:], z))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, inf, lcm, perm, prod
+from math import comb, gcd, inf, lcm
 from operator import add
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree
 from .linalg import SpanBuilder, left_kernel, rref
 from .monomial_ideal import MonomialIdeal
-from .polynomial import Polynomial, _numerators
+from .polynomial import Polynomial, _divided, _numerators
 
 # The most columns, binomial(e + d - 1, d - 1) in degree e, that a slice may
 # have, whether built from generators or by colon_power_ideal / ann_partial
@@ -457,27 +457,36 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
 
-    terms = _numerators(q)[0]
-    return _assemble_minimal(ctx, lambda e, cols: left_kernel(*_catalecticant(ctx, terms, e, cols)),
+    weights = _weights(q)
+    return _assemble_minimal(ctx, lambda e, cols: left_kernel(*_catalecticant(ctx, weights, e, cols)),
                              m_deg + 1)
 
 
-def _catalecticant(ctx: Context, terms, e: int, columns) -> tuple[list[dict[int, int]], int]:
+def _weights(f: Polynomial) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The divided-power weights of f, ``_divided(f)`` over its gcd: the
+    pairs (s, w_s) that ``_catalecticant`` places."""
+    pairs = _divided(f)
+    g = gcd(*[w for _, w in pairs])
+    return tuple((s, w // g) for s, w in pairs)
+
+
+def _catalecticant(ctx: Context, weights, e: int, columns) -> tuple[list[dict[int, int]], int]:
     """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
-    m -> m(d/dt) f, for f given by the terms of ``_numerators(f)`` (f times
-    the lcm of its denominators, computed once per build), on the degree-e
-    monomials of ``ctx`` at the given positions (all of R_e's, or some): one
-    sparse row per monomial m, in the given order, a column per exponent hit
-    by first appearance (``left_kernel``'s rows), and the width.  A term c*t^s
-    of f with s >= m puts c * prod perm(s_i, m_i) in row m, at the column of
-    s - m.  On ``_pack`` codes in b-bit fields, 2^(b-1) > max s_i + e so that
-    no field borrows, and ``guard`` their top bits, s >= m iff ((code(s) |
-    guard) - code(m)) & guard == guard; only those terms compute the product.
+    m -> m(d/dt) f, with column u scaled by u!, for f given by its
+    ``_weights`` (computed once per build), on the degree-e monomials of
+    ``ctx`` at the given positions (all of R_e's, or some): one sparse row per
+    monomial m, in the given order, a column per exponent hit by first
+    appearance (``left_kernel``'s rows), and the width.  A term c*t^s of f
+    with s >= m puts c*s!/u! at the column of u = s - m, so the scaled matrix
+    holds w_s there: a positive column scaling and a common factor, which
+    keep the rank and the left kernel.  On ``_pack`` codes in b-bit fields,
+    2^(b-1) > max s_i + e so that no field borrows, and ``guard`` their top
+    bits, s >= m iff ((code(s) | guard) - code(m)) & guard == guard.
     """
-    b = (max(max(s) for s, _ in terms) + e).bit_length() + 1
+    b = (max(max(s) for s, _ in weights) + e).bit_length() + 1
     guard = _pack((1 << b - 1,) * ctx.dim, b)
-    packed = [(_pack(s, b) | guard, s, c) for s, c in terms]
-    codes, basis, at = _codes(ctx, e, b), monomials_of_degree(ctx, e), {}
-    rows = [{at.setdefault(u, len(at)): c * prod(map(perm, s, basis[j].coords))
-             for g, s, c in packed if (u := g - codes[j]) & guard == guard} for j in columns]
+    packed = [(_pack(s, b) | guard, w) for s, w in weights]
+    codes, at = _codes(ctx, e, b), {}
+    rows = [{at.setdefault(u, len(at)): w for g, w in packed if (u := g - codes[j]) & guard == guard}
+            for j in columns]
     return rows, len(at)

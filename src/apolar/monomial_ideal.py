@@ -36,6 +36,15 @@ class Antichain:
                 raise DomainError("comparable pair in antichain: "
                                   f"{ExponentVector(self.ctx, a)}, {ExponentVector(self.ctx, b)}")
 
+    @classmethod
+    def _trusted(cls, ctx: Context, elems) -> "Antichain":
+        """An antichain of distinct, pairwise incomparable ``ctx`` vectors,
+        such as an irredundant fold's output: LEX-sorted, with no check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ctx", ctx)
+        object.__setattr__(out, "elems", tuple(sorted(elems, key=lex_key)))
+        return out
+
     def __len__(self) -> int:
         return len(self.elems)
 
@@ -119,8 +128,9 @@ class MonomialIdeal:
 
     @cached_property
     def _docle(self) -> Antichain:
-        """The docle: the codes with every a_i finite, shifted by -1."""
-        return Antichain(self.ctx, tuple(
+        """The docle: the codes with every a_i finite, shifted by -1.  The
+        fold's codes are irredundant, so they form an antichain as they are."""
+        return Antichain._trusted(self.ctx, tuple(
             ExponentVector(self.ctx, tuple(x - 1 for x in a))
             for a in self._components if inf not in a
         ))

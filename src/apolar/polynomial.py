@@ -9,7 +9,7 @@ instance x-operators acting on t-targets) as long as the dimensions agree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, perm, prod
+from math import factorial, lcm, prod
 from operator import sub
 
 from .errors import AmbientMismatchError, DomainError
@@ -25,7 +25,7 @@ from .exponents import (
 class Polynomial:
     """A finitely supported map from exponent vectors to rationals."""
 
-    __slots__ = ("ctx", "_terms", "_ints")
+    __slots__ = ("ctx", "_terms", "_ints", "_div")
     __hash__ = None
 
     def __init__(self, ctx: Context, terms=None):
@@ -37,7 +37,7 @@ class Polynomial:
             c = Fraction(c)
             if c != 0:
                 clean[ev] = c
-        self._terms, self._ints = clean, None
+        self._terms, self._ints, self._div = clean, None, None
 
     @classmethod
     def zero(cls, ctx: Context) -> "Polynomial":
@@ -162,9 +162,8 @@ class Polynomial:
 def _numerators(f: Polynomial) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
     """The one integer form of f: its (exponent, numerator) pairs over the lcm
     of its denominators, content kept, and that lcm, read by the action, the
-    Macaulay rows, the colon map, the catalecticant and the certificate.  It
-    is kept in ``f._ints`` when first made: ``_terms`` is set only in
-    ``__init__``."""
+    Macaulay rows, the colon map and ``_divided``.  It is kept in ``f._ints``
+    when first made: ``_terms`` is set only in ``__init__``."""
     if f._ints is None:
         den = lcm(*[c.denominator for c in f._terms.values()])
         f._ints = tuple((ev.coords, c.numerator * (den // c.denominator))
@@ -172,22 +171,44 @@ def _numerators(f: Polynomial) -> tuple[tuple[tuple[tuple[int, ...], int], ...],
     return f._ints
 
 
+def _divided(f: Polynomial) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """f in divided powers: the pairs (s, c*s!), s! = prod s_i!, for the
+    numerators c of ``_numerators(f)``, over the same lcm.  Over Q the
+    derivative x^p o t^q = q!/(q-p)! t^(q-p) is the contraction of divided
+    powers, x^p o t^[q] = t^[q-p] (Iarrobino-Kanev, LNM 1721, App. A), so the
+    action and the catalecticant read these weights and no falling factorial.
+    Kept in ``f._div`` when first made, as ``_numerators`` keeps its form."""
+    if f._div is None:
+        f._div = tuple((s, c * _factorial(s)) for s, c in _numerators(f)[0])
+    return f._div
+
+
+def _factorial(s: tuple[int, ...]) -> int:
+    """s! = prod s_i! of an exponent tuple."""
+    return prod(map(factorial, s))
+
+
 def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial:
     """The action summed in integers over the operands' common denominators,
-    with a Fraction made only for each nonzero result term."""
+    with a Fraction made only for each nonzero result term.  With
+    coefficients, the target is read in divided powers: a*x^p on
+    B*t^[q] adds a*B at r = q - p, and each nonzero sum is divided once,
+    exactly, by r!, which divides every q! with q >= r."""
     if op.ctx.dim != target.ctx.dim:
         raise AmbientMismatchError("action across different ambient dimensions")
     (op_terms, op_den), (target_terms, target_den) = _numerators(op), _numerators(target)
+    if with_coeffs:
+        target_terms = _divided(target)
     acc: dict[tuple[int, ...], int] = {}
     for pc, a in op_terms:
         for qc, b in target_terms:
             rest = tuple(map(sub, qc, pc))
             if min(rest) < 0:
                 continue
-            c = a * b * prod(map(perm, qc, pc)) if with_coeffs else a * b
-            acc[rest] = acc.get(rest, 0) + c
+            acc[rest] = acc.get(rest, 0) + a * b
     den, ctx = op_den * target_den, target.ctx
-    return Polynomial(ctx, {ExponentVector(ctx, r): Fraction(c, den) for r, c in acc.items() if c})
+    return Polynomial(ctx, {ExponentVector(ctx, r): Fraction(c // _factorial(r) if with_coeffs else c, den)
+                            for r, c in acc.items() if c})
 
 
 def diff_action(op: Polynomial, target: Polynomial) -> Polynomial:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
-from operator import ge, le
+from math import gcd, inf, lcm, perm, prod
+from operator import ge, le, sub
 
 from hypothesis import strategies as st
 
@@ -62,6 +62,22 @@ def reference_fold(codes, pivots) -> list[tuple]:
                 if not any(b != c and all(map(le, b, c)) for c in above)
             ]
     return codes
+
+
+def reference_catalecticant(f, monomials) -> tuple[list[dict[int, int]], int]:
+    """The catalecticant of ``graded_engine._catalecticant`` in its plainest
+    form, with no column scaling: f times the lcm of its denominators, each
+    term c*t^s with s >= m putting c * prod s_i!/(s_i - m_i)! in row m at the
+    column of the tuple s - m, columns numbered by first appearance.  The
+    property tests compare ranks and left kernels, which a column scaling
+    keeps."""
+    den = lcm(*[c.denominator for _, c in f.terms()])
+    terms = [(s.coords, int(c * den)) for s, c in f.terms()]
+    at = {}
+    rows = [{at.setdefault(u, len(at)): c * prod(map(perm, s, m.coords))
+             for s, c in terms if min(u := tuple(map(sub, s, m.coords))) >= 0}
+            for m in monomials]
+    return rows, len(at)
 
 
 def rand_point(rng, ctx, max_coord):

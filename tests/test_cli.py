@@ -264,6 +264,20 @@ def test_oversized_colon_power_is_refused():
     assert "Traceback" not in proc.stderr
 
 
+def test_annihilator_of_a_high_power_finishes():
+    # Ann(t1^20000) = (x1^20001) in 20,002 degrees.  In divided powers each
+    # degree's catalecticant holds the one weight 1, where a falling
+    # factorial 20000!/(20000 - e)! per degree ran past 20 s.
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolar", "ann", "--vars", "1", "--q", "t1^20000"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "(x1^20001)\n"
+
+
 @pytest.mark.parametrize(
     "ideal, vars_",
     [

@@ -15,6 +15,7 @@ from apolar import (
     SeriesSpec,
     ann_partial,
     antipodal,
+    diff_action,
     dual_socle_poly,
     monomial_iff_test,
     monomials_of_degree,
@@ -28,11 +29,12 @@ from apolar import (
     series_annihilator_check,
     verify_gorenstein_ann,
 )
+from apolar import gorenstein
 from apolar.gorenstein import _is_annihilator_of
 from apolar.graded_engine import GradedSlice
 from apolar.linalg import rank, reduce_vector
 from hypothesis import given
-from support import cleared, gorenstein_specs, rand_zero_dim_ideal
+from support import cleared, gorenstein_specs, rand_zero_dim_ideal, reference_catalecticant
 
 CTX = Context(("x", "y"))
 TCTX = CTX.dual()
@@ -156,36 +158,102 @@ def test_certificate_checks_catalecticant_ranks():
     assert not _certified(short, f)
 
 
+def _certificate_cases(rng, spec):
+    """I, F = antipodal(p) and the other pairs the certificate must judge:
+    I with F unweighted or one coefficient perturbed, a random monomial
+    ideal with F, and I with a generator dropped or lifted, with F."""
+    ideal, f = spec.colon_ideal(), antipodal(spec)
+    unweighted = Polynomial(
+        f.ctx,
+        {ExponentVector(f.ctx, tuple(spec.k - 1 - c for c in ev.coords)): a
+         for ev, a in spec.p.terms()},
+    )
+    ev = rng.choice(sorted(f.support(), key=lambda e: e.coords))
+    perturbed = Polynomial(f.ctx, {**f._terms, ev: 2 * f.coeff(ev)})
+    swapped = HomogeneousIdealPresentation.from_monomial_ideal(
+        rand_zero_dim_ideal(rng, spec.d, max_coord=spec.top_degree + 2)
+    )
+    # I without one minimal generator g, plus all of R_(top+1), or with g
+    # replaced by its multiples x_u*g: each kills f and, but for g of
+    # degree top+1, only step 3 can tell it from I.
+    top_forms = tuple(map(Polynomial.monomial, monomials_of_degree(spec.ctx, spec.top_degree + 1)))
+    changed = []
+    for i, g in enumerate(ideal.generators):
+        rest = ideal.generators[:i] + ideal.generators[i + 1:]
+        lifted = tuple(Polynomial.variable(spec.ctx, u) * g for u in range(spec.d))
+        changed += [HomogeneousIdealPresentation(spec.ctx, rest + top_forms),
+                    HomogeneousIdealPresentation(spec.ctx, rest + lifted)]
+    return ideal, f, [(ideal, unweighted), (ideal, perturbed), (swapped, f), *((j, f) for j in changed)]
+
+
 def test_certificate_matches_the_slice_comparison():
     rng = random.Random(72)
     verdicts = Counter()
     for _ in range(40):
-        spec = random_spec(rng, dims=(1, 2, 3), max_k=4)
-        ideal, f = spec.colon_ideal(), antipodal(spec)
-        unweighted = Polynomial(
-            f.ctx,
-            {ExponentVector(f.ctx, tuple(spec.k - 1 - c for c in ev.coords)): a
-             for ev, a in spec.p.terms()},
-        )
-        ev = rng.choice(sorted(f.support(), key=lambda e: e.coords))
-        perturbed = Polynomial(f.ctx, {**f._terms, ev: 2 * f.coeff(ev)})
-        swapped = HomogeneousIdealPresentation.from_monomial_ideal(
-            rand_zero_dim_ideal(rng, spec.d, max_coord=spec.top_degree + 2)
-        )
-        # I without one minimal generator g, plus all of R_(top+1), or with g
-        # replaced by its multiples x_u*g: each kills f and, but for g of
-        # degree top+1, only step 3 can tell it from I.
-        top_forms = tuple(map(Polynomial.monomial, monomials_of_degree(spec.ctx, spec.top_degree + 1)))
-        changed = []
-        for i, g in enumerate(ideal.generators):
-            rest = ideal.generators[:i] + ideal.generators[i + 1:]
-            lifted = tuple(Polynomial.variable(spec.ctx, u) * g for u in range(spec.d))
-            changed += [HomogeneousIdealPresentation(spec.ctx, rest + top_forms),
-                        HomogeneousIdealPresentation(spec.ctx, rest + lifted)]
+        ideal, f, pairs = _certificate_cases(rng, random_spec(rng, dims=(1, 2, 3), max_k=4))
         assert _certified(ideal, f)
-        for pair in ((ideal, unweighted), (ideal, perturbed), (swapped, f), *((j, f) for j in changed)):
+        for pair in pairs:
             verdicts[_certified(*pair)] += 1
     assert verdicts[True] >= 10 and verdicts[False] >= 100, verdicts
+
+
+def _full_certificate(ideal, f) -> bool:
+    """The certificate with step 3 run in every degree e = 0..M/2, on the
+    falling-factorial catalecticant of ``support.reference_catalecticant``."""
+    if not all(diff_action(g, f).is_zero for g in ideal.generators):
+        return False
+    top = f.homogeneous_degree()
+    if ideal.slice(top + 1).hilbert_value:
+        return False
+    for e in range(top // 2 + 1):
+        sl = ideal.slice(e)
+        if (ideal.slice(top - e).hilbert_value > sl.hilbert_value
+                or rank(*reference_catalecticant(f, sl.standard_monomials)) < sl.hilbert_value):
+            return False
+    return True
+
+
+def _last_zero_degree(ideal, half) -> int:
+    """The largest e <= half with I_e = 0, or -1 when I_0 != 0."""
+    return max((e for e in range(half + 1)
+                if ideal.slice(e).hilbert_value == len(monomials_of_degree(ideal.ctx, e))), default=-1)
+
+
+def test_certificate_ranks_only_from_the_last_zero_degree(monkeypatch):
+    # An accepted pair is ranked in degrees max(z, 0)..M/2 alone, z the last
+    # degree <= M/2 where I is zero, and every verdict equals the one of the
+    # certificate ranking every degree 0..M/2.
+    calls = []
+    monkeypatch.setattr(gorenstein, "rank", lambda rows, ncols: calls.append(ncols) or rank(rows, ncols))
+    rng = random.Random(73)
+    verdicts, skipped = Counter(), 0
+    for _ in range(40):
+        ideal, f, pairs = _certificate_cases(rng, random_spec(rng, dims=(1, 2, 3), max_k=4))
+        for pres, form in [(ideal, f), *pairs]:
+            half = form.homogeneous_degree() // 2
+            ranked = half - max(_last_zero_degree(pres, half), 0) + 1
+            calls.clear()
+            verdict = _is_annihilator_of(pres, form)
+            assert verdict == _full_certificate(pres, form)
+            assert len(calls) == ranked if verdict else len(calls) <= ranked
+            verdicts[verdict] += 1
+            skipped += verdict and ranked < half + 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 100 and skipped >= 10, (verdicts, skipped)
+
+
+def test_certificate_rejects_by_the_rank_at_the_last_zero_degree(monkeypatch):
+    # F = t1^4 + t2^4 has Ann(F) = (x*y, x^4 - y^4).  I = Ann(F) from degree
+    # 3 up kills F, holds R_5 and has h_I = 1, 2, 3, 2, 1, so only a rank
+    # tells it from Ann(F): I_2 = 0 (z = 2 = M/2), and Cat_2(F) has rank 2,
+    # x*y in its kernel, below h_I(2) = 3.
+    f = parse_polynomial("t1^4 + t2^4", TCTX)
+    assert _certified(parse_ideal("(x*y, x^4 - y^4)", CTX), f)
+    pres = parse_ideal("(x^2*y, x*y^2, x^4 - y^4)", CTX)
+    assert [pres.slice(e).hilbert_value for e in range(6)] == [1, 2, 3, 2, 1, 0]
+    calls = []
+    monkeypatch.setattr(gorenstein, "rank", lambda rows, ncols: calls.append(ncols) or rank(rows, ncols))
+    assert not _is_annihilator_of(pres, f) and len(calls) == 1
+    assert not _full_certificate(pres, f) and not _certified(pres, f)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, perm, prod
+from math import comb, factorial, gcd, prod
 from operator import add, sub
 
 import pytest
@@ -33,12 +33,19 @@ from apolar import (
     reduce_mod_power_ideal,
 )
 from apolar.exponents import box_monomials_of_degree
-from apolar.graded_engine import MAX_SLICE_COLUMNS, GradedSlice, _assemble_minimal, _shift_table
-from apolar.linalg import left_kernel, reduce_vector
+from apolar.graded_engine import (
+    MAX_SLICE_COLUMNS,
+    GradedSlice,
+    _assemble_minimal,
+    _catalecticant,
+    _shift_table,
+    _weights,
+)
+from apolar.linalg import left_kernel, rank, reduce_vector
 from apolar.oracle import brute_ann, brute_quotient_dim
 from apolar.polynomial import _numerators
-from hypothesis import given
-from support import gorenstein_specs
+from hypothesis import given, strategies as st
+from support import gorenstein_specs, reference_catalecticant
 
 CTX = Context(("x", "y"))
 TCTX = CTX.dual()
@@ -730,11 +737,11 @@ def _colon_image(k, p):
 
 
 def _catalecticant_image(f):
-    terms = _numerators(f)[0]
+    weights = [(s, c * prod(map(factorial, s))) for s, c in _numerators(f)[0]]
+    g = gcd(*[w for _, w in weights])
 
-    def image(mc):  # m(d/dt) f
-        return [(u, c * prod(map(perm, s, mc))) for s, c in terms
-                if min(u := tuple(map(sub, s, mc))) >= 0]
+    def image(mc):  # m(d/dt) f in divided powers: w_s over their gcd, at s - m
+        return [(u, w // g) for s, w in weights if min(u := tuple(map(sub, s, mc))) >= 0]
     return image
 
 
@@ -778,3 +785,30 @@ def test_packed_maps_match_tuple_arithmetic(monkeypatch):
             for columns in (range(len(basis)), range(1, len(basis), 2)):
                 ideal._build.kernel_fn(e, columns)
                 assert seen.pop() == _tuple_images(image, [basis[c] for c in columns])
+
+
+@st.composite
+def forms(draw):
+    """A form in d = 1..4 t-variables of degree 0..7, with one to six terms
+    of mixed signs and denominators."""
+    ctx = Context.of_dim(draw(st.integers(1, 4)), "t")
+    pool = monomials_of_degree(ctx, draw(st.integers(0, 7)))
+    support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    return Polynomial(ctx, {ev: draw(coeff) for ev in support})
+
+
+@given(forms(), st.randoms(use_true_random=False))
+def test_catalecticant_matches_the_falling_factorial_reference_property(f, rnd):
+    # The divided-power catalecticant is the falling-factorial one with each
+    # column scaled and a common factor taken out: in every degree, on all
+    # columns and on a random subset, the same rank and left kernel.
+    ctx, weights = Context.of_dim(f.ctx.dim), _weights(f)
+    for e in range(f.homogeneous_degree() + 1):
+        basis = monomials_of_degree(ctx, e)
+        subset = sorted(rnd.sample(range(len(basis)), rnd.randint(1, len(basis))))
+        for columns in (range(len(basis)), subset):
+            got = _catalecticant(ctx, weights, e, columns)
+            ref = reference_catalecticant(f, [basis[c] for c in columns])
+            assert rank(*got) == rank(*ref)
+            assert left_kernel(*got) == left_kernel(*ref)

@@ -30,6 +30,7 @@ from apolar import (
     saturate,
     sq_leq,
 )
+from apolar.exponents import lex_key
 from apolar.monomial_ideal import _fold_splits
 from apolar.oracle import brute_docle
 
@@ -350,6 +351,27 @@ def test_fold_matches_the_reference_fold_property(case, rnd):
         new, ref = _fold_splits(new, [g]), reference_fold(ref, [g])
         assert len(set(new)) == len(new)
         assert set(new) == set(ref)
+
+
+def test_docle_is_the_checked_antichain_of_its_elements():
+    # _docle builds its antichain with no checks; the checking constructor
+    # accepts the same elements and gives an equal antichain, and still
+    # refuses a comparable pair and an element from another context.
+    rng = random.Random(31)
+    for n in range(300):
+        d = n % 5 + 1
+        i = rand_zero_dim_ideal(rng, d, 6) if n % 2 else rand_proper_ideal(rng, d)
+        got = i._docle
+        assert got == Antichain(i.ctx, got.elems)
+        assert list(got.elems) == sorted(got.elems, key=lex_key)
+        if got.elems:
+            a = rng.choice(got.elems)
+            above = ExponentVector(i.ctx, tuple(c + (j == n % d) for j, c in enumerate(a.coords)))
+            with pytest.raises(DomainError, match="comparable"):
+                Antichain(i.ctx, got.elems + (above,))
+            foreign = ExponentVector(i.ctx.dual("t"), a.coords)
+            with pytest.raises(AmbientMismatchError):
+                Antichain(i.ctx, got.elems + (foreign,))
 
 
 def test_colon_fixtures():

@@ -203,6 +203,37 @@ def test_actions_match_a_literal_fraction_reference():
     assert diff_action(*cancelling).is_zero and contraction_action(*cancelling).is_zero
 
 
+def test_diff_action_matches_the_literal_reference_at_high_exponents():
+    # Targets with exponents up to 30, where q! is far above every result
+    # coefficient, and sums built to cancel: x^p1/a - x^p2/b on
+    # t^(r+p1) + t^(r+p2) has 0 at t^r for a = (r+p1)!/r!, b = (r+p2)!/r!.
+    rng = random.Random(45)
+
+    def rand_ev(ctx, top):
+        return ExponentVector(ctx, (rng.randint(0, top), rng.randint(0, top)))
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+    for _ in range(100):
+        op = Polynomial(CTX, {rand_ev(CTX, 12): coeff() for _ in range(rng.randint(1, 4))})
+        target = Polynomial(TCTX, {rand_ev(TCTX, 30): coeff() for _ in range(rng.randint(1, 5))})
+        assert diff_action(op, target) == _literal_action(op, target, True)
+    for _ in range(100):
+        r, p1, p2 = rand_ev(TCTX, 15), rand_ev(CTX, 15), rand_ev(CTX, 15)
+        if p1 == p2:
+            continue
+        up = [ExponentVector(TCTX, tuple(map(sum, zip(r.coords, p.coords)))) for p in (p1, p2)]
+        a, b = (Fraction(factorial(u.coords[0]) * factorial(u.coords[1]),
+                         factorial(r.coords[0]) * factorial(r.coords[1])) for u in up)
+        c = coeff()
+        op = Polynomial(CTX, {p1: c / a, p2: -c / b})
+        target = Polynomial(TCTX, {up[0]: 1, up[1]: 1})
+        got = diff_action(op, target)
+        assert got == _literal_action(op, target, True)
+        assert got.coeff(r) == 0
+
+
 def test_text_round_trip():
     p = parse_polynomial("3*x^2*y + x*y^2 - 1/2*y^3", CTX)
     assert parse_polynomial(str(p), CTX) == p

@@ -111,3 +111,17 @@ def test_only_the_degree_listing_skips_exponent_vector_checks():
         if path.name == "exponents.py":
             assert allowed, "monomials_of_degree is gone"
     assert not found, found
+
+
+def test_no_falling_factorial_in_the_action_or_the_catalecticant():
+    # The action and the catalecticant read divided-power weights, c*s! per
+    # term: neither module imports or calls math.perm, so no per-entry
+    # falling factorial comes back.
+    found = []
+    for name in ("graded_engine.py", "polynomial.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if (isinstance(node, ast.ImportFrom) and any(a.name == "perm" for a in node.names)
+                    or isinstance(node, ast.Name) and node.id == "perm"
+                    or isinstance(node, ast.Attribute) and node.attr == "perm"):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
