@@ -18,7 +18,7 @@ from operator import add
 
 from .errors import AmbientMismatchError, DomainError, NotArtinianError
 from .exponents import CACHE_SIZE, Context, ExponentVector, monomials_of_degree
-from .linalg import SpanBuilder, left_kernel, rref
+from .linalg import SpanBuilder, left_kernel, new_leads, reduce_vector, rref
 from .monomial_ideal import MonomialIdeal
 from .polynomial import Polynomial, _divided, _numerators
 
@@ -322,26 +322,15 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     degree up to ``max_degree``, each run when a slice first needs it.
 
     kernel_fn(e, columns) is a basis of I_e's vectors on the degree-e monomials
-    at some ascending positions (LEX-descending), keyed by index into
-    ``columns``.  x_i keeps the LEX order, so lifting
-    the previous degree's rows shifts their pivots: lifts with distinct leads
-    span L', and I_e is L' plus the kernel on the columns S it leaves free.
-    A lift of a unit row (a monomial of I) is a unit row, so those enter the
-    span in one step; only the other lifts are eliminated.  Pivots are
-    carried forward: each degree hands the next its unit rows' pivots and its
-    other rows with their pivots, in pivot order.  A stored row leads at its
-    pivot (``SpanBuilder`` keys a row by its lowest column and back-elimination
-    only changes higher ones), so x_i's lift of row p leads at s[p], s the
-    shift table, and no row is scanned for its lead.  A lift that is
-    not a unit row but leads where a unit lift does is one of the other
-    lifts, which are added up to dim I_e; one dimension left is a generator
-    read off the kernel on S, two or more are read off the full kernel in
-    order, each the echelon row the span stores for it.  The span, now I_e,
-    is the degree-e slice.  Generators do not depend on the order lifts
-    enter: before any is read the span is R_1*I_(e-1), whose echelon rows
-    are unique, and S and the full-kernel condition depend only on the
-    leads.  Raises ``DomainError`` at the call, before any kernel runs, if
-    degree ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
+    at the given positions (LEX-descending), in the given order, as
+    ``left_kernel`` returns it, keyed by index into ``columns``.  x_i keeps
+    the LEX order, so lifting the previous degree's rows shifts their
+    pivots: a stored row leads at its pivot, so x_i's lift of row p leads at
+    s[p], s the shift table, and no row is scanned for its lead.  Each
+    degree hands the next its unit rows' pivots and its other rows with
+    their pivots, in pivot order.  Raises ``DomainError`` at the call,
+    before any kernel runs, if degree ``max_degree`` has over
+    ``MAX_SLICE_COLUMNS`` monomials.
     """
     _check_slice_size(ctx, max_degree)
     ideal = HomogeneousIdealPresentation(ctx, ())
@@ -351,41 +340,81 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
 
 def _minimal_degree(ctx: Context, kernel_fn, e: int, unit_pivots, pairs):
     """Degree e of ``_assemble_minimal``'s build from degree e-1's carry: the
-    new generators, the slice and the carry to degree e+1."""
+    new generators, the slice and the carry to degree e+1.
+
+    Unit lifts are the rows {u: 1}; the other lifts drop the unit columns.
+    Each lead that is no unit column has one owner lift, by its lead before
+    any column is dropped.  The kernel on the other, free, columns listed
+    highest first is the rest of the slice's RREF (``left_kernel`` read in
+    reverse).  The generators are what I_e adds to R_1*I_(e-1): the kernel
+    pivots that the other lifts, ranked lead-only over the owner lifts,
+    miss.  With at most one, each owner lift reduced against the rows made
+    before it, in descending lead order, is its RREF row, and the one
+    pivot's row is the generator.  Two or more, or a degree with no lifts,
+    are read off the full kernel in order, each the echelon row a span of
+    the lifts and the generators before it stores for it; that span ends as
+    the slice.
+    """
     basis = monomials_of_degree(ctx, e)
-    span, shifts = SpanBuilder(), [_shift_table(ctx, e, i) for i in range(ctx.dim)]
+    if not (unit_pivots or pairs):  # no lifts: every kernel vector is a generator
+        span = SpanBuilder()
+        found = _new_rows(span, kernel_fn(e, range(len(basis))), inf)
+        rows = span.rows
+    else:
+        rows, found = _lifted_slice(ctx, kernel_fn, e, len(basis), unit_pivots, pairs)
+    sl = GradedSlice(e, basis, rows)
+    gens = tuple([Polynomial(ctx, {basis[c]: v for c, v in row.items()}) for row in found])
+    return gens, sl, ([p for p in sl._pivots if len(rows[p]) == 1],
+                      [(p, rows[p]) for p in sl._pivots if len(rows[p]) > 1])
+
+
+def _lifted_slice(ctx: Context, kernel_fn, e: int, width: int, unit_pivots, pairs):
+    """``_minimal_degree``'s slice rows of a degree with lifts, and the
+    rows of its generators."""
+    shifts = [_shift_table(ctx, e, i) for i in range(ctx.dim)]
     units = {s[p] for s in shifts for p in unit_pivots}
-    span.add_units(units)
     leads = [s[p] for s in shifts for p, _ in pairs]  # lift n = i*len(pairs) + r
 
-    def lift(n):  # x_i times row r of degree e - 1, made only when it is added
+    def lift(n):  # x_i times row r of degree e - 1 off the unit columns, made when used
         s, row = shifts[n // len(pairs)], pairs[n % len(pairs)][1]
-        return {s[j]: c for j, c in row.items()}
+        return {c: v for j, v in row.items() if (c := s[j]) not in units}
 
     owner = {lead: n for n, lead in enumerate(leads) if lead not in units}  # one lift per lead
-    for lead in sorted(owner, reverse=True):  # leads descending: no back-elimination
-        span.add(lift(owner[lead]))
-    free = [c for c in range(len(basis)) if c not in owner and c not in units]
-    kernel = [{free[j]: x for j, x in v.items()} for v in kernel_fn(e, free)]
-    dim = len(span.rows) + len(kernel)
-    for n, lead in enumerate(leads):
-        if len(span.rows) == dim:
-            break  # the span is already all of I_e
-        if owner.get(lead) != n:
-            span.add(lift(n))
-    if (unit_pivots or pairs) and dim - len(span.rows) > 1:
-        kernel = kernel_fn(e, range(len(basis)))
-    gens = []
+    free = [c for c in reversed(range(width)) if c not in owner and c not in units]
+    rows = {}  # the slice's RREF rows: the kernel on the free columns, then the owners
+    for v in kernel_fn(e, free):
+        rows[free[max(v)]] = {free[j]: x for j, x in v.items()}
+    owned = {lead: lift(owner[lead]) for lead in sorted(owner, reverse=True)}
+    left = list(rows)  # the kernel pivots, less those the other lifts reach
+    if left:
+        others = (lift(n) for n, lead in enumerate(leads) if owner.get(lead) != n)
+        ranked = new_leads(others, owned, len(left))
+        left = [q for q in left if q not in ranked]
+    if len(left) > 1:  # the span of the lifts and generators ends as the slice
+        span = SpanBuilder()
+        span.add_units(units)
+        for row in (*owned.values(), *ranked.values()):
+            span.add(row)
+        return span.rows, _new_rows(span, kernel_fn(e, range(width)), len(span.rows) + len(left))
+    for lead, row in owned.items():
+        rows[lead] = reduce_vector(row, rows)
+    for u in units:
+        rows[u] = {u: 1}
+    return rows, [rows[q] for q in left]
+
+
+def _new_rows(span, kernel, dim):
+    """The kernel vectors, added in order to ``span`` until it has ``dim``
+    rows, that are new to it, as the echelon rows the span stores for them:
+    positive at their LEX-leading (lowest) column."""
+    found = []
     for vec in kernel:
         if len(span.rows) == dim:
             break
         row = span.add(vec)
-        if row:  # a generator, positive at its LEX-leading (lowest) column
-            gens.append(Polynomial(ctx, {basis[c]: v for c, v in row.items()}))
-    del kernel  # as large as the slice: free it before making the slice
-    sl = GradedSlice(e, basis, span.rows)
-    return tuple(gens), sl, ([p for p in sl._pivots if len(span.rows[p]) == 1],
-                             [(p, span.rows[p]) for p in sl._pivots if len(span.rows[p]) > 1])
+        if row:
+            found.append(row)
+    return found
 
 
 def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
@@ -426,6 +455,9 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     every coordinate of m*x^s (m of degree <= top + 1), so no field carries:
     with ``off`` adding 2^(b-1) - k to each field and ``mask`` their top bits,
     m*x^s is in the box [0, k-1]^d iff (code(m) + code(s) + off) & mask == 0.
+    A row keys its terms by minus those sums, which order as LEX does, so it
+    leads at its LEX-largest product: m -> m*x^s keeps the order, and the
+    rows of distinct m share a lead only where that product leaves the box.
     """
     p_red = _reduced_mod_power(k, p)
     ctx = p.ctx
@@ -435,11 +467,10 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     off = mask - _pack((k,) * ctx.dim, b)
     terms = [(_pack(s, b) + off, a) for s, a in _numerators(p_red)[0]]
 
-    def kernel(e, columns):  # row m: the terms of m*p in the box, columns by first appearance
-        codes, at = _codes(ctx, e, b), {}
-        rows = [{at.setdefault(t, len(at)): a for s, a in terms if not (t := codes[c] + s) & mask}
-                for c in columns]
-        return left_kernel(rows, len(at))
+    def kernel(e, columns):  # row m: the terms of m*p in the box, keyed by minus their code
+        codes = _codes(ctx, e, b)
+        rows = [{-t: a for s, a in terms if not (t := codes[c] + s) & mask} for c in columns]
+        return left_kernel(rows, len(set().union(*rows)))
 
     return _assemble_minimal(ctx, kernel, top + 1)
 

@@ -1,17 +1,21 @@
 """Exact rational row reduction on sparse primitive integer rows.
 
 Every row entering elimination has one shape: a dict {column: nonzero int}.
-``rank``, ``left_kernel``, ``reduce_vector`` and ``SpanBuilder.add`` take
-such rows as given, with no conversion and no zero filter, and change none
-they are handed.  ``rref`` takes dense integer rows, as a slice's Macaulay
-matrix yields them, and keeps each row's nonzeros.  No Fraction ever
-enters: callers clear denominators first.  A span stores its rows
-primitive, positive at the lead.  ``SpanBuilder.rows``, {pivot column:
-row}, is the one echelon format: the full integer RREF, which ``rref``
-returns for a slice to store.
-``rank`` and ``left_kernel`` read only the leads or the dependent rows, so
-``_lead_echelon`` reduces each row only at its lead, with no
-back-substitution.
+``rank``, ``new_leads``, ``left_kernel``, ``reduce_vector`` and
+``SpanBuilder.add`` take such rows as given, with no conversion and no zero
+filter, and change none they are handed.  ``rref`` takes dense integer
+rows, as a slice's Macaulay matrix yields them, and keeps each row's
+nonzeros.  No Fraction ever enters: callers clear denominators first.  A
+span stores its rows primitive, positive at the lead.  ``SpanBuilder.rows``,
+{pivot column: row}, is the one echelon format: the full integer RREF,
+which ``rref`` returns for a slice to store.
+``rank``, ``new_leads`` and ``left_kernel`` read only the leads or the
+dependent rows, so ``_lead_echelon`` reduces each row only at its lead, with
+no back-substitution; ``new_leads`` starts from a given echelon.
+``left_kernel`` returns, per row dependent on the rows before it, the
+transpose's RREF kernel vector there; with the positions taken in reverse
+order these vectors are the kernel's own RREF, each leading at its row and
+zero at the others' (a graded build reads a slice's rows off them).
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): clearing
 column p of r against an echelon row with pivot a there replaces r by
 (a/g)*r - (r[p]/g)*row, g = gcd(a, r[p]), touching only the two rows'
@@ -23,6 +27,7 @@ column: each is its RREF row times a positive integer, unique for the span.
 
 from __future__ import annotations
 
+from itertools import islice, takewhile
 from math import gcd
 
 
@@ -72,15 +77,17 @@ def rref(rows, ncols: int) -> dict[int, dict[int, int]]:
     return span.rows
 
 
-def _lead_echelon(rows, combine: bool) -> tuple[int, list[dict[int, int]]]:
+def _lead_echelon(rows, combine: bool, stored=None) -> tuple[dict, list]:
     """Lead-only elimination of the rows in order: each is reduced at its
     lead against the stored row there until its lead is new (it is stored)
-    or it vanishes.  Returns the rank and, when ``combine``, each vanished
-    row i's combination, carried from {i: 1} by positive steps and made
-    primitive: supported on i and the stored rows before it, it is the RREF
-    kernel vector of the transpose at free column i.
+    or it vanishes.  ``stored``, {lead: (row, combination)}, may come seeded
+    with rows and empty combinations, and is extended in place.  Returns it
+    and, when ``combine``, each vanished row i's combination, carried from
+    {i: 1} by positive steps and made primitive: supported on i and the
+    stored rows before it, it is the RREF kernel vector of the transpose at
+    free column i.
     """
-    stored: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    stored = {} if stored is None else stored
     kernel = []
     for i, vec in enumerate(rows):
         comb = {i: 1} if combine else {}
@@ -100,18 +107,31 @@ def _lead_echelon(rows, combine: bool) -> tuple[int, list[dict[int, int]]]:
                     comb = {c: v // g for c, v in comb.items()}
         if combine and not vec:
             kernel.append(_primitive(comb))
-    return len(stored), kernel
+    return stored, kernel
 
 
 def rank(rows, ncols: int) -> int:
     """The rank over Q of ``rows``, {column: nonzero int} dicts."""
-    return _lead_echelon(rows, False)[0]
+    return len(_lead_echelon(rows, False)[0])
+
+
+def new_leads(rows, echelon, most) -> dict[int, dict[int, int]]:
+    """The rows that a lead-only echelon of ``rows``, in order, over
+    ``echelon`` ({lead: row}, distinct leads) stores at new leads, {lead:
+    row} in the order found, at most ``most``: short of that, the rank the
+    rows add, and with ``echelon``'s leads the pivots of the whole span."""
+    stored = {lead: (row, {}) for lead, row in echelon.items()}
+    limit = len(stored) + most
+    _lead_echelon(takewhile(lambda _: len(stored) < limit, rows), False, stored)
+    return {lead: row for lead, (row, _) in islice(stored.items(), len(echelon), None)}
 
 
 def left_kernel(rows, ncols: int) -> list[dict[int, int]]:
     """Basis of {c : sum_i c_i row_i = 0} for {column: nonzero int} rows: per
     row i dependent on the rows before it, in order, a sparse primitive
-    integer vector positive at i, the transpose's RREF kernel basis."""
+    integer vector positive at i and zero at every other dependent row, the
+    transpose's RREF kernel basis.  Its largest index is i, so with the
+    indices taken in reverse order the basis is the kernel's own RREF."""
     return _lead_echelon(rows, True)[1]
 
 

@@ -31,6 +31,7 @@ from apolar import (
     power_ideal,
     random_spec,
     reduce_mod_power_ideal,
+    verify_gorenstein_ann,
 )
 from apolar.exponents import box_monomials_of_degree
 from apolar.graded_engine import (
@@ -41,10 +42,10 @@ from apolar.graded_engine import (
     _shift_table,
     _weights,
 )
-from apolar.linalg import left_kernel, rank, reduce_vector
+from apolar.linalg import left_kernel, rank, reduce_vector, rref
 from apolar.oracle import brute_ann, brute_quotient_dim
 from apolar.polynomial import _numerators
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from support import gorenstein_specs, reference_catalecticant
 
 CTX = Context(("x", "y"))
@@ -707,6 +708,77 @@ def test_every_stored_row_leads_at_its_pivot(spec):
             assert all(min(row) == p for p, row in ideal.slice(e)._rows.items())
 
 
+def _assert_rref_slices(ideal, top):
+    """Every slice through degree top + 1 stores the integer RREF of its
+    span: primitive rows, each positive at its pivot (its lowest column) and
+    zero at every other pivot, equal to ``rref`` of its own rows made dense."""
+    for e in range(top + 2):
+        sl = ideal.slice(e)
+        rows, width = sl._rows, len(sl.monomial_basis)
+        for p, row in rows.items():
+            assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1, (e, p, row)
+            assert not any(c in rows for c in row if c != p), (e, p, row)
+        assert rref([[row.get(c, 0) for c in range(width)] for row in rows.values()], width) == rows
+
+
+@settings(max_examples=60)
+@given(gorenstein_specs(dims=(1, 2, 3, 4)))
+def test_build_slices_are_the_integer_rref_of_their_rows(spec):
+    # A degree with lifts reads its slice off the kernel on its free columns,
+    # listed highest first, and reduces each owner lift against the rows made.
+    for ideal in (spec.colon_ideal(), ann_partial(antipodal(spec), spec.ctx)):
+        _assert_rref_slices(ideal, spec.top_degree)
+
+
+def test_a_lift_that_leads_at_a_unit_column_owns_no_lead():
+    # (x1^3, x2^3) : (x1 + x2) = (x1^2 - x1*x2 + x2^2, x1^3).  In degree 4, x2
+    # times the degree-3 row x1*x2^2 - x1^2*x2 leads at x1*x2^3, a unit column
+    # (x1 times the unit row x2^3).  Off the unit columns it leads at
+    # x1^2*x2^2 with entry -1, so owners chosen after dropping unit columns
+    # made the slice's row there negative at its pivot.
+    ctx = Context.of_dim(2)
+    spec = GorensteinSpec(3, parse_polynomial("x1 + x2", ctx))
+    for ideal in (spec.colon_ideal(), ann_partial(antipodal(spec), ctx)):
+        assert [str(g) for g in ideal.generators] == ["x1^2 - x1*x2 + x2^2", "x1^3"]
+        three, four = ideal.slice(3), ideal.slice(4)
+        assert three._rows == {0: {0: 1}, 1: {1: 1, 2: -1}, 3: {3: 1}}
+        x1, x2 = _shift_table(ctx, 4, 0), _shift_table(ctx, 4, 1)
+        units = {s[q] for s in (x1, x2) for q in (0, 3)}
+        assert x2[1] in units and x1[1] not in units
+        assert {x2[c]: v for c, v in three._rows[1].items() if x2[c] not in units} == {2: -1}
+        assert four._rows == {c: {c: 1} for c in range(5)}
+        _assert_rref_slices(ideal, spec.top_degree)
+
+
+def _dense_spec(d, k, degree, terms):
+    """perfbench's ``_random_spec(random.Random(7), d, k, degree, terms)``: a
+    degree-`degree` p with `terms` terms in the box [0, k-1]^d."""
+    rng = random.Random(7)
+    ctx = Context.of_dim(d)
+    support = rng.sample(box_monomials_of_degree(ctx, degree, k - 1), terms)
+    coeffs = {ev: Fraction(rng.randint(1, 6) * rng.choice((1, -1)), rng.randint(1, 4))
+              for ev in support}
+    return GorensteinSpec(k, Polynomial(ctx, coeffs))
+
+
+# sha256 of the generator strings and integer slice rows of the colon ideal,
+# captured when each degree with lifts built its slice in a SpanBuilder.
+DENSE_DIGESTS = {
+    (4, 6, 10, 60): "c1b1fb054475a69feb0f5c0b00f9f6d2049f7d1f1ef1d5913c6a16b33cd0667b",
+    (5, 4, 7, 40): "76e3d42bd0bf311b7384bdb34fb84cfbee32a7e6f0d0e3a60bf0f519ce4607f9",
+}
+
+
+def test_dense_p_keeps_generators_and_slices():
+    # Dense p is where elimination binds: entries reach 166 bits in (4, 6, 10,
+    # 60 terms) and 108 in (5, 4, 7, 40 terms).  Both fit under the guard.
+    for args, digest in DENSE_DIGESTS.items():
+        spec = _dense_spec(*args)
+        assert verify_gorenstein_ann(spec)
+        text = _build_text(spec.colon_ideal(), spec.top_degree)
+        assert hashlib.sha256(json.dumps(text).encode()).hexdigest() == digest, args
+
+
 def test_shift_tables_multiply_by_a_variable():
     ctx = Context.of_dim(3)
     for e in range(1, 5):
@@ -760,11 +832,19 @@ def _field_width_specs():
     return specs
 
 
+def _renumbered(rows, ncols):
+    # A map's rows with their columns numbered by first appearance: the colon
+    # map keys a column by minus its packed code, the catalecticant already
+    # by first appearance.
+    at = {}
+    return [{at.setdefault(c, len(at)): v for c, v in row.items()} for row in rows], ncols
+
+
 def test_packed_maps_match_tuple_arithmetic(monkeypatch):
     # Both kernel maps, the colon map and the catalecticant of antipodal(p),
     # read in every degree up to top + 1, on all columns and on every other
     # one, equal the maps made from exponent tuples: the same rows, column
-    # numbers and width.
+    # numbers (once numbered by first appearance) and width.
     rng, line = random.Random(29), Context.of_dim(1)
     builds = []  # (ideal, top degree, the reference image of a monomial)
     for spec in _field_width_specs() + [random_spec(rng, dims=(1, 2, 3, 4)) for _ in range(12)]:
@@ -784,7 +864,8 @@ def test_packed_maps_match_tuple_arithmetic(monkeypatch):
             basis = monomials_of_degree(ideal.ctx, e)
             for columns in (range(len(basis)), range(1, len(basis), 2)):
                 ideal._build.kernel_fn(e, columns)
-                assert seen.pop() == _tuple_images(image, [basis[c] for c in columns])
+                got = _renumbered(*seen.pop())
+                assert got == _tuple_images(image, [basis[c] for c in columns])
 
 
 @st.composite

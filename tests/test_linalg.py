@@ -2,7 +2,7 @@ import copy
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from hypothesis import assume, given, strategies as st
 
@@ -24,6 +24,7 @@ from apolar.linalg import (
     _difference,
     _primitive,
     left_kernel,
+    new_leads,
     rank,
     reduce_vector,
     rref,
@@ -331,6 +332,43 @@ def test_seeding_unit_rows_matches_adding_them_one_by_one(matrix, data):
         assert seeded.rows == one_by_one.rows
 
 
+@given(st.one_of(rational_matrices(), sparse_rational_matrices()))
+def test_left_kernel_of_reversed_rows_is_the_rref_of_the_kernel(matrix):
+    # The build reads a slice's rows off the kernel on its free columns listed
+    # highest first: each vector, its keys mapped back, leads at its own row
+    # and is zero at the others', so the vectors are the kernel's integer RREF.
+    rows, ncols = matrix
+    sparse = [cleared(row) for row in rows]
+    n = len(sparse)
+    backward = {}
+    for vec in left_kernel(sparse[::-1], ncols):
+        row = {n - 1 - i: x for i, x in vec.items()}
+        backward[min(row)] = row
+    forward = [densified(vec, n) for vec in left_kernel(sparse, ncols)]
+    assert backward == rref(forward, n)
+
+
+@given(integer_span_rows(), st.data())
+def test_new_leads_are_the_pivots_the_rows_add(matrix, data):
+    rows, ncols = matrix
+    cut = data.draw(st.integers(0, len(rows)))
+    span = SpanBuilder()
+    for row in rows[:cut]:
+        span.add(row)
+    echelon = dict(span.rows)
+    new = new_leads(rows[cut:], echelon, inf)
+    assert echelon == span.rows  # not changed
+    assert all(min(row) == lead and lead not in echelon for lead, row in new.items())
+    whole = SpanBuilder()
+    for row in rows:
+        whole.add(row)
+    assert echelon.keys() | new.keys() == whole.rows.keys()
+    assert not any(reduce_vector(row, whole.rows) for row in new.values())
+    assert len(new) == rank(rows, ncols) - rank(rows[:cut], ncols)
+    most = data.draw(st.integers(0, len(new)))
+    assert list(new_leads(iter(rows[cut:]), echelon, most).items()) == list(new.items())[:most]
+
+
 sparse_int_rows = st.dictionaries(st.integers(0, 20), st.integers(-9, 9).filter(bool), max_size=8)
 
 
@@ -352,7 +390,7 @@ def test_stored_rows_and_kernel_vectors_hold_no_zero(matrix):
 
 
 def test_every_row_reaching_linalg_is_a_dict_of_nonzero_ints(monkeypatch):
-    # rank, left_kernel, reduce_vector and SpanBuilder.add take rows as given,
+    # rank, left_kernel, new_leads, reduce_vector and SpanBuilder.add take rows as given,
     # with no zero filter, so a zero would be stored as a pivot.  Every row the
     # package hands them is {column: nonzero int}, and no call changes one.
     calls = Counter()
@@ -379,8 +417,11 @@ def test_every_row_reaching_linalg_is_a_dict_of_nonzero_ints(monkeypatch):
     for module in (linalg, graded_engine):
         monkeypatch.setattr(module, "left_kernel",
                             checking("left_kernel", linalg.left_kernel, first_arg))
-    monkeypatch.setattr(linalg, "reduce_vector", checking(
-        "reduce_vector", linalg.reduce_vector, lambda args: [args[0], *args[1].values()]))
+    for module in (linalg, graded_engine):
+        monkeypatch.setattr(module, "reduce_vector", checking(
+            "reduce_vector", linalg.reduce_vector, lambda args: [args[0], *args[1].values()]))
+    ranked = checking("new_leads", linalg.new_leads, lambda args: [*args[0], *args[1].values()])
+    monkeypatch.setattr(graded_engine, "new_leads", lambda rows, *rest: ranked(list(rows), *rest))
     monkeypatch.setattr(SpanBuilder, "add", checking("add", SpanBuilder.add, lambda args: [args[1]]))
 
     rng = random.Random(61)
@@ -393,4 +434,5 @@ def test_every_row_reaching_linalg_is_a_dict_of_nonzero_ints(monkeypatch):
         monomial_iff_test(spec)
         ann_partial(antipodal(spec), spec.ctx).hilbert_function()
     parse_ideal("(x^3, y^3, 3*x^2*y - 2*x*y^2)", Context(("x", "y"))).socle()  # from generators
-    assert all(calls[name] for name in ("rank", "left_kernel", "reduce_vector", "add")), calls
+    names = ("rank", "left_kernel", "new_leads", "reduce_vector", "add")
+    assert all(calls[name] for name in names), calls
