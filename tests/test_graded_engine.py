@@ -794,17 +794,27 @@ def test_shift_tables_multiply_by_a_variable():
 
 def _tuple_images(image, monomials):
     # The reference map: exponent tuples added or subtracted coordinate by
-    # coordinate, one row per monomial, columns numbered by first appearance.
+    # coordinate, one row per monomial.  A column is the int key the image
+    # gives it or, for an exponent tuple, its number by first appearance; the
+    # width is the number of distinct columns.
     at = {}
-    rows = [{at.setdefault(t, len(at)): c for t, c in image(m.coords)} for m in monomials]
+    rows = [{at.setdefault(t, len(at) if isinstance(t, tuple) else t): c for t, c in image(m.coords)}
+            for m in monomials]
     return rows, len(at)
 
 
-def _colon_image(k, p):
-    terms = _numerators(p)[0]
+def _colon_key(k, p):
+    # A product t's column in the colon map: minus the sum over i of
+    # (t_i + 2^(b-1) - k) * 2^(b*i), with 2^(b-1) > top + k.
+    b = (p.ctx.dim * (k - 1) - p.homogeneous_degree() + k).bit_length() + 1
+    return lambda t: -sum(c + (1 << b - 1) - k << b * i for i, c in enumerate(t))
 
-    def image(mc):  # the terms of m*p inside the box [0, k-1]^d
-        return [(t, a) for s, a in terms if max(t := tuple(map(add, mc, s))) < k]
+
+def _colon_image(k, p):
+    terms, key = _numerators(p)[0], _colon_key(k, p)
+
+    def image(mc):  # the terms of m*p inside the box [0, k-1]^d, keyed
+        return [(key(t), a) for s, a in terms if max(t := tuple(map(add, mc, s))) < k]
     return image
 
 
@@ -832,30 +842,33 @@ def _field_width_specs():
     return specs
 
 
-def _renumbered(rows, ncols):
-    # A map's rows with their columns numbered by first appearance: the colon
-    # map keys a column by minus its packed code, the catalecticant already
-    # by first appearance.
-    at = {}
-    return [{at.setdefault(c, len(at)): v for c, v in row.items()} for row in rows], ncols
-
-
 def test_packed_maps_match_tuple_arithmetic(monkeypatch):
     # Both kernel maps, the colon map and the catalecticant of antipodal(p),
     # read in every degree up to top + 1, on all columns and on every other
     # one, equal the maps made from exponent tuples: the same rows, column
-    # numbers (once numbered by first appearance) and width.
+    # keys and width.  The colon map keys a product by minus its packed code,
+    # which ascends as the product descends in LEX, so each row leads at its
+    # LEX-largest product; the catalecticant numbers columns by first
+    # appearance.
     rng, line = random.Random(29), Context.of_dim(1)
     builds = []  # (ideal, top degree, the reference image of a monomial)
+    colons = []  # (k, p)
     for spec in _field_width_specs() + [random_spec(rng, dims=(1, 2, 3, 4)) for _ in range(12)]:
         f = antipodal(spec)
+        colons.append((spec.k, spec.p))
         builds += [(colon_power_ideal(spec.k, spec.p), spec.top_degree, _colon_image(spec.k, spec.p)),
                    (ann_partial(f, spec.ctx), spec.top_degree, _catalecticant_image(f))]
     n = 700  # d = 1 at large n: Ann(t1^n), and (x1^(n+4)) : x1^3, of top degree n
     q = Polynomial.monomial(ExponentVector(line.dual(), (n,)))
     x3 = Polynomial.monomial(ExponentVector(line, (3,)))
+    colons.append((n + 4, x3))
     builds += [(ann_partial(q), n, _catalecticant_image(q)),
                (colon_power_ideal(n + 4, x3), n, _colon_image(n + 4, x3))]
+    for k, p in colons:
+        key = _colon_key(k, p)
+        for e in range(p.ctx.dim * (k - 1) + 1):
+            keys = [key(m.coords) for m in monomials_of_degree(p.ctx, e) if max(m.coords) < k]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
     seen = []
     monkeypatch.setattr("apolar.graded_engine.left_kernel",
                         lambda rows, ncols: seen.append((rows, ncols)) or [])
@@ -864,8 +877,7 @@ def test_packed_maps_match_tuple_arithmetic(monkeypatch):
             basis = monomials_of_degree(ideal.ctx, e)
             for columns in (range(len(basis)), range(1, len(basis), 2)):
                 ideal._build.kernel_fn(e, columns)
-                got = _renumbered(*seen.pop())
-                assert got == _tuple_images(image, [basis[c] for c in columns])
+                assert seen.pop() == _tuple_images(image, [basis[c] for c in columns])
 
 
 @st.composite
