@@ -21,7 +21,6 @@ from .graded_engine import (
     HomogeneousIdealPresentation,
     _catalecticant,
     _reduced_mod_power,
-    _weights,
     ann_partial,
     colon_power_ideal,
 )
@@ -56,6 +55,8 @@ class GorensteinSpec:
         self.top_degree: int = self.d * (k - 1) - self.p_degree
         self.leading_exponent: ExponentVector = max(reduced.support(), key=lex_key)
         self.dual_ctx = self.ctx.dual("t")
+        # pairing_is_nondegenerate's answers, keyed by min(i, M - i)
+        self._pairing_verdicts: dict[int, bool] = {}
 
     @property
     def socle_monomial(self) -> ExponentVector:
@@ -80,11 +81,6 @@ class GorensteinSpec:
         if sl.standard_monomials != (self.socle_monomial,):
             raise DomainError("top graded piece is not spanned by the socle monomial")
         return {j.coords: sl.coset(c).get(0, 0) for c, j in enumerate(sl.monomial_basis)}
-
-    @cached_property
-    def _pairing_verdicts(self) -> dict[int, bool]:
-        """``pairing_is_nondegenerate``'s answers, keyed by min(i, M - i)."""
-        return {}
 
     def __repr__(self) -> str:
         return f"GorensteinSpec(d={self.d}, k={self.k}, p={self.p})"
@@ -159,8 +155,8 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
     if any(slices[top - e].hilbert_value > sl.hilbert_value for e, sl in enumerate(half)):
         return False
     z = max((e for e, sl in enumerate(half) if sl.hilbert_value == len(sl.monomial_basis)), default=0)
-    weights = _weights(f)
-    return all(rank(*_catalecticant(ideal.ctx, weights, e, sl.standard_columns)) >= sl.hilbert_value
+    cat = _catalecticant(ideal.ctx, f)
+    return all(rank(*cat(e, sl.standard_columns)) >= sl.hilbert_value
                for e, sl in enumerate(half[z:], z))
 
 

@@ -171,12 +171,12 @@ class HomogeneousIdealPresentation:
         """Run the unfinished build through degree e (all by default); a degree
         is kept only once complete, so one that raises is run again on read."""
         while self._build and self._build.next <= e:
-            b = self._build
-            gens, sl, carry = _minimal_degree(self.ctx, b.kernel_fn, b.next, *b.carry)
+            b = self._build  # the slice below is None at degree 0
+            gens, sl = _minimal_degree(self.ctx, b.kernel_fn, b.next, self._slices.get(b.next - 1))
             self._gens += gens
             self._degrees += (b.next,) * len(gens)
             self._slices[b.next] = sl
-            self._build = _Build(b.kernel_fn, b.top, b.next + 1, carry) if b.next < b.top else None
+            self._build = _Build(b.kernel_fn, b.top, b.next + 1) if b.next < b.top else None
 
     def slice(self, e: int) -> GradedSlice:
         if e < 0:
@@ -312,9 +312,9 @@ def _codes(ctx: Context, e: int, b: int) -> tuple[int, ...]:
     return tuple(_pack(ev.coords, b) for ev in monomials_of_degree(ctx, e))
 
 
-# An unfinished _assemble_minimal build: its next degree, and the carry from
-# the degree before, its unit rows' pivots and other (pivot, row)s.
-_Build = namedtuple("_Build", "kernel_fn top next carry")
+# An unfinished _assemble_minimal build: the degree it runs next.  Its state
+# is its slices: each degree lifts the rows of the slice stored below it.
+_Build = namedtuple("_Build", "kernel_fn top next")
 
 
 def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
@@ -324,23 +324,23 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     kernel_fn(e, columns) is a basis of I_e's vectors on the degree-e monomials
     at the given positions (LEX-descending), in the given order, as
     ``left_kernel`` returns it, keyed by index into ``columns``.  x_i keeps
-    the LEX order, so lifting the previous degree's rows shifts their
-    pivots: a stored row leads at its pivot, so x_i's lift of row p leads at
-    s[p], s the shift table, and no row is scanned for its lead.  Each
-    degree hands the next its unit rows' pivots and its other rows with
-    their pivots, in pivot order.  Raises ``DomainError`` at the call,
-    before any kernel runs, if degree ``max_degree`` has over
-    ``MAX_SLICE_COLUMNS`` monomials.
+    the LEX order, so lifting the slice below shifts its pivots: a stored
+    row leads at its pivot, so x_i's lift of row p leads at s[p], s the
+    shift table, and no row is scanned for its lead.  Each degree reads its
+    lifts from the degree-(e-1) slice the build stored, its unit rows and
+    its other rows in pivot order; the build keeps no rows of its own.
+    Raises ``DomainError`` at the call, before any kernel runs, if degree
+    ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
     """
     _check_slice_size(ctx, max_degree)
     ideal = HomogeneousIdealPresentation(ctx, ())
-    ideal._build = _Build(kernel_fn, max_degree, 0, ([], []))
+    ideal._build = _Build(kernel_fn, max_degree, 0)
     return ideal
 
 
-def _minimal_degree(ctx: Context, kernel_fn, e: int, unit_pivots, pairs):
-    """Degree e of ``_assemble_minimal``'s build from degree e-1's carry: the
-    new generators, the slice and the carry to degree e+1.
+def _minimal_degree(ctx: Context, kernel_fn, e: int, below: GradedSlice | None):
+    """Degree e of ``_assemble_minimal``'s build, lifted from ``below``, the
+    degree-(e-1) slice (None at degree 0): the new generators and the slice.
 
     Unit lifts are the rows {u: 1}; the other lifts drop the unit columns.
     Each lead that is no unit column has one owner lift, by its lead before
@@ -351,32 +351,28 @@ def _minimal_degree(ctx: Context, kernel_fn, e: int, unit_pivots, pairs):
     miss.  With at most one, each owner lift reduced against the rows made
     before it, in descending lead order, is its RREF row, and the one
     pivot's row is the generator.  Two or more, or a degree with no lifts,
-    are read off the full kernel in order, each the echelon row a span of
-    the lifts and the generators before it stores for it; that span ends as
-    the slice.
+    take ``_span_read`` of the full kernel over the lifts.
     """
     basis = monomials_of_degree(ctx, e)
-    if not (unit_pivots or pairs):  # no lifts: every kernel vector is a generator
-        span = SpanBuilder()
-        found = _new_rows(span, kernel_fn(e, range(len(basis))), inf)
-        rows = span.rows
+    if below is None or not below._rows:  # no lifts: every kernel vector is a generator
+        rows, found = _span_read(kernel_fn(e, range(len(basis))), (), (), inf)
     else:
-        rows, found = _lifted_slice(ctx, kernel_fn, e, len(basis), unit_pivots, pairs)
-    sl = GradedSlice(e, basis, rows)
+        rows, found = _lifted_slice(ctx, kernel_fn, e, len(basis), below)
     gens = tuple([Polynomial(ctx, {basis[c]: v for c, v in row.items()}) for row in found])
-    return gens, sl, ([p for p in sl._pivots if len(rows[p]) == 1],
-                      [(p, rows[p]) for p in sl._pivots if len(rows[p]) > 1])
+    return gens, GradedSlice(e, basis, rows)
 
 
-def _lifted_slice(ctx: Context, kernel_fn, e: int, width: int, unit_pivots, pairs):
+def _lifted_slice(ctx: Context, kernel_fn, e: int, width: int, below: GradedSlice):
     """``_minimal_degree``'s slice rows of a degree with lifts, and the
     rows of its generators."""
     shifts = [_shift_table(ctx, e, i) for i in range(ctx.dim)]
+    unit_pivots = [p for p in below._pivots if len(below._rows[p]) == 1]
+    pivots = [p for p in below._pivots if len(below._rows[p]) > 1]
     units = {s[p] for s in shifts for p in unit_pivots}
-    leads = [s[p] for s in shifts for p, _ in pairs]  # lift n = i*len(pairs) + r
+    leads = [s[p] for s in shifts for p in pivots]  # lift n = i*len(pivots) + r
 
     def lift(n):  # x_i times row r of degree e - 1 off the unit columns, made when used
-        s, row = shifts[n // len(pairs)], pairs[n % len(pairs)][1]
+        s, row = shifts[n // len(pivots)], below._rows[pivots[n % len(pivots)]]
         return {c: v for j, v in row.items() if (c := s[j]) not in units}
 
     owner = {lead: n for n, lead in enumerate(leads) if lead not in units}  # one lift per lead
@@ -390,12 +386,9 @@ def _lifted_slice(ctx: Context, kernel_fn, e: int, width: int, unit_pivots, pair
         others = (lift(n) for n, lead in enumerate(leads) if owner.get(lead) != n)
         ranked = new_leads(others, owned, len(left))
         left = [q for q in left if q not in ranked]
-    if len(left) > 1:  # the span of the lifts and generators ends as the slice
-        span = SpanBuilder()
-        span.add_units(units)
-        for row in (*owned.values(), *ranked.values()):
-            span.add(row)
-        return span.rows, _new_rows(span, kernel_fn(e, range(width)), len(span.rows) + len(left))
+    if len(left) > 1:
+        return _span_read(kernel_fn(e, range(width)), units, (*owned.values(), *ranked.values()),
+                          len(left))
     for lead, row in owned.items():
         rows[lead] = reduce_vector(row, rows)
     for u in units:
@@ -403,18 +396,24 @@ def _lifted_slice(ctx: Context, kernel_fn, e: int, width: int, unit_pivots, pair
     return rows, [rows[q] for q in left]
 
 
-def _new_rows(span, kernel, dim):
-    """The kernel vectors, added in order to ``span`` until it has ``dim``
-    rows, that are new to it, as the echelon rows the span stores for them:
-    positive at their LEX-leading (lowest) column."""
+def _span_read(kernel, units, seeds, n):
+    """The kernel vectors read in order into a ``SpanBuilder`` seeded with the
+    unit rows at ``units`` and then the ``seeds``, until n of them are new to
+    it: the span's rows, which end as the slice, and the echelon rows it
+    stored for the new vectors, positive at their LEX-leading (lowest)
+    column, which are the generators."""
+    span = SpanBuilder()
+    span.add_units(units)
+    for row in seeds:
+        span.add(row)
     found = []
     for vec in kernel:
-        if len(span.rows) == dim:
+        if len(found) == n:
             break
         row = span.add(vec)
         if row:
             found.append(row)
-    return found
+    return span.rows, found
 
 
 def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
@@ -488,36 +487,34 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
 
-    weights = _weights(q)
-    return _assemble_minimal(ctx, lambda e, cols: left_kernel(*_catalecticant(ctx, weights, e, cols)),
-                             m_deg + 1)
+    cat = _catalecticant(ctx, q)
+    return _assemble_minimal(ctx, lambda e, cols: left_kernel(*cat(e, cols)), m_deg + 1)
 
 
-def _weights(f: Polynomial) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The divided-power weights of f, ``_divided(f)`` over its gcd: the
-    pairs (s, w_s) that ``_catalecticant`` places."""
-    pairs = _divided(f)
-    g = gcd(*[w for _, w in pairs])
-    return tuple((s, w // g) for s, w in pairs)
-
-
-def _catalecticant(ctx: Context, weights, e: int, columns) -> tuple[list[dict[int, int]], int]:
-    """The integer catalecticant Cat_e(f), the matrix of R_e -> S_(deg f - e),
-    m -> m(d/dt) f, with column u scaled by u!, for f given by its
-    ``_weights`` (computed once per build), on the degree-e monomials of
+def _catalecticant(ctx: Context, f: Polynomial):
+    """The integer catalecticant of f, made once per form: the map (e, columns)
+    -> (rows, width) of Cat_e(f), the matrix of R_e -> S_(deg f - e),
+    m -> m(d/dt) f, with column u scaled by u!, on the degree-e monomials of
     ``ctx`` at the given positions (all of R_e's, or some): one sparse row per
     monomial m, in the given order, a column per exponent hit by first
-    appearance (``left_kernel``'s rows), and the width.  A term c*t^s of f
-    with s >= m puts c*s!/u! at the column of u = s - m, so the scaled matrix
-    holds w_s there: a positive column scaling and a common factor, which
-    keep the rank and the left kernel.  On ``_pack`` codes in b-bit fields,
-    2^(b-1) > max s_i + e so that no field borrows, and ``guard`` their top
-    bits, s >= m iff ((code(s) | guard) - code(m)) & guard == guard.
+    appearance (``left_kernel``'s rows), and the width.  f is read in divided
+    powers, ``_divided(f)`` over its gcd: a term c*t^s with s >= m puts
+    c*s!/u! at the column of u = s - m, so the scaled matrix holds w_s there,
+    a positive column scaling and a common factor, which keep the rank and
+    the left kernel.  On ``_pack`` codes in b-bit fields, sized once with
+    2^(b-1) > max s_i + deg f + 1 so that no field borrows in any degree up to
+    deg f + 1, and ``guard`` their top bits, s >= m iff
+    ((code(s) | guard) - code(m)) & guard == guard.
     """
-    b = (max(max(s) for s, _ in weights) + e).bit_length() + 1
+    pairs = _divided(f)
+    g = gcd(*[w for _, w in pairs])
+    b = (max(max(s) for s, _ in pairs) + f.homogeneous_degree() + 1).bit_length() + 1
     guard = _pack((1 << b - 1,) * ctx.dim, b)
-    packed = [(_pack(s, b) | guard, w) for s, w in weights]
-    codes, at = _codes(ctx, e, b), {}
-    rows = [{at.setdefault(u, len(at)): w for g, w in packed if (u := g - codes[j]) & guard == guard}
-            for j in columns]
-    return rows, len(at)
+    packed = [(_pack(s, b) | guard, w // g) for s, w in pairs]
+
+    def cat(e, columns):
+        codes, at = _codes(ctx, e, b), {}
+        rows = [{at.setdefault(u, len(at)): w for p, w in packed
+                 if (u := p - codes[j]) & guard == guard} for j in columns]
+        return rows, len(at)
+    return cat

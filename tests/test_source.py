@@ -125,3 +125,16 @@ def test_no_falling_factorial_in_the_action_or_the_catalecticant():
                     or isinstance(node, ast.Attribute) and node.attr == "perm"):
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+def test_other_modules_import_two_graded_engine_private_names_at_most():
+    # graded_engine owns its builds and its kernel maps: among its private
+    # names, other modules import only the per-form catalecticant and the
+    # power-ideal check, so a new cross-module private read fails here.
+    allowed = {"_catalecticant", "_reduced_mod_power"}
+    found = [f"{path.name}:{node.lineno} {a.name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "graded_engine.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom) and node.module == "graded_engine"
+             for a in node.names if a.name.startswith("_") and a.name not in allowed]
+    assert not found, found
