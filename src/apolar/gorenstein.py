@@ -25,7 +25,7 @@ from .graded_engine import (
     colon_power_ideal,
 )
 from .linalg import rank
-from .polynomial import Polynomial, diff_action
+from .polynomial import Polynomial, _numerators, diff_action
 
 
 def multinomial(total: int, parts) -> int:
@@ -88,28 +88,34 @@ class GorensteinSpec:
 
 def antipodal(spec: GorensteinSpec) -> Polynomial:
     """The antipodal polynomial: support reflected through (k-1)*(1,...,1),
-    each coefficient scaled by the multinomial coefficient of the reflection."""
-    terms = {}
-    for ev, a in spec.p.terms():
-        comp = tuple(spec.k - 1 - c for c in ev.coords)
+    each coefficient scaled by the multinomial coefficient of the reflection.
+    Read off p's integer form, n/den per term: one Fraction n*M!/prod c_i!
+    over den per reflected exponent c, M the top degree."""
+    terms, den = _numerators(spec.p)
+    reflected = {}
+    for s, n in terms:
+        comp = tuple(spec.k - 1 - c for c in s)
         weight = multinomial(spec.top_degree, comp)
-        terms[ExponentVector(spec.dual_ctx, comp)] = a * weight
-    return Polynomial(spec.dual_ctx, terms)
+        reflected[ExponentVector(spec.dual_ctx, comp)] = Fraction(n * weight, den)
+    return Polynomial(spec.dual_ctx, reflected)
 
 
 def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
     """(t_1 xbar_1 + ... + t_d xbar_d)^M read off against the socle monomial.
 
     Expanded by the multinomial theorem, each x^j weighted by the socle
-    functional phi(x^j); the result is normalized so its LEX-largest term
-    agrees with the antipodal polynomial exactly, which cancels phi's scale.
+    functional phi(x^j); the result is normalized so its LEX-largest term,
+    at j = lead, agrees with the antipodal polynomial exactly, which cancels
+    phi's scale.  Only that one antipodal coefficient is made: p's
+    coefficient at (k-1)*(1,...,1) - lead times multinomial(M, lead).
     """
     raw_poly = Polynomial(spec.dual_ctx, {
         ExponentVector(spec.dual_ctx, j): multinomial(spec.top_degree, j) * c
         for j, c in spec._phi.items() if c
     })
     lead = max(raw_poly.support(), key=lex_key)
-    reference = antipodal(spec).coeff(lead)
+    reflected = ExponentVector(spec.ctx, tuple(spec.k - 1 - c for c in lead.coords))
+    reference = spec.p.coeff(reflected) * multinomial(spec.top_degree, lead.coords)
     if reference == 0:
         raise DomainError("dual socle polynomial support differs from antipodal")
     return raw_poly.scale(reference / raw_poly.coeff(lead))
@@ -194,7 +200,7 @@ class SeriesSpec:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coerced = tuple(Fraction(c) for c in self.coeffs)
+        coerced = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coerced)
         if any(c == 0 for c in coerced):
             raise DomainError("series coefficients must all be nonzero")

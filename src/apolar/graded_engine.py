@@ -225,9 +225,9 @@ class HomogeneousIdealPresentation:
         for e in range(len(self.hilbert_function(cutoff))):
             sl, nxt = self.slice(e), self.slice(e + 1)  # both built by hilbert_function
             shifts = [_shift_table(self.ctx, e + 1, u) for u in range(self.ctx.dim)]
-            images = [[shift[c] for shift in shifts] for c in sl._std_columns]  # x_u*s
-            if not any(all(j in nxt._rows for j in img) for img in images):
+            if not any(all(shift[c] in nxt._rows for shift in shifts) for c in sl._std_columns):
                 continue  # no docle point of in_<(I) in degree e
+            images = [[shift[c] for shift in shifts] for c in sl._std_columns]  # x_u*s
             h = nxt.hilbert_value
             rows = [{u * h + i: v for u, j in enumerate(img) for i, v in nxt.coset(j).items()}
                     for img in images]

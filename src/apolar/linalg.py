@@ -11,7 +11,8 @@ span stores its rows primitive, positive at the lead.  ``SpanBuilder.rows``,
 which ``rref`` returns for a slice to store.
 ``rank``, ``new_leads`` and ``left_kernel`` read only the leads or the
 dependent rows, so ``_lead_echelon`` reduces each row only at its lead, with
-no back-substitution; ``new_leads`` starts from a given echelon.
+no back-substitution; ``new_leads`` starts from a given echelon.  Only
+``left_kernel`` carries each row's combination along.
 ``left_kernel`` returns, per row dependent on the rows before it, the
 transpose's RREF kernel vector there; with the positions taken in reverse
 order these vectors are the kernel's own RREF, each leading at its row and
@@ -81,11 +82,13 @@ def _lead_echelon(rows, combine: bool, stored=None) -> tuple[dict, list]:
     """Lead-only elimination of the rows in order: each is reduced at its
     lead against the stored row there until its lead is new (it is stored)
     or it vanishes.  ``stored``, {lead: (row, combination)}, may come seeded
-    with rows and empty combinations, and is extended in place.  Returns it
-    and, when ``combine``, each vanished row i's combination, carried from
-    {i: 1} by positive steps and made primitive: supported on i and the
-    stored rows before it, it is the RREF kernel vector of the transpose at
-    free column i.
+    with rows and empty combinations, and is extended in place.  Only when
+    ``combine`` is each row's combination carried, from {i: 1} by the same
+    positive steps; otherwise it stays empty, so a rank takes one
+    ``_difference`` per step and a kernel two.  Returns ``stored`` and, when
+    ``combine``, each vanished row i's combination made primitive: supported
+    on i and the stored rows before it, it is the RREF kernel vector of the
+    transpose at free column i.
     """
     stored = {} if stored is None else stored
     kernel = []
@@ -99,7 +102,9 @@ def _lead_echelon(rows, combine: bool, stored=None) -> tuple[dict, list]:
             srow, scomb = stored[lead]
             g = gcd(srow[lead], vec[lead]) * (1 if srow[lead] > 0 else -1)
             a, b = srow[lead] // g, vec[lead] // g
-            vec, comb = _difference(vec, srow, a, b), _difference(comb, scomb, a, b)
+            vec = _difference(vec, srow, a, b)
+            if combine:
+                comb = _difference(comb, scomb, a, b)
             if a > 1 and vec:  # the joint content of row and combination
                 g = gcd(*vec.values(), *comb.values())
                 if g > 1:

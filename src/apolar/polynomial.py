@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm, prod
-from operator import sub
+from operator import le, sub
 
 from .errors import AmbientMismatchError, DomainError
 from .exponents import (
@@ -29,15 +29,27 @@ class Polynomial:
     __hash__ = None
 
     def __init__(self, ctx: Context, terms=None):
+        """``terms`` is a dict {exponent vector: coefficient}; zero terms are
+        dropped and each coefficient that is no Fraction is made one.  When
+        every coefficient is an int (not a bool), the integer form
+        ``_numerators`` would make, the nonzero (exponent, int) pairs in term
+        order over 1, is kept here, so it is never rebuilt."""
         self.ctx = ctx
         clean: dict[ExponentVector, Fraction] = {}
-        for ev, c in dict(terms or {}).items():
+        pairs = []  # the nonzero int coefficients, None once one is no int
+        for ev, c in (terms or {}).items():
             if ev.ctx != ctx:
                 raise AmbientMismatchError("term exponent from a different context")
-            c = Fraction(c)
+            if type(c) is not int:
+                pairs = None
+            elif c and pairs is not None:
+                pairs.append((ev.coords, c))
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c != 0:
                 clean[ev] = c
-        self._terms, self._ints, self._div = clean, None, None
+        self._terms, self._div = clean, None
+        self._ints = None if pairs is None else (tuple(pairs), 1)
 
     @classmethod
     def zero(cls, ctx: Context) -> "Polynomial":
@@ -45,11 +57,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ctx: Context, c) -> "Polynomial":
-        return cls(ctx, {ExponentVector(ctx, (0,) * ctx.dim): Fraction(c)})
+        return cls(ctx, {ExponentVector(ctx, (0,) * ctx.dim): c})
 
     @classmethod
     def monomial(cls, ev: ExponentVector, coeff=1) -> "Polynomial":
-        return cls(ev.ctx, {ev: Fraction(coeff)})
+        return cls(ev.ctx, {ev: coeff})
 
     @classmethod
     def variable(cls, ctx: Context, i: int) -> "Polynomial":
@@ -162,8 +174,9 @@ class Polynomial:
 def _numerators(f: Polynomial) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
     """The one integer form of f: its (exponent, numerator) pairs over the lcm
     of its denominators, content kept, and that lcm, read by the action, the
-    Macaulay rows, the colon map and ``_divided``.  It is kept in ``f._ints``
-    when first made: ``_terms`` is set only in ``__init__``."""
+    Macaulay rows, the colon map and ``_divided``.  A polynomial built from
+    ints gets it in ``__init__``; any other keeps it in ``f._ints`` when first
+    made.  Either way it is made once: ``_terms`` is set only in ``__init__``."""
     if f._ints is None:
         den = lcm(*[c.denominator for c in f._terms.values()])
         f._ints = tuple((ev.coords, c.numerator * (den // c.denominator))
@@ -190,10 +203,11 @@ def _factorial(s: tuple[int, ...]) -> int:
 
 def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial:
     """The action summed in integers over the operands' common denominators,
-    with a Fraction made only for each nonzero result term.  With
-    coefficients, the target is read in divided powers: a*x^p on
-    B*t^[q] adds a*B at r = q - p, and each nonzero sum is divided once,
-    exactly, by r!, which divides every q! with q >= r."""
+    with a Fraction made only for each nonzero result term.  A term pair
+    forms q - p only once p <= q is known.  With coefficients, the target is
+    read in divided powers: a*x^p on B*t^[q] adds a*B at r = q - p, and each
+    nonzero sum is divided once, exactly, by r!, which divides every q! with
+    q >= r."""
     if op.ctx.dim != target.ctx.dim:
         raise AmbientMismatchError("action across different ambient dimensions")
     (op_terms, op_den), (target_terms, target_den) = _numerators(op), _numerators(target)
@@ -202,10 +216,9 @@ def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial
     acc: dict[tuple[int, ...], int] = {}
     for pc, a in op_terms:
         for qc, b in target_terms:
-            rest = tuple(map(sub, qc, pc))
-            if min(rest) < 0:
-                continue
-            acc[rest] = acc.get(rest, 0) + a * b
+            if all(map(le, pc, qc)):
+                rest = tuple(map(sub, qc, pc))
+                acc[rest] = acc.get(rest, 0) + a * b
     den, ctx = op_den * target_den, target.ctx
     return Polynomial(ctx, {ExponentVector(ctx, r): Fraction(c // _factorial(r) if with_coeffs else c, den)
                             for r, c in acc.items() if c})

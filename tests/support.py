@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm, perm, prod
+from math import factorial, gcd, inf, lcm, perm, prod
 from operator import ge, le, sub
 
 from hypothesis import strategies as st
@@ -78,6 +78,18 @@ def reference_catalecticant(f, monomials) -> tuple[list[dict[int, int]], int]:
              for s, c in terms if min(u := tuple(map(sub, s, m.coords))) >= 0}
             for m in monomials]
     return rows, len(at)
+
+
+def reference_antipodal(spec) -> Polynomial:
+    """The antipodal polynomial of ``gorenstein.antipodal`` in its plainest
+    form: each term a*x^s of ``p.terms()`` becomes a * M!/prod c_i! * t^c,
+    c = (k-1)*(1,...,1) - s and M the top degree, in Fraction arithmetic."""
+    terms = {}
+    for ev, a in spec.p.terms():
+        c = tuple(spec.k - 1 - x for x in ev.coords)
+        weight = Fraction(factorial(spec.top_degree), prod(map(factorial, c)))
+        terms[ExponentVector(spec.dual_ctx, c)] = a * weight
+    return Polynomial(spec.dual_ctx, terms)
 
 
 def rand_point(rng, ctx, max_coord):

@@ -34,7 +34,13 @@ from apolar.gorenstein import _is_annihilator_of
 from apolar.graded_engine import GradedSlice
 from apolar.linalg import rank, reduce_vector
 from hypothesis import given
-from support import cleared, gorenstein_specs, rand_zero_dim_ideal, reference_catalecticant
+from support import (
+    cleared,
+    gorenstein_specs,
+    rand_zero_dim_ideal,
+    reference_antipodal,
+    reference_catalecticant,
+)
 
 CTX = Context(("x", "y"))
 TCTX = CTX.dual()
@@ -103,6 +109,20 @@ def test_dual_socle_matches_antipodal_random():
     for _ in range(40):
         spec = random_spec(rng, dims=(2, 3), max_k=4)
         assert dual_socle_poly(spec) == antipodal(spec)
+
+
+def test_antipodal_and_dual_socle_poly_match_the_literal_reference():
+    # antipodal reads p's integer form and dual_socle_poly makes only the
+    # one antipodal coefficient it compares; both equal the literal
+    # reflection, on coefficients with denominators above 1.
+    rng = random.Random(73)
+    fractional = 0
+    for _ in range(40):
+        spec = random_spec(rng, dims=(1, 2, 3), max_k=4)
+        want = reference_antipodal(spec)
+        assert antipodal(spec) == want and dual_socle_poly(spec) == want
+        fractional += any(c.denominator > 1 for _, c in spec.p.terms())
+    assert fractional > 10
 
 
 def test_verify_gorenstein_ann_fixtures():

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, inf
+from unittest.mock import patch
 
 from hypothesis import assume, given, strategies as st
 
@@ -367,6 +368,52 @@ def test_new_leads_are_the_pivots_the_rows_add(matrix, data):
     assert len(new) == rank(rows, ncols) - rank(rows[:cut], ncols)
     most = data.draw(st.integers(0, len(new)))
     assert list(new_leads(iter(rows[cut:]), echelon, most).items()) == list(new.items())[:most]
+
+
+def _lead_only_steps(rows, echelon=None, most=inf) -> int:
+    """The elimination steps of a lead-only echelon of the rows, in order,
+    over ``echelon`` ({lead: row}), counted over Q: a row whose lead is
+    stored is reduced there, one step, until its lead is new or it vanishes,
+    and no row is read once ``most`` new leads are stored.  Every integer
+    step scales the row by a positive factor, which changes no support, so
+    ``linalg`` takes the same steps."""
+    stored = dict(echelon or {})
+    steps = new = 0
+    for vec in rows:
+        if new == most:
+            break
+        while vec:
+            lead = min(vec)
+            if lead not in stored:
+                stored[lead], new = vec, new + 1
+                break
+            srow = stored[lead]
+            f = Fraction(vec[lead], srow[lead])
+            vec = {c: x for c in vec.keys() | srow.keys() if (x := vec.get(c, 0) - f * srow.get(c, 0))}
+            steps += 1
+    return steps
+
+
+@given(integer_span_rows(), st.data())
+def test_ranks_take_one_difference_per_step_and_kernels_two(matrix, data):
+    # rank and new_leads read only the leads, so they carry no combination:
+    # one _difference per elimination step; left_kernel takes a second for
+    # the combination it returns.
+    rows, ncols = matrix
+    cut = data.draw(st.integers(0, len(rows)))
+    most = data.draw(st.integers(0, len(rows)))
+    span = SpanBuilder()
+    for row in rows[:cut]:
+        span.add(row)
+    with patch.object(linalg, "_difference", wraps=_difference) as spy:
+        rank(rows, ncols)
+        assert spy.call_count == _lead_only_steps(rows)
+        spy.reset_mock()
+        left_kernel(rows, ncols)
+        assert spy.call_count == 2 * _lead_only_steps(rows)
+        spy.reset_mock()
+        new_leads(rows[cut:], span.rows, most)
+        assert spy.call_count == _lead_only_steps(rows[cut:], span.rows, most)
 
 
 sparse_int_rows = st.dictionaries(st.integers(0, 20), st.integers(-9, 9).filter(bool), max_size=8)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from apolar import (
     AmbientMismatchError,
@@ -15,6 +16,7 @@ from apolar import (
     diff_action,
     parse_polynomial,
 )
+from apolar.polynomial import _numerators
 
 CTX = Context(("x", "y"))
 TCTX = CTX.dual()
@@ -232,6 +234,30 @@ def test_diff_action_matches_the_literal_reference_at_high_exponents():
         got = diff_action(op, target)
         assert got == _literal_action(op, target, True)
         assert got.coeff(r) == 0
+
+
+coefficients = st.one_of(
+    st.integers(-5, 5),  # zeros included
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    st.booleans(),
+)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=6))
+def test_a_polynomial_built_from_ints_holds_its_integer_form_from_the_start(raw):
+    # Built from ints (no bools), a polynomial keeps at construction the
+    # integer form _numerators makes of the same polynomial built from
+    # Fractions; built from anything else it makes it on first read.
+    terms = {ExponentVector(CTX, e): c for e, c in raw.items()}
+    f = Polynomial(CTX, terms)
+    reference = Polynomial(CTX, {ev: Fraction(c) for ev, c in terms.items()})
+    assert f == reference and all(type(c) is Fraction for _, c in f.terms())
+    assert reference._ints is None or not raw  # an empty dict holds only ints
+    if all(type(c) is int for c in raw.values()):
+        assert f._ints is not None and f._ints == _numerators(reference)
+    else:
+        assert f._ints is None
+    assert _numerators(f) == _numerators(reference)
 
 
 def test_text_round_trip():
