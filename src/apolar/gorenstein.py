@@ -89,15 +89,15 @@ class GorensteinSpec:
 def antipodal(spec: GorensteinSpec) -> Polynomial:
     """The antipodal polynomial: support reflected through (k-1)*(1,...,1),
     each coefficient scaled by the multinomial coefficient of the reflection.
-    Read off p's integer form, n/den per term: one Fraction n*M!/prod c_i!
-    over den per reflected exponent c, M the top degree."""
+    Read off p's integer form, n/den per term, and handed over in integer
+    form: the numerator n*M!/prod c_i! over den per reflected exponent c,
+    M the top degree."""
     terms, den = _numerators(spec.p)
-    reflected = {}
+    reflected = []
     for s, n in terms:
         comp = tuple(spec.k - 1 - c for c in s)
-        weight = multinomial(spec.top_degree, comp)
-        reflected[ExponentVector(spec.dual_ctx, comp)] = Fraction(n * weight, den)
-    return Polynomial(spec.dual_ctx, reflected)
+        reflected.append((comp, n * multinomial(spec.top_degree, comp)))
+    return Polynomial._from_ints(spec.dual_ctx, reflected, den)
 
 
 def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
@@ -107,18 +107,19 @@ def dual_socle_poly(spec: GorensteinSpec) -> Polynomial:
     functional phi(x^j); the result is normalized so its LEX-largest term,
     at j = lead, agrees with the antipodal polynomial exactly, which cancels
     phi's scale.  Only that one antipodal coefficient is made: p's
-    coefficient at (k-1)*(1,...,1) - lead times multinomial(M, lead).
+    coefficient n/den at (k-1)*(1,...,1) - lead times multinomial(M, lead).
+    In integers, raw_j * n * multinomial(M, lead) over den * raw_lead, the
+    sign of raw_lead put on the numerators, in integer form.
     """
-    raw_poly = Polynomial(spec.dual_ctx, {
-        ExponentVector(spec.dual_ctx, j): multinomial(spec.top_degree, j) * c
-        for j, c in spec._phi.items() if c
-    })
-    lead = max(raw_poly.support(), key=lex_key)
-    reflected = ExponentVector(spec.ctx, tuple(spec.k - 1 - c for c in lead.coords))
-    reference = spec.p.coeff(reflected) * multinomial(spec.top_degree, lead.coords)
-    if reference == 0:
+    raw = [(j, multinomial(spec.top_degree, j) * c) for j, c in spec._phi.items() if c]
+    lead, raw_lead = max(raw, key=lambda t: t[0][::-1])  # LEX-largest: last coordinate first
+    terms, den = _numerators(spec.p)
+    n = dict(terms).get(tuple(spec.k - 1 - c for c in lead), 0)
+    if n == 0:
         raise DomainError("dual socle polynomial support differs from antipodal")
-    return raw_poly.scale(reference / raw_poly.coeff(lead))
+    scale = n * multinomial(spec.top_degree, lead) * (1 if raw_lead > 0 else -1)
+    return Polynomial._from_ints(spec.dual_ctx, [(j, r * scale) for j, r in raw],
+                                 den * abs(raw_lead))
 
 
 def verify_gorenstein_ann(spec: GorensteinSpec) -> bool:

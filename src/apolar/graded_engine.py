@@ -358,7 +358,8 @@ def _minimal_degree(ctx: Context, kernel_fn, e: int, below: GradedSlice | None):
         rows, found = _span_read(kernel_fn(e, range(len(basis))), (), (), inf)
     else:
         rows, found = _lifted_slice(ctx, kernel_fn, e, len(basis), below)
-    gens = tuple([Polynomial(ctx, {basis[c]: v for c, v in row.items()}) for row in found])
+    gens = tuple([Polynomial._from_ints(ctx, [(basis[c].coords, v) for c, v in row.items()], 1)
+                  for row in found])
     return gens, GradedSlice(e, basis, rows)
 
 
@@ -424,9 +425,11 @@ def power_ideal(ctx: Context, k: int) -> MonomialIdeal:
 
 
 def reduce_mod_power_ideal(p: Polynomial, k: int) -> Polynomial:
-    """Drop the terms of p lying in (x_1^k, ..., x_d^k); p itself if none does."""
-    kept = {ev: c for ev, c in p.terms() if max(ev.coords) < k}
-    return p if len(kept) == len(p.support()) else Polynomial(p.ctx, kept)
+    """Drop the terms of p lying in (x_1^k, ..., x_d^k), read off p's integer
+    form; p itself if none does."""
+    pairs, den = _numerators(p)
+    kept = [(s, c) for s, c in pairs if max(s) < k]
+    return p if len(kept) == len(pairs) else Polynomial._from_ints(p.ctx, kept, den)
 
 
 def _reduced_mod_power(k: int, p: Polynomial | None = None) -> Polynomial | None:

@@ -9,7 +9,7 @@ instance x-operators acting on t-targets) as long as the dimensions agree.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import le, sub
 
 from .errors import AmbientMismatchError, DomainError
@@ -23,33 +23,65 @@ from .exponents import (
 
 
 class Polynomial:
-    """A finitely supported map from exponent vectors to rationals."""
+    """A finitely supported map from exponent vectors to rationals, kept in
+    whichever of two forms it is handed: the ``Fraction`` term dict
+    {exponent vector: nonzero coefficient}, or the integer form that
+    ``_numerators`` describes.  The other form is made on first read, at
+    most once.  ``is_zero`` and the degree queries read whichever form
+    exists; ``terms``, ``coeff``, ``support``, ``==``, ``str`` and the
+    arithmetic read the Fraction form."""
 
     __slots__ = ("ctx", "_terms", "_ints", "_div")
     __hash__ = None
 
     def __init__(self, ctx: Context, terms=None):
         """``terms`` is a dict {exponent vector: coefficient}; zero terms are
-        dropped and each coefficient that is no Fraction is made one.  When
-        every coefficient is an int (not a bool), the integer form
-        ``_numerators`` would make, the nonzero (exponent, int) pairs in term
-        order over 1, is kept here, so it is never rebuilt."""
-        self.ctx = ctx
-        clean: dict[ExponentVector, Fraction] = {}
-        pairs = []  # the nonzero int coefficients, None once one is no int
-        for ev, c in (terms or {}).items():
+        dropped.  When every coefficient is an int (not a bool), only the
+        integer form is kept, its nonzero (exponent, int) pairs in dict order
+        over 1; otherwise only the Fraction form, each coefficient that is no
+        Fraction made one."""
+        self.ctx, self._div = ctx, None
+        terms = terms or {}
+        for ev in terms:
             if ev.ctx != ctx:
                 raise AmbientMismatchError("term exponent from a different context")
-            if type(c) is not int:
-                pairs = None
-            elif c and pairs is not None:
-                pairs.append((ev.coords, c))
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c != 0:
-                clean[ev] = c
-        self._terms, self._div = clean, None
-        self._ints = None if pairs is None else (tuple(pairs), 1)
+        if all(type(c) is int for c in terms.values()):
+            self._terms = None
+            self._ints = tuple((ev.coords, c) for ev, c in terms.items() if c), 1
+        else:
+            self._ints = None
+            self._terms = {ev: c if isinstance(c, Fraction) else Fraction(c)
+                           for ev, c in terms.items() if c}
+
+    @classmethod
+    def _from_ints(cls, ctx: Context, pairs, den: int) -> "Polynomial":
+        """The polynomial sum c/den * x^s over the (exponent tuple, int) pairs,
+        exponents distinct and of ``ctx``'s length, den > 0, kept in integer
+        form: zero pairs dropped, then every numerator and den divided by
+        their one gcd g.  Each c/den reduces to a denominator den/a_i with
+        a_i = gcd(c_i, den) dividing den, and lcm(den/a_i) = den/gcd(a_i) =
+        den/g, so the result keeps ``_numerators``' lcm contract."""
+        pairs = [(s, c) for s, c in pairs if c]
+        g = gcd(den, *[c for _, c in pairs])
+        if g > 1:
+            pairs, den = [(s, c // g) for s, c in pairs], den // g
+        f = object.__new__(cls)
+        f.ctx, f._terms, f._ints, f._div = ctx, None, (tuple(pairs), den), None
+        return f
+
+    def _fractions(self) -> dict[ExponentVector, Fraction]:
+        """The Fraction form, made from the integer form on first read."""
+        if self._terms is None:
+            pairs, den = self._ints
+            ctx = self.ctx
+            self._terms = {ExponentVector(ctx, s): Fraction(c, den) for s, c in pairs}
+        return self._terms
+
+    def _degrees(self):
+        """The degree of each term, read from whichever form exists."""
+        if self._terms is not None:
+            return (ev.degree for ev in self._terms)
+        return (sum(s) for s, _ in self._ints[0])
 
     @classmethod
     def zero(cls, ctx: Context) -> "Polynomial":
@@ -69,23 +101,23 @@ class Polynomial:
 
     def terms(self) -> list[tuple[ExponentVector, Fraction]]:
         """Terms in canonical order (LEX ascending)."""
-        return sorted(self._terms.items(), key=lambda t: lex_key(t[0]))
+        return sorted(self._fractions().items(), key=lambda t: lex_key(t[0]))
 
     def coeff(self, ev: ExponentVector) -> Fraction:
-        return self._terms.get(ev, Fraction(0))
+        return self._fractions().get(ev, Fraction(0))
 
     def support(self) -> set[ExponentVector]:
-        return set(self._terms)
+        return set(self._fractions())
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self._ints[0] if self._terms is None else self._terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.ctx == other.ctx
-            and self._terms == other._terms
+            and self._fractions() == other._fractions()
         )
 
     def _require_same_ctx(self, other: "Polynomial") -> None:
@@ -94,28 +126,28 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ctx(other)
-        acc = dict(self._terms)
-        for ev, c in other._terms.items():
+        acc = dict(self._fractions())
+        for ev, c in other._fractions().items():
             acc[ev] = acc.get(ev, Fraction(0)) + c
         return Polynomial(self.ctx, acc)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ctx, {ev: -c for ev, c in self._terms.items()})
+        return Polynomial(self.ctx, {ev: -c for ev, c in self._fractions().items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.ctx, {ev: c * v for ev, v in self._terms.items()})
+        return Polynomial(self.ctx, {ev: c * v for ev, v in self._fractions().items()})
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._require_same_ctx(other)
         acc: dict[ExponentVector, Fraction] = {}
-        for ev1, c1 in self._terms.items():
-            for ev2, c2 in other._terms.items():
+        for ev1, c1 in self._fractions().items():
+            for ev2, c2 in other._fractions().items():
                 ev = ev_add(ev1, ev2)
                 acc[ev] = acc.get(ev, Fraction(0)) + c1 * c2
         return Polynomial(self.ctx, acc)
@@ -135,14 +167,14 @@ class Polynomial:
         """Total degree; None for the zero polynomial."""
         if self.is_zero:
             return None
-        return max(ev.degree for ev in self._terms)
+        return max(self._degrees())
 
     def is_homogeneous(self) -> bool:
-        return len({ev.degree for ev in self._terms}) <= 1
+        return len(set(self._degrees())) <= 1
 
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms; None for zero, error otherwise."""
-        degrees = {ev.degree for ev in self._terms}
+        degrees = set(self._degrees())
         if not degrees:
             return None
         if len(degrees) > 1:
@@ -174,9 +206,11 @@ class Polynomial:
 def _numerators(f: Polynomial) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
     """The one integer form of f: its (exponent, numerator) pairs over the lcm
     of its denominators, content kept, and that lcm, read by the action, the
-    Macaulay rows, the colon map and ``_divided``.  A polynomial built from
-    ints gets it in ``__init__``; any other keeps it in ``f._ints`` when first
-    made.  Either way it is made once: ``_terms`` is set only in ``__init__``."""
+    Macaulay rows, the colon map and ``_divided``.  A polynomial handed ints
+    or this form (``Polynomial._from_ints``) holds it from the start; one
+    handed Fractions makes it here on first read and keeps it in ``f._ints``.
+    Either way it is made once, and the Fraction form, once made, never
+    changes, so the two always agree."""
     if f._ints is None:
         den = lcm(*[c.denominator for c in f._terms.values()])
         f._ints = tuple((ev.coords, c.numerator * (den // c.denominator))
@@ -203,7 +237,7 @@ def _factorial(s: tuple[int, ...]) -> int:
 
 def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial:
     """The action summed in integers over the operands' common denominators,
-    with a Fraction made only for each nonzero result term.  A term pair
+    and handed over in integer form, so no Fraction is made.  A term pair
     forms q - p only once p <= q is known.  With coefficients, the target is
     read in divided powers: a*x^p on B*t^[q] adds a*B at r = q - p, and each
     nonzero sum is divided once, exactly, by r!, which divides every q! with
@@ -219,9 +253,9 @@ def _action(op: Polynomial, target: Polynomial, with_coeffs: bool) -> Polynomial
             if all(map(le, pc, qc)):
                 rest = tuple(map(sub, qc, pc))
                 acc[rest] = acc.get(rest, 0) + a * b
-    den, ctx = op_den * target_den, target.ctx
-    return Polynomial(ctx, {ExponentVector(ctx, r): Fraction(c // _factorial(r) if with_coeffs else c, den)
-                            for r, c in acc.items() if c})
+    if with_coeffs:
+        acc = {r: c // _factorial(r) for r, c in acc.items() if c}
+    return Polynomial._from_ints(target.ctx, acc.items(), op_den * target_den)
 
 
 def diff_action(op: Polynomial, target: Polynomial) -> Polynomial:

@@ -80,6 +80,21 @@ def reference_catalecticant(f, monomials) -> tuple[list[dict[int, int]], int]:
     return rows, len(at)
 
 
+def literal_action(op, target, with_coeffs):
+    """The action expanded term by term in Fraction arithmetic."""
+    acc = {}
+    for p, a in op.terms():
+        for q, b in target.terms():
+            if all(x <= y for x, y in zip(p.coords, q.coords)):
+                c = a * b
+                if with_coeffs:
+                    for x, y in zip(p.coords, q.coords):
+                        c *= Fraction(factorial(y), factorial(y - x))
+                rest = ExponentVector(target.ctx, tuple(y - x for x, y in zip(p.coords, q.coords)))
+                acc[rest] = acc.get(rest, Fraction(0)) + c
+    return Polynomial(target.ctx, acc)
+
+
 def reference_antipodal(spec) -> Polynomial:
     """The antipodal polynomial of ``gorenstein.antipodal`` in its plainest
     form: each term a*x^s of ``p.terms()`` becomes a * M!/prod c_i! * t^c,

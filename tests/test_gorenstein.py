@@ -30,6 +30,7 @@ from apolar import (
     verify_gorenstein_ann,
 )
 from apolar import gorenstein
+from apolar.exponents import box_monomials_of_degree
 from apolar.gorenstein import _is_annihilator_of
 from apolar.graded_engine import GradedSlice
 from apolar.linalg import rank, reduce_vector
@@ -123,6 +124,39 @@ def test_antipodal_and_dual_socle_poly_match_the_literal_reference():
         assert antipodal(spec) == want and dual_socle_poly(spec) == want
         fractional += any(c.denominator > 1 for _, c in spec.p.terms())
     assert fractional > 10
+
+
+def test_dual_socle_poly_refuses_a_functional_off_the_reflected_support():
+    # phi nonzero at a degree-M exponent whose reflection is no exponent of
+    # p leaves no antipodal coefficient to normalize by.
+    spec = GorensteinSpec(4, parse_polynomial("x*y^2 + x^2*y", CTX))  # M = 3
+    spec._phi = {(0, 3): 5, (1, 2): 2}  # (0, 3) reflects to (3, 0), not in p
+    with pytest.raises(DomainError, match="support differs"):
+        dual_socle_poly(spec)
+
+
+def test_verify_makes_no_fraction_for_the_generators_or_the_dual_form(monkeypatch):
+    # The certificate reads the colon ideal's generators and F = antipodal(p)
+    # in integer form only: after verify_gorenstein_ann on benchmark-shaped
+    # specs (d=3, k=5, a 4-term p of degree 6), neither has its Fraction form.
+    made = []
+
+    def recorded(spec):
+        made.append(antipodal(spec))
+        return made[-1]
+
+    monkeypatch.setattr(gorenstein, "antipodal", recorded)
+    rng = random.Random(35)
+    ctx = Context.of_dim(3)
+    for _ in range(4):
+        support = rng.sample(box_monomials_of_degree(ctx, 6, 4), 4)
+        spec = GorensteinSpec(5, Polynomial(ctx, {
+            ev: Fraction(rng.randint(1, 6) * rng.choice((1, -1)), rng.randint(1, 4)) for ev in support}))
+        assert verify_gorenstein_ann(spec)
+        gens = spec.colon_ideal().generators
+        assert gens and all(g._terms is None for g in gens)
+        assert made[-1]._terms is None and made[-1] == reference_antipodal(spec)
+    assert len(made) == 4
 
 
 def test_verify_gorenstein_ann_fixtures():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +16,8 @@ from apolar import (
     diff_action,
     parse_polynomial,
 )
-from apolar.polynomial import _numerators
+from apolar.polynomial import _divided, _numerators
+from support import literal_action
 
 CTX = Context(("x", "y"))
 TCTX = CTX.dual()
@@ -168,21 +169,6 @@ def test_diff_and_contraction_agree_up_to_positive_scalars():
         assert annihilates(f, target) == contraction_action(f, target).is_zero
 
 
-def _literal_action(op, target, with_coeffs):
-    """The action expanded term by term in Fraction arithmetic."""
-    acc = {}
-    for p, a in op.terms():
-        for q, b in target.terms():
-            if all(x <= y for x, y in zip(p.coords, q.coords)):
-                c = a * b
-                if with_coeffs:
-                    for x, y in zip(p.coords, q.coords):
-                        c *= Fraction(factorial(y), factorial(y - x))
-                rest = ExponentVector(target.ctx, tuple(y - x for x, y in zip(p.coords, q.coords)))
-                acc[rest] = acc.get(rest, Fraction(0)) + c
-    return Polynomial(target.ctx, acc)
-
-
 def test_actions_match_a_literal_fraction_reference():
     rng = random.Random(44)
 
@@ -200,7 +186,7 @@ def test_actions_match_a_literal_fraction_reference():
     for op, target in pairs:
         for action, with_coeffs in ((diff_action, True), (contraction_action, False)):
             got = action(op, target)
-            assert got == _literal_action(op, target, with_coeffs)
+            assert got == literal_action(op, target, with_coeffs)
             assert all(type(c) is Fraction for _, c in got.terms())
     assert diff_action(*cancelling).is_zero and contraction_action(*cancelling).is_zero
 
@@ -220,7 +206,7 @@ def test_diff_action_matches_the_literal_reference_at_high_exponents():
     for _ in range(100):
         op = Polynomial(CTX, {rand_ev(CTX, 12): coeff() for _ in range(rng.randint(1, 4))})
         target = Polynomial(TCTX, {rand_ev(TCTX, 30): coeff() for _ in range(rng.randint(1, 5))})
-        assert diff_action(op, target) == _literal_action(op, target, True)
+        assert diff_action(op, target) == literal_action(op, target, True)
     for _ in range(100):
         r, p1, p2 = rand_ev(TCTX, 15), rand_ev(CTX, 15), rand_ev(CTX, 15)
         if p1 == p2:
@@ -232,7 +218,7 @@ def test_diff_action_matches_the_literal_reference_at_high_exponents():
         op = Polynomial(CTX, {p1: c / a, p2: -c / b})
         target = Polynomial(TCTX, {up[0]: 1, up[1]: 1})
         got = diff_action(op, target)
-        assert got == _literal_action(op, target, True)
+        assert got == literal_action(op, target, True)
         assert got.coeff(r) == 0
 
 
@@ -258,6 +244,80 @@ def test_a_polynomial_built_from_ints_holds_its_integer_form_from_the_start(raw)
     else:
         assert f._ints is None
     assert _numerators(f) == _numerators(reference)
+
+
+@st.composite
+def integer_forms(draw):
+    """Distinct exponents, all of one degree or drawn freely, with integer
+    numerators (zeros included), a denominator and a factor m >= 2."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 5))
+        exps = [(a, n - a) for a in draw(st.lists(st.integers(0, n), unique=True, max_size=5))]
+    else:
+        exps = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), unique=True, max_size=5))
+    nums = draw(st.lists(st.integers(-12, 12), min_size=len(exps), max_size=len(exps)))
+    return list(zip(exps, nums)), draw(st.integers(2, 6)), draw(st.integers(2, 4))
+
+
+EXTRA = ExponentVector(CTX, (5, 5))  # above every exponent integer_forms draws
+
+
+ANSWERS = ("terms", "eq", "str", "coeff", "support", "degree", "numerators", "divided", "action")
+
+
+@given(integer_forms(), st.permutations(ANSWERS))
+def test_a_polynomial_built_three_ways_gives_the_same_answers(form, order):
+    # The value sum n/den * x^s is built from a Fraction dict, from an int
+    # dict (den = 1 only) and by the integer-form constructor over den*m, no
+    # lcm of the reduced denominators.  Every answer matches a literal
+    # reference, whichever form the first answer read.
+    pairs, den, m = form
+    op = parse_polynomial("t1^2 - 3/2*t1*t2 + 5*t2", TCTX)
+    target = parse_polynomial("1/3*x^4*y^3 - x^2*y^5 + 7*x*y", CTX)
+    for d in (1, den):
+        want = {ExponentVector(CTX, s): Fraction(n, d) for s, n in pairs if n}
+        lcm_den = lcm(*[c.denominator for c in want.values()])
+        degrees = {ev.degree for ev in want}
+
+        def answer(f, name):
+            if name == "terms":
+                assert f.terms() == sorted(want.items(), key=lambda t: t[0].coords[::-1])
+                assert all(type(c) is Fraction for _, c in f.terms())
+            elif name == "eq":
+                assert f == Polynomial(CTX, dict(want)) and f != Polynomial(CTX, {EXTRA: 1})
+            elif name == "str":
+                assert str(f) == str(Polynomial(CTX, dict(want)))
+            elif name == "coeff":
+                assert all(f.coeff(ev) == c for ev, c in want.items()) and f.coeff(EXTRA) == 0
+            elif name == "support":
+                assert f.support() == set(want)
+            elif name == "degree":
+                assert f.is_zero == (not want) and f.degree() == max(degrees, default=None)
+                assert f.is_homogeneous() == (len(degrees) <= 1)
+                if len(degrees) > 1:
+                    with pytest.raises(DomainError):
+                        f.homogeneous_degree()
+                else:
+                    assert f.homogeneous_degree() == next(iter(degrees), None)
+            elif name == "numerators":
+                ints, got_den = _numerators(f)
+                assert got_den == lcm_den and len(ints) == len(want)
+                assert dict(ints) == {ev.coords: int(c * lcm_den) for ev, c in want.items()}
+            elif name == "divided":
+                assert dict(_divided(f)) == {
+                    ev.coords: int(c * lcm_den) * factorial(ev.coords[0]) * factorial(ev.coords[1])
+                    for ev, c in want.items()}
+            else:
+                got = diff_action(op, f), diff_action(f, target)
+                assert got == (literal_action(op, f, True), literal_action(f, target, True))
+
+        builds = [Polynomial(CTX, {ExponentVector(CTX, s): Fraction(n, d) for s, n in pairs}),
+                  Polynomial._from_ints(CTX, [(s, n * m) for s, n in pairs], d * m)]
+        if d == 1:
+            builds.append(Polynomial(CTX, {ExponentVector(CTX, s): n for s, n in pairs}))
+        for f in builds:
+            for name in order:
+                answer(f, name)
 
 
 def test_text_round_trip():

@@ -75,23 +75,39 @@ def test_linalg_probes_no_row_shape():
     assert not found, found
 
 
-def test_terms_are_set_only_in_polynomial_init():
-    # _numerators keeps a polynomial's integer form on first read, which is
-    # only sound if _terms never changes after __init__: no other function
-    # assigns, deletes or writes into it.
-    found = []
+def test_each_form_of_a_polynomial_is_written_only_where_it_is_made():
+    # A Polynomial keeps the form it is handed and makes the other on first
+    # read, which is only sound if no form changes once made: each slot is
+    # written only by the two constructors and by the one function that first
+    # makes that form.  Every listed writer must be seen writing its slot, and
+    # the slots must be Polynomial's, so a renamed slot or writer fails here
+    # rather than letting the rule pass unseen.
+    writers = {"_terms": {"__init__", "_from_ints", "_fractions"},
+               "_ints": {"__init__", "_from_ints", "_numerators"},
+               "_div": {"__init__", "_from_ints", "_divided"}}
+    seen, found, slots = set(), [], None
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        init = next((f for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "Polynomial"
-                     for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"), None)
-        allowed = {id(n) for n in ast.walk(init)} if init else set()
+        owner = {}  # node -> its innermost enclosing polynomial.py function
+        if path.name == "polynomial.py":
+            for f in ast.walk(tree):  # breadth first, so inner functions win
+                if isinstance(f, ast.FunctionDef):
+                    owner.update((id(n), f.name) for n in ast.walk(f))
+                elif isinstance(f, ast.ClassDef) and f.name == "Polynomial":
+                    slots = next(ast.literal_eval(n.value) for n in f.body if isinstance(n, ast.Assign)
+                                 and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in n.targets))
         for node in ast.walk(tree):
             targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
                        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
             for target in targets:  # f._terms, f._terms[...] and tuples of them
                 for t in ast.walk(target):
-                    if isinstance(t, ast.Attribute) and t.attr == "_terms" and id(t) not in allowed:
-                        found.append(f"{path.name}:{t.lineno}")
+                    if isinstance(t, ast.Attribute) and t.attr in writers:
+                        if owner.get(id(t)) in writers[t.attr]:
+                            seen.add((t.attr, owner[id(t)]))
+                        else:
+                            found.append(f"{path.name}:{t.lineno} {t.attr}")
+    assert slots is not None and set(slots) == {"ctx", *writers}, slots
+    assert seen == {(slot, f) for slot, fs in writers.items() for f in fs}, seen
     assert not found, found
 
 
