@@ -163,7 +163,7 @@ def _is_annihilator_of(ideal: HomogeneousIdealPresentation, f: Polynomial) -> bo
         return False
     z = max((e for e, sl in enumerate(half) if sl.hilbert_value == len(sl.monomial_basis)), default=0)
     cat = _catalecticant(ideal.ctx, f)
-    return all(rank(*cat(e, sl.standard_columns)) >= sl.hilbert_value
+    return all(rank(cat(e, sl.standard_columns)) >= sl.hilbert_value
                for e, sl in enumerate(half[z:], z))
 
 
@@ -269,7 +269,7 @@ def pairing_is_nondegenerate(spec: GorensteinSpec, i: int) -> bool:
     if i not in verdicts:
         # spec._phi checks (R/I)_M != 0, so neither basis is empty
         rows, ncols = _pairing(spec, i)
-        verdicts[i] = rank(rows, ncols) == min(len(rows), ncols)
+        verdicts[i] = rank(rows) == min(len(rows), ncols)
     return verdicts[i]
 
 

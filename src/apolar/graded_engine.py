@@ -453,28 +453,17 @@ def colon_power_ideal(k: int, p: Polynomial) -> HomogeneousIdealPresentation:
     Degree by degree, the kernel of multiplication by p into the monomial
     quotient R/(x_1^k, ..., x_d^k); minimal generators are extracted along
     the way, as slices are read.  The result is artinian Gorenstein.
-    The map runs on ``_pack`` codes in b-bit fields, 2^(b-1) > top + k, above
-    every coordinate of m*x^s (m of degree <= top + 1), so no field carries:
-    with ``off`` adding 2^(b-1) - k to each field and ``mask`` their top bits,
-    m*x^s is in the box [0, k-1]^d iff (code(m) + code(s) + off) & mask == 0.
-    A row keys its terms by minus those sums, which order as LEX does, so it
-    leads at its LEX-largest product: m -> m*x^s keeps the order, and the
-    rows of distinct m share a lead only where that product leaves the box.
+    m*x^s is in the box [0, k-1]^d iff m <= (k-1)*1 - s, so the map is the
+    ``_contraction`` of p's reflection sum_s a_s t^((k-1)*1 - s) (Macaulay
+    duality; hence the colon ideal is Ann(antipodal(p))).  Its key for m*x^s
+    is a constant minus code(m*x^s), which orders as LEX does, reversed, so
+    each row leads at its LEX-largest product in the box.
     """
     p_red = _reduced_mod_power(k, p)
     ctx = p.ctx
     top = ctx.dim * (k - 1) - p_red.homogeneous_degree()  # top degree of R/I
-    b = (top + k).bit_length() + 1
-    mask = _pack((1 << b - 1,) * ctx.dim, b)
-    off = mask - _pack((k,) * ctx.dim, b)
-    terms = [(_pack(s, b) + off, a) for s, a in _numerators(p_red)[0]]
-
-    def kernel(e, columns):  # row m: the terms of m*p in the box, keyed by minus their code
-        codes = _codes(ctx, e, b)
-        rows = [{-t: a for s, a in terms if not (t := codes[c] + s) & mask} for c in columns]
-        return left_kernel(rows, len(set().union(*rows)))
-
-    return _assemble_minimal(ctx, kernel, top + 1)
+    reflected = [(tuple(k - 1 - c for c in s), a) for s, a in _numerators(p_red)[0]]
+    return _assemble_minimal(ctx, _kernel_of(_contraction(ctx, reflected, top)), top + 1)
 
 
 def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> HomogeneousIdealPresentation:
@@ -489,35 +478,45 @@ def ann_partial(q: Polynomial, operator_ctx: Context | None = None) -> Homogeneo
     ctx = operator_ctx or Context.of_dim(q.ctx.dim)
     if ctx.dim != q.ctx.dim:
         raise AmbientMismatchError("operator and target dimensions differ")
-
-    cat = _catalecticant(ctx, q)
-    return _assemble_minimal(ctx, lambda e, cols: left_kernel(*cat(e, cols)), m_deg + 1)
+    return _assemble_minimal(ctx, _kernel_of(_catalecticant(ctx, q)), m_deg + 1)
 
 
 def _catalecticant(ctx: Context, f: Polynomial):
-    """The integer catalecticant of f, made once per form: the map (e, columns)
-    -> (rows, width) of Cat_e(f), the matrix of R_e -> S_(deg f - e),
-    m -> m(d/dt) f, with column u scaled by u!, on the degree-e monomials of
-    ``ctx`` at the given positions (all of R_e's, or some): one sparse row per
-    monomial m, in the given order, a column per exponent hit by first
-    appearance (``left_kernel``'s rows), and the width.  f is read in divided
-    powers, ``_divided(f)`` over its gcd: a term c*t^s with s >= m puts
-    c*s!/u! at the column of u = s - m, so the scaled matrix holds w_s there,
-    a positive column scaling and a common factor, which keep the rank and
-    the left kernel.  On ``_pack`` codes in b-bit fields, sized once with
-    2^(b-1) > max s_i + deg f + 1 so that no field borrows in any degree up to
-    deg f + 1, and ``guard`` their top bits, s >= m iff
-    ((code(s) | guard) - code(m)) & guard == guard.
+    """The integer catalecticant of f, the ``_contraction`` of ``_divided(f)``:
+    the matrix of R_e -> S_(deg f - e), m -> m(d/dt) f, with column u scaled
+    by u!.  A term c*t^s with s >= m puts c*s!/u! at u = s - m, so the scaled
+    matrix holds w_s there, a positive column scaling, which keeps the rank
+    and the left kernel."""
+    return _contraction(ctx, _divided(f), f.homogeneous_degree())
+
+
+def _contraction(ctx: Context, pairs, degree: int):
+    """The contraction map of sum_s w_s t^s, ``pairs`` (s, w), made once:
+    (e, columns) -> one sparse row per degree-e monomial m of ``ctx`` at the
+    given positions (all of R_e's, or some), in the given order, holding w/g
+    at the key code(s - m) + guard for each pair with s >= m, g the gcd of
+    the w (a common factor, which keeps the rank and the left kernel).  Keys
+    are ``_pack`` codes in b-bit fields, sized with 2^(b-1) > max s_i +
+    degree + 1 so that no field borrows in any degree up to degree + 1, and
+    ``guard`` is their top bits: s >= m iff
+    ((code(s) | guard) - code(m)) & guard == guard, and that difference is
+    the key.
     """
-    pairs = _divided(f)
     g = gcd(*[w for _, w in pairs])
-    b = (max(max(s) for s, _ in pairs) + f.homogeneous_degree() + 1).bit_length() + 1
+    b = (max(max(s) for s, _ in pairs) + degree + 1).bit_length() + 1
     guard = _pack((1 << b - 1,) * ctx.dim, b)
     packed = [(_pack(s, b) | guard, w // g) for s, w in pairs]
 
-    def cat(e, columns):
-        codes, at = _codes(ctx, e, b), {}
-        rows = [{at.setdefault(u, len(at)): w for p, w in packed
-                 if (u := p - codes[j]) & guard == guard} for j in columns]
-        return rows, len(at)
-    return cat
+    def rows(e, columns):
+        codes = _codes(ctx, e, b)
+        return [{u: w for p, w in packed if (u := p - codes[j]) & guard == guard} for j in columns]
+    return rows
+
+
+def _kernel_of(contraction):
+    """A build's kernel_fn: the left kernel of the contraction map's rows."""
+    def kernel(e, columns):
+        rows = contraction(e, columns)
+        width = len(set().union(*rows))  # read only by perfbench's _count_left_kernel
+        return left_kernel(rows, width)
+    return kernel

@@ -115,7 +115,7 @@ def _lead_echelon(rows, combine: bool, stored=None) -> tuple[dict, list]:
     return stored, kernel
 
 
-def rank(rows, ncols: int) -> int:
+def rank(rows) -> int:
     """The rank over Q of ``rows``, {column: nonzero int} dicts."""
     return len(_lead_echelon(rows, False)[0])
 

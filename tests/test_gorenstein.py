@@ -262,7 +262,7 @@ def _full_certificate(ideal, f) -> bool:
     for e in range(top // 2 + 1):
         sl = ideal.slice(e)
         if (ideal.slice(top - e).hilbert_value > sl.hilbert_value
-                or rank(*reference_catalecticant(f, sl.standard_monomials)) < sl.hilbert_value):
+                or rank(reference_catalecticant(f, sl.standard_monomials)[0]) < sl.hilbert_value):
             return False
     return True
 
@@ -278,7 +278,7 @@ def test_certificate_ranks_only_from_the_last_zero_degree(monkeypatch):
     # degree <= M/2 where I is zero, and every verdict equals the one of the
     # certificate ranking every degree 0..M/2.
     calls = []
-    monkeypatch.setattr(gorenstein, "rank", lambda rows, ncols: calls.append(ncols) or rank(rows, ncols))
+    monkeypatch.setattr(gorenstein, "rank", lambda rows: calls.append(rows) or rank(rows))
     rng = random.Random(73)
     verdicts, skipped = Counter(), 0
     for _ in range(40):
@@ -305,7 +305,7 @@ def test_certificate_rejects_by_the_rank_at_the_last_zero_degree(monkeypatch):
     pres = parse_ideal("(x^2*y, x*y^2, x^4 - y^4)", CTX)
     assert [pres.slice(e).hilbert_value for e in range(6)] == [1, 2, 3, 2, 1, 0]
     calls = []
-    monkeypatch.setattr(gorenstein, "rank", lambda rows, ncols: calls.append(ncols) or rank(rows, ncols))
+    monkeypatch.setattr(gorenstein, "rank", lambda rows: calls.append(rows) or rank(rows))
     assert not _is_annihilator_of(pres, f) and len(calls) == 1
     assert not _full_certificate(pres, f) and not _certified(pres, f)
 
@@ -409,7 +409,7 @@ def test_hilbert_symmetry_and_pairing_fixtures():
         for i in range(top + 1):
             matrix = pairing_matrix(spec, i)
             assert len(matrix) == h[i] and len(matrix[0]) == h[top - i]
-            assert rank([cleared(row) for row in matrix], h[top - i]) == min(h[i], h[top - i])
+            assert rank([cleared(row) for row in matrix]) == min(h[i], h[top - i])
             assert pairing_is_nondegenerate(spec, i)
 
 
@@ -509,7 +509,7 @@ def test_pairing_verdict_is_the_rank_of_the_pairing_matrix():
         for i in range(spec.top_degree + 1):
             matrix = pairing_matrix(spec, i)
             ncols = len(matrix[0])
-            full = rank([cleared(row) for row in matrix], ncols) == min(len(matrix), ncols)
+            full = rank([cleared(row) for row in matrix]) == min(len(matrix), ncols)
             assert pairing_is_nondegenerate(spec, i) == full, (spec, i)
             verdicts[full] += 1
     assert verdicts[True] and verdicts[False]
@@ -523,9 +523,9 @@ def test_pairing_verdicts_rank_one_of_each_dual_pair(monkeypatch):
 
     ranked = []
 
-    def counted(rows, ncols):
+    def counted(rows):
         ranked.append(len(rows))
-        return rank(rows, ncols)
+        return rank(rows)
 
     monkeypatch.setattr(gorenstein, "rank", counted)
     rng = random.Random(77)
@@ -544,7 +544,7 @@ def test_pairing_verdicts_rank_one_of_each_dual_pair(monkeypatch):
         for i, verdict in enumerate(sweep):
             matrix = pairing_matrix(spec, i)
             ncols = len(matrix[0])
-            assert verdict == (rank([cleared(row) for row in matrix], ncols)
+            assert verdict == (rank([cleared(row) for row in matrix])
                                == min(len(matrix), ncols)), (spec, i)
             verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
-from operator import add, sub
+from operator import sub
 
 import pytest
 
@@ -792,44 +792,52 @@ def test_shift_tables_multiply_by_a_variable():
 
 
 def _tuple_images(image, monomials):
-    # The reference map: exponent tuples added or subtracted coordinate by
-    # coordinate, one row per monomial.  A column is the int key the image
-    # gives it or, for an exponent tuple, its number by first appearance; the
-    # width is the number of distinct columns.
-    at = {}
-    rows = [{at.setdefault(t, len(at) if isinstance(t, tuple) else t): c for t, c in image(m.coords)}
-            for m in monomials]
-    return rows, len(at)
+    # The reference map: one row per monomial, {key: weight} as the image
+    # gives it; the width is the number of distinct keys.
+    rows = [dict(image(m.coords)) for m in monomials]
+    return rows, len(set().union(*rows))
 
 
-def _colon_key(k, p):
-    # A product t's column in the colon map: minus the sum over i of
-    # (t_i + 2^(b-1) - k) * 2^(b*i), with 2^(b-1) > top + k.
-    b = (p.ctx.dim * (k - 1) - p.homogeneous_degree() + k).bit_length() + 1
-    return lambda t: -sum(c + (1 << b - 1) - k << b * i for i, c in enumerate(t))
+def _key(pairs, degree):
+    # An exponent tuple u's key, code(u) + guard: the sum over i of
+    # (u_i + 2^(b-1)) * 2^(b*i), with 2^(b-1) > max s_i + degree + 1.
+    b = (max(max(s) for s, _ in pairs) + degree + 1).bit_length() + 1
+    return lambda u: sum(c + (1 << b - 1) << b * i for i, c in enumerate(u))
+
+
+def _contraction_image(pairs, degree, keep):
+    # The contraction of sum_s w_s t^s on tuples: row m holds w over the
+    # weights' gcd at the key of s - m, for each pair that keep(m, s) admits.
+    key, g = _key(pairs, degree), gcd(*[w for _, w in pairs])
+
+    def image(mc):
+        return [(key(tuple(map(sub, s, mc))), w // g) for s, w in pairs if keep(mc, s)]
+    return image
+
+
+def _reflection(k, p):
+    return [(tuple(k - 1 - c for c in s), a) for s, a in _numerators(p)[0]]
 
 
 def _colon_image(k, p):
-    terms, key = _numerators(p)[0], _colon_key(k, p)
-
-    def image(mc):  # the terms of m*p inside the box [0, k-1]^d, keyed
-        return [(key(t), a) for s, a in terms if max(t := tuple(map(add, mc, s))) < k]
-    return image
+    # p's reflection, kept where m*x^s, s = (k-1)*1 - r, is in the box [0, k-1]^d.
+    top = p.ctx.dim * (k - 1) - p.homogeneous_degree()
+    return _contraction_image(_reflection(k, p), top,
+                              lambda mc, r: max(m + k - 1 - c for m, c in zip(mc, r)) < k)
 
 
 def _catalecticant_image(f):
+    # m(d/dt) f in divided powers: the weights c*s!, kept where s >= m.
     weights = [(s, c * prod(map(factorial, s))) for s, c in _numerators(f)[0]]
-    g = gcd(*[w for _, w in weights])
-
-    def image(mc):  # m(d/dt) f in divided powers: w_s over their gcd, at s - m
-        return [(u, w // g) for s, w in weights if min(u := tuple(map(sub, s, mc))) >= 0]
-    return image
+    return _contraction_image(weights, f.homogeneous_degree(),
+                              lambda mc, s: min(map(sub, s, mc)) >= 0)
 
 
 def _field_width_specs():
-    # Monomial p of degree 1-2 in d = 4-6 with k = 2-3: the exponents of
-    # m*x^s reach top + k, far above k, so fields sized by k alone carry into
-    # the next variable's.  Specs the size guard refuses are left out.
+    # Monomial p of degree 1-2 in d = 4-6 with k = 2-3: a monomial m's
+    # exponents reach top + 1, far above the reflection's (at most k - 1), so
+    # fields sized by the form's exponents alone borrow from the next
+    # variable's.  Specs the size guard refuses are left out.
     specs = []
     for d in (4, 5, 6):
         ctx = Context.of_dim(d)
@@ -842,13 +850,13 @@ def _field_width_specs():
 
 
 def test_packed_maps_match_tuple_arithmetic(monkeypatch):
-    # Both kernel maps, the colon map and the catalecticant of antipodal(p),
-    # read in every degree up to top + 1, on all columns and on every other
-    # one, equal the maps made from exponent tuples: the same rows, column
-    # keys and width.  The colon map keys a product by minus its packed code,
-    # which ascends as the product descends in LEX, so each row leads at its
-    # LEX-largest product; the catalecticant numbers columns by first
-    # appearance.
+    # Both builds' kernel maps, the colon map and the catalecticant of
+    # antipodal(p), read in every degree up to top + 1, on all columns and on
+    # every other one, equal the contraction made from exponent tuples: the
+    # same rows, column keys and width.  The colon map is the contraction of
+    # p's reflection, with its box test made on the products m*x^s; its key
+    # of a product ascends as the product descends in LEX, so each row leads
+    # at its LEX-largest product.
     rng, line = random.Random(29), Context.of_dim(1)
     builds = []  # (ideal, top degree, the reference image of a monomial)
     colons = []  # (k, p)
@@ -864,9 +872,10 @@ def test_packed_maps_match_tuple_arithmetic(monkeypatch):
     builds += [(ann_partial(q), n, _catalecticant_image(q)),
                (colon_power_ideal(n + 4, x3), n, _colon_image(n + 4, x3))]
     for k, p in colons:
-        key = _colon_key(k, p)
+        key = _key(_reflection(k, p), p.ctx.dim * (k - 1) - p.homogeneous_degree())
         for e in range(p.ctx.dim * (k - 1) + 1):
-            keys = [key(m.coords) for m in monomials_of_degree(p.ctx, e) if max(m.coords) < k]
+            keys = [key([k - 1 - c for c in m.coords])
+                    for m in monomials_of_degree(p.ctx, e) if max(m.coords) < k]
             assert all(a < b for a, b in zip(keys, keys[1:]))
     seen = []
     monkeypatch.setattr("apolar.graded_engine.left_kernel",
@@ -902,6 +911,6 @@ def test_catalecticant_matches_the_falling_factorial_reference_property(f, rnd):
         subset = sorted(rnd.sample(range(len(basis)), rnd.randint(1, len(basis))))
         for columns in (range(len(basis)), subset):
             got = cat(e, columns)
-            ref = reference_catalecticant(f, [basis[c] for c in columns])
-            assert rank(*got) == rank(*ref)
-            assert left_kernel(*got) == left_kernel(*ref)
+            ref, width = reference_catalecticant(f, [basis[c] for c in columns])
+            assert rank(got) == rank(ref)
+            assert left_kernel(got, width) == left_kernel(ref, width)

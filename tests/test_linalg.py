@@ -132,7 +132,7 @@ def test_nullspace_property():
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         m = rand_matrix(rng, nrows, ncols, frac=True)
         basis = [densified(v, ncols) for v in nullspace(m, ncols)]
-        assert len(basis) == ncols - rank([cleared(row) for row in m], ncols)
+        assert len(basis) == ncols - rank([cleared(row) for row in m])
         for v in basis:
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
@@ -250,7 +250,7 @@ def test_sparse_matrices_match_the_dense_reference(matrix, data):
     got_rows, got_pivots = fraction_rref(rows, ncols)
     assert got_pivots == want_pivots
     assert [list(r) for r in got_rows] == want_rows
-    assert rank([cleared(row) for row in rows], ncols) == len(got_pivots)
+    assert rank([cleared(row) for row in rows]) == len(got_pivots)
     free_columns = [c for c in range(ncols) if c not in want_pivots]
     kernel = [densified(v, ncols) for v in nullspace(rows, ncols)]
     assert len(kernel) == len(free_columns)
@@ -365,7 +365,7 @@ def test_new_leads_are_the_pivots_the_rows_add(matrix, data):
         whole.add(row)
     assert echelon.keys() | new.keys() == whole.rows.keys()
     assert not any(reduce_vector(row, whole.rows) for row in new.values())
-    assert len(new) == rank(rows, ncols) - rank(rows[:cut], ncols)
+    assert len(new) == rank(rows) - rank(rows[:cut])
     most = data.draw(st.integers(0, len(new)))
     assert list(new_leads(iter(rows[cut:]), echelon, most).items()) == list(new.items())[:most]
 
@@ -406,7 +406,7 @@ def test_ranks_take_one_difference_per_step_and_kernels_two(matrix, data):
     for row in rows[:cut]:
         span.add(row)
     with patch.object(linalg, "_difference", wraps=_difference) as spy:
-        rank(rows, ncols)
+        rank(rows)
         assert spy.call_count == _lead_only_steps(rows)
         spy.reset_mock()
         left_kernel(rows, ncols)

@@ -154,3 +154,22 @@ def test_other_modules_import_two_graded_engine_private_names_at_most():
              if isinstance(node, ast.ImportFrom) and node.module == "graded_engine"
              for a in node.names if a.name.startswith("_") and a.name not in allowed]
     assert not found, found
+
+
+def test_graded_engine_has_one_packed_code_map():
+    # Both builds and the certificate read one kernel map, _contraction: it
+    # alone reads the packed monomial codes, and _pack is called only by it
+    # and by _codes, so a second packed-code map fails here.
+    tree = ast.parse((SRC / "graded_engine.py").read_text())
+    readers = {"_codes": {"_contraction"}, "_pack": {"_contraction", "_codes"}}
+    seen, found = set(), []
+    for f in tree.body:
+        name = getattr(f, "name", None)
+        for node in ast.walk(f):
+            if isinstance(node, ast.Name) and node.id in readers:
+                if name in readers[node.id]:
+                    seen.add((node.id, name))
+                else:
+                    found.append(f"graded_engine.py:{node.lineno} {node.id} in {name}")
+    assert not found, found
+    assert seen == {(n, f) for n, fs in readers.items() for f in fs}, seen
