@@ -155,7 +155,7 @@ def lex_cmp(a: ExponentVector, b: ExponentVector) -> int:
 
 def lex_key(a: ExponentVector) -> tuple[int, ...]:
     """Sort key realizing lex_cmp: ascending sort puts LEX-smallest first."""
-    return tuple(reversed(a.coords))
+    return a.coords[::-1]
 
 
 def add(a: ExponentVector, b: ExponentVector) -> ExponentVector:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from operator import ge, le
+from operator import ge, le, neg
 
 from .errors import AmbientMismatchError, DomainError
 from .exponents import Context, ExponentVector, lex_key, zero_vector
@@ -119,7 +119,7 @@ class MonomialIdeal:
     def contains(self, m: ExponentVector) -> bool:
         if m.ctx != self.ctx:
             raise AmbientMismatchError("membership test across contexts")
-        return _in_upset(self.gens, m.coords)
+        return _in_upset((g.coords for g in self.gens), m.coords)
 
     @cached_property
     def _components(self) -> tuple[tuple, ...]:
@@ -145,12 +145,13 @@ def is_subideal(inner: MonomialIdeal, outer: MonomialIdeal) -> bool:
     """inner is contained in outer (every generator of inner lies in outer)."""
     if inner.ctx != outer.ctx:
         raise AmbientMismatchError("containment test across contexts")
-    return all(_in_upset(outer.gens, g.coords) for g in inner.gens)
+    gens = [g.coords for g in outer.gens]
+    return all(_in_upset(gens, g.coords) for g in inner.gens)
 
 
 def _in_upset(gens, c: tuple) -> bool:
-    """Some generator divides the monomial with coordinates c."""
-    return any(all(map(le, g.coords, c)) for g in gens)
+    """Some generator, given by its coordinates, divides the monomial with coordinates c."""
+    return any(all(map(le, g, c)) for g in gens)
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -160,10 +161,11 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     kept generator divides is dropped."""
     if a.ctx != b.ctx:
         raise AmbientMismatchError("intersection across contexts")
-    kept = {g.coords: g for x, y in ((a, b), (b, a)) for g in x.gens if _in_upset(y.gens, g.coords)}
-    rest = [h.coords for h in b.gens if h.coords not in kept]
-    lcms = {tuple(map(max, g.coords, h)) for g in a.gens if g.coords not in kept for h in rest}
-    new = [c for c in _minimal(lcms) if not _in_upset(kept.values(), c)]
+    ac, bc = [g.coords for g in a.gens], [h.coords for h in b.gens]
+    kept = {g.coords: g for x, y in ((a, bc), (b, ac)) for g in x.gens if _in_upset(y, g.coords)}
+    rest = [h for h in bc if h not in kept]
+    lcms = {tuple(map(max, g, h)) for g in ac if g not in kept for h in rest}
+    new = [c for c in _minimal(lcms) if not _in_upset(kept, c)]
     gens = [*kept.values(), *(ExponentVector(a.ctx, c) for c in new)]
     return MonomialIdeal(a.ctx, tuple(sorted(gens, key=lex_key)))
 
@@ -198,14 +200,19 @@ def _fold_splits(codes, pivots) -> list[tuple]:
     A pivot that cuts no code changes nothing and is skipped.  Each split is
     tested against the other cut codes' splits only when more than one code
     is cut, and against the kept codes only once it survives that test.
+
+    Sorted pivots never lower g_0, and a cut needs g_0 < a_0, so a code with
+    a_0 < g_0 is cut by no later pivot.  Every later split b has b_0 >= g_0 >
+    a_0, so none lies below it: it is retired, to be tested no more.
     """
+    retired = []
     for g in sorted(pivots):
         stay, cut = [], []
         for a in codes:
-            (stay if any(map(ge, g, a)) else cut).append(a)
+            (retired if a[0] < g[0] else stay if any(map(ge, g, a)) else cut).append(a)
+        codes = list(stay)
         if not cut:
             continue
-        codes = list(stay)
         for i, x in enumerate(g):
             if not 0 < abs(x) < inf:
                 continue
@@ -225,14 +232,14 @@ def _fold_splits(codes, pivots) -> list[tuple]:
                     level = [c for c in stay if c[i] == x]
                 if not level or not any(all(map(le, b, c)) for c in level):
                     codes.append(b)
-    return codes
+    return codes + retired
 
 
 def _intersection(ctx: Context, codes) -> MonomialIdeal:
     """The intersection of the m^a over the codes a, folded from the unit ideal
     with every coordinate negated; negated back, its codes are the minimal generators."""
-    negated = _fold_splits([(0,) * ctx.dim], [tuple(-x for x in a) for a in codes])
-    gens = [ExponentVector(ctx, tuple(-x for x in c)) for c in negated]
+    negated = _fold_splits([(0,) * ctx.dim], [tuple(map(neg, a)) for a in codes])
+    gens = [ExponentVector(ctx, tuple(map(neg, c))) for c in negated]
     return MonomialIdeal(ctx, tuple(sorted(gens, key=lex_key)))
 
 

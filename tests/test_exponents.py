@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import os
 import pickle
@@ -143,6 +144,19 @@ def test_monomials_of_degree_descending():
     keys = [lex_key(m) for m in ms]
     assert keys == sorted(keys, reverse=True)
     assert unit_vector(CTX2, 0).coords == (1, 0)
+
+
+def test_lex_key_is_the_reversed_coordinates():
+    # lex_key is the reversed coordinate tuple, and a shuffled degree listing
+    # sorts under it exactly as under lex_cmp.
+    rng = random.Random(104)
+    for d in range(1, 7):
+        ctx = Context.of_dim(d)
+        for n in range(5):
+            ms = list(monomials_of_degree(ctx, n))
+            assert all(lex_key(m) == tuple(reversed(m.coords)) for m in ms)
+            rng.shuffle(ms)
+            assert sorted(ms, key=lex_key) == sorted(ms, key=functools.cmp_to_key(lex_cmp))
 
 
 def test_monomials_of_degree_match_sorted_listing():

@@ -283,6 +283,14 @@ def test_intersect_matches_the_lcm_pairs_property(pair):
         assert both.contains(m) == (a.contains(m) and b.contains(m))
 
 
+@given(ideal_pairs())
+def test_is_subideal_matches_membership_and_intersection_property(pair):
+    for inner, outer in (pair, pair[::-1]):
+        inside = is_subideal(inner, outer)
+        assert inside == all(outer.contains(g) for g in inner.gens)
+        assert inside == (intersect(inner, outer) == inner)
+
+
 def test_intersect_keeps_generators_lying_in_the_other_ideal():
     emmy = ideal(CTX, (2, 0), (1, 1))
     outer = ideal(CTX, (1, 0), (0, 3))
@@ -351,6 +359,32 @@ def test_fold_matches_the_reference_fold_property(case, rnd):
         new, ref = _fold_splits(new, [g]), reference_fold(ref, [g])
         assert len(set(new)) == len(new)
         assert set(new) == set(ref)
+
+
+def test_fold_sweep_fixtures():
+    # Sorted pivots never lower g_0, so the fold retires a code once a_0 < g_0;
+    # a kept code with c_0 = g_0 must stay, as a split can lie below it.  Each
+    # fold equals the reference fold as a set, with no repeats.
+    def check(codes, pivots, expected):
+        folded = _fold_splits(codes, pivots)
+        assert len(set(folded)) == len(folded)
+        assert set(folded) == set(reference_fold(codes, pivots)) == expected
+
+    # (2, 1) cuts (5, 3); its split (2, 3) lies below (2, 4) alone.  (1, 9)
+    # is retired and comes back at the end.
+    check([(2, 4), (5, 3), (1, 9)], [(2, 1)], {(1, 9), (2, 4), (5, 1)})
+    # Pivots sharing g_0 in one call: (2, inf, inf), split off by the first
+    # of them, lies above the later splits (2, inf, 4) and (2, inf, 3), and
+    # (1, inf, inf) above (1, inf, 2) and (1, inf, 3).
+    inf3 = (inf,) * 3
+    check([inf3], [(2, 5, 1), (2, 1, 4), (2, 3, 3), (3, 1, 1)],
+          {(2, inf, inf), (3, 3, 4), (3, 5, 3), (inf, 1, inf), (inf, inf, 1)})
+    check([inf3], [(1, 2, 2), (1, 3, 1), (1, 1, 3), (2, 2, 2), (2, 0, 3)],
+          {(1, inf, inf), (2, 1, inf), (inf, 2, 3), (inf, 3, 2), (inf, inf, 1)})
+    # A negated fold, where a -inf coordinate splits nothing: (-3, -1, -inf)
+    # splits (0, 0, -3) to (-3, 0, -3), which lies below (-3, 0, -1) alone.
+    check([(0, 0, 0)], [(-inf, -2, -1), (-3, -2, -3), (-3, -1, -inf)],
+          {(0, -2, 0), (-3, 0, -1), (0, -1, -3)})
 
 
 def test_docle_is_the_checked_antichain_of_its_elements():
