@@ -260,10 +260,8 @@ def pairing_matrix(spec: GorensteinSpec, i: int) -> list[list[Fraction]]:
 
 def pairing_is_nondegenerate(spec: GorensteinSpec, i: int) -> bool:
     """Full rank of the pairing matrix, ranked on its integer multiple.
-    Pairing M-i is the transpose of pairing i, as phi(r*c) is symmetric in
-    r and c, so one rank per spec answers both."""
-    if not 0 <= i <= spec.top_degree:
-        raise DomainError("pairing degree out of range")
+    Pairing M-i is the transpose of pairing i (phi(r*c) is symmetric), so one
+    rank answers both; an i off 0..M folds below 0, which ``_pairing`` refuses."""
     i = min(i, spec.top_degree - i)
     verdicts = spec._pairing_verdicts
     if i not in verdicts:

@@ -10,77 +10,56 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from operator import le, sub
+from operator import add, le, sub
 
 from .errors import AmbientMismatchError, DomainError
 from .exponents import (
     Context,
     ExponentVector,
-    add as ev_add,
     lex_key,
     unit_vector,
 )
 
 
 class Polynomial:
-    """A finitely supported map from exponent vectors to rationals, kept in
-    whichever of two forms it is handed: the ``Fraction`` term dict
-    {exponent vector: nonzero coefficient}, or the integer form that
-    ``_numerators`` describes.  The other form is made on first read, at
-    most once.  ``is_zero`` and the degree queries read whichever form
-    exists; ``terms``, ``coeff``, ``support``, ``==``, ``str`` and the
-    arithmetic read the Fraction form."""
+    """A finitely supported map from exponent vectors to rationals, held only
+    in the canonical integer form ``_numerators`` describes: ``==`` compares
+    it, the arithmetic works on it and makes no Fraction, and ``terms``,
+    ``coeff`` and ``support`` build their Fractions from it on each read."""
 
-    __slots__ = ("ctx", "_terms", "_ints", "_div")
+    __slots__ = ("ctx", "_ints", "_div")
     __hash__ = None
 
     def __init__(self, ctx: Context, terms=None):
         """``terms`` is a dict {exponent vector: coefficient}; zero terms are
-        dropped.  When every coefficient is an int (not a bool), only the
-        integer form is kept, its nonzero (exponent, int) pairs in dict order
-        over 1; otherwise only the Fraction form, each coefficient that is no
-        Fraction made one."""
+        dropped and the rest kept, in dict order, as numerators over the lcm
+        of their denominators, so an all-int dict is kept over 1."""
         self.ctx, self._div = ctx, None
         terms = terms or {}
         for ev in terms:
             if ev.ctx != ctx:
                 raise AmbientMismatchError("term exponent from a different context")
-        if all(type(c) is int for c in terms.values()):
-            self._terms = None
-            self._ints = tuple((ev.coords, c) for ev, c in terms.items() if c), 1
-        else:
-            self._ints = None
-            self._terms = {ev: c if isinstance(c, Fraction) else Fraction(c)
-                           for ev, c in terms.items() if c}
+        pairs = [(ev.coords, c if type(c) is int else Fraction(c)) for ev, c in terms.items() if c]
+        den = lcm(*[c.denominator for _, c in pairs])
+        self._ints = tuple((s, c.numerator * (den // c.denominator)) for s, c in pairs), den
 
     @classmethod
     def _from_ints(cls, ctx: Context, pairs, den: int) -> "Polynomial":
         """The polynomial sum c/den * x^s over the (exponent tuple, int) pairs,
-        exponents distinct and of ``ctx``'s length, den > 0, kept in integer
-        form: zero pairs dropped, then every numerator and den divided by
-        their one gcd g.  Each c/den reduces to a denominator den/a_i with
-        a_i = gcd(c_i, den) dividing den, and lcm(den/a_i) = den/gcd(a_i) =
-        den/g, so the result keeps ``_numerators``' lcm contract."""
+        exponents distinct and of ``ctx``'s length, den > 0: zero pairs
+        dropped, then every numerator and den divided by their one gcd g.
+        Each c/den reduces to a denominator den/a_i with a_i = gcd(c_i, den)
+        dividing den, and lcm(den/a_i) = den/gcd(a_i) = den/g, so the result
+        keeps ``_numerators``' lcm contract."""
         pairs = [(s, c) for s, c in pairs if c]
         g = gcd(den, *[c for _, c in pairs])
         if g > 1:
             pairs, den = [(s, c // g) for s, c in pairs], den // g
         f = object.__new__(cls)
-        f.ctx, f._terms, f._ints, f._div = ctx, None, (tuple(pairs), den), None
+        f.ctx, f._ints, f._div = ctx, (tuple(pairs), den), None
         return f
 
-    def _fractions(self) -> dict[ExponentVector, Fraction]:
-        """The Fraction form, made from the integer form on first read."""
-        if self._terms is None:
-            pairs, den = self._ints
-            ctx = self.ctx
-            self._terms = {ExponentVector(ctx, s): Fraction(c, den) for s, c in pairs}
-        return self._terms
-
     def _degrees(self):
-        """The degree of each term, read from whichever form exists."""
-        if self._terms is not None:
-            return (ev.degree for ev in self._terms)
         return (sum(s) for s, _ in self._ints[0])
 
     @classmethod
@@ -101,23 +80,29 @@ class Polynomial:
 
     def terms(self) -> list[tuple[ExponentVector, Fraction]]:
         """Terms in canonical order (LEX ascending)."""
-        return sorted(self._fractions().items(), key=lambda t: lex_key(t[0]))
+        pairs, den = self._ints
+        return sorted(((ExponentVector(self.ctx, s), Fraction(c, den)) for s, c in pairs),
+                      key=lambda t: lex_key(t[0]))
 
     def coeff(self, ev: ExponentVector) -> Fraction:
-        return self._fractions().get(ev, Fraction(0))
+        """The coefficient of x^ev, 0 for a vector of another context."""
+        pairs, den = self._ints
+        c = next((c for s, c in pairs if s == ev.coords), 0) if ev.ctx == self.ctx else 0
+        return Fraction(c, den)
 
     def support(self) -> set[ExponentVector]:
-        return set(self._fractions())
+        return {ExponentVector(self.ctx, s) for s, _ in self._ints[0]}
 
     @property
     def is_zero(self) -> bool:
-        return not (self._ints[0] if self._terms is None else self._terms)
+        return not self._ints[0]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.ctx == other.ctx
-            and self._fractions() == other._fractions()
+            and self._ints[1] == other._ints[1]
+            and dict(self._ints[0]) == dict(other._ints[0])
         )
 
     def _require_same_ctx(self, other: "Polynomial") -> None:
@@ -126,31 +111,35 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ctx(other)
-        acc = dict(self._fractions())
-        for ev, c in other._fractions().items():
-            acc[ev] = acc.get(ev, Fraction(0)) + c
-        return Polynomial(self.ctx, acc)
+        (pairs, a), (other_pairs, b) = self._ints, other._ints
+        acc = {s: c * b for s, c in pairs}
+        for s, c in other_pairs:
+            acc[s] = acc.get(s, 0) + c * a
+        return Polynomial._from_ints(self.ctx, acc.items(), a * b)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ctx, {ev: -c for ev, c in self._fractions().items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
-        return Polynomial(self.ctx, {ev: c * v for ev, v in self._fractions().items()})
+        pairs, den = self._ints
+        return Polynomial._from_ints(self.ctx, [(s, v * c.numerator) for s, v in pairs],
+                                     den * c.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._require_same_ctx(other)
-        acc: dict[ExponentVector, Fraction] = {}
-        for ev1, c1 in self._fractions().items():
-            for ev2, c2 in other._fractions().items():
-                ev = ev_add(ev1, ev2)
-                acc[ev] = acc.get(ev, Fraction(0)) + c1 * c2
-        return Polynomial(self.ctx, acc)
+        (pairs, a), (other_pairs, b) = self._ints, other._ints
+        acc: dict[tuple[int, ...], int] = {}
+        for s, c in pairs:
+            for t, v in other_pairs:
+                u = tuple(map(add, s, t))
+                acc[u] = acc.get(u, 0) + c * v
+        return Polynomial._from_ints(self.ctx, acc.items(), a * b)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -204,17 +193,10 @@ class Polynomial:
 
 
 def _numerators(f: Polynomial) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
-    """The one integer form of f: its (exponent, numerator) pairs over the lcm
-    of its denominators, content kept, and that lcm, read by the action, the
-    Macaulay rows, the colon map and ``_divided``.  A polynomial handed ints
-    or this form (``Polynomial._from_ints``) holds it from the start; one
-    handed Fractions makes it here on first read and keeps it in ``f._ints``.
-    Either way it is made once, and the Fraction form, once made, never
-    changes, so the two always agree."""
-    if f._ints is None:
-        den = lcm(*[c.denominator for c in f._terms.values()])
-        f._ints = tuple((ev.coords, c.numerator * (den // c.denominator))
-                        for ev, c in f._terms.items()), den
+    """The one form of f: its (exponent, numerator) pairs over the lcm of its
+    denominators, content kept, and that lcm, read by the action, the
+    Macaulay rows, the colon map and ``_divided``.  Every constructor leaves
+    f in it, so it is read, never made, here."""
     return f._ints
 
 
@@ -224,7 +206,7 @@ def _divided(f: Polynomial) -> tuple[tuple[tuple[int, ...], int], ...]:
     derivative x^p o t^q = q!/(q-p)! t^(q-p) is the contraction of divided
     powers, x^p o t^[q] = t^[q-p] (Iarrobino-Kanev, LNM 1721, App. A), so the
     action and the catalecticant read these weights and no falling factorial.
-    Kept in ``f._div`` when first made, as ``_numerators`` keeps its form."""
+    Kept in ``f._div`` when first made."""
     if f._div is None:
         f._div = tuple((s, c * _factorial(s)) for s, c in _numerators(f)[0])
     return f._div

@@ -231,19 +231,86 @@ coefficients = st.one_of(
 
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=6))
 def test_a_polynomial_built_from_ints_holds_its_integer_form_from_the_start(raw):
-    # Built from ints (no bools), a polynomial keeps at construction the
-    # integer form _numerators makes of the same polynomial built from
-    # Fractions; built from anything else it makes it on first read.
+    # The same values handed as they are drawn (ints, bools and Fractions
+    # mixed), as Fractions, as ints and as bools, where those can hold
+    # them, give equal polynomials with one integer form, and an int dict's
+    # form is its nonzero pairs over 1.
     terms = {ExponentVector(CTX, e): c for e, c in raw.items()}
-    f = Polynomial(CTX, terms)
-    reference = Polynomial(CTX, {ev: Fraction(c) for ev, c in terms.items()})
-    assert f == reference and all(type(c) is Fraction for _, c in f.terms())
-    assert reference._ints is None or not raw  # an empty dict holds only ints
-    if all(type(c) is int for c in raw.values()):
-        assert f._ints is not None and f._ints == _numerators(reference)
-    else:
-        assert f._ints is None
-    assert _numerators(f) == _numerators(reference)
+    builds = [terms, {ev: Fraction(c) for ev, c in terms.items()}]
+    if all(Fraction(c).denominator == 1 for c in raw.values()):
+        builds.append({ev: int(c) for ev, c in terms.items()})
+        assert _numerators(Polynomial(CTX, builds[-1])) == (
+            tuple((e, int(c)) for e, c in raw.items() if c), 1)
+    if all(c in (0, 1) for c in raw.values()):
+        builds.append({ev: bool(c) for ev, c in terms.items()})
+    polys = [Polynomial(CTX, b) for b in builds]
+    for f in polys:
+        assert f == polys[0] and _numerators(f) == _numerators(polys[0])
+        assert all(type(c) is Fraction for _, c in f.terms())
+
+
+def _canonical(f):
+    """f's integer form as (pairs dict, den), once its pairs are checked to
+    hold distinct exponents and nonzero numerators."""
+    pairs, den = _numerators(f)
+    assert len(dict(pairs)) == len(pairs) and all(c for _, c in pairs) and den > 0
+    return dict(pairs), den
+
+
+fraction_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))),
+    max_size=5,
+)
+
+
+@given(fraction_dicts, fraction_dicts, st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)),
+       st.integers(0, 3))
+def test_arithmetic_matches_a_fraction_dict_reference(a, b, c, n):
+    # +, -, unary -, *, scale and ** on the integer form agree with the same
+    # operations on plain {exponent vector: Fraction} dicts, and each result
+    # holds the integer form a Polynomial built from its own terms holds.
+    def reference(terms):
+        return {ExponentVector(CTX, e): Fraction(v) for e, v in terms.items() if v}
+
+    def added(x, y, sign=1):
+        out = dict(x)
+        for ev, v in y.items():
+            out[ev] = out.get(ev, 0) + sign * v
+        return {ev: v for ev, v in out.items() if v}
+
+    def multiplied(x, y):
+        out = {}
+        for e1, v1 in x.items():
+            for e2, v2 in y.items():
+                ev = ExponentVector(CTX, (e1.coords[0] + e2.coords[0], e1.coords[1] + e2.coords[1]))
+                out[ev] = out.get(ev, 0) + v1 * v2
+        return {ev: v for ev, v in out.items() if v}
+
+    ra, rb = reference(a), reference(b)
+    power = {ExponentVector(CTX, (0, 0)): Fraction(1)}
+    for _ in range(n):
+        power = multiplied(power, ra)
+    f, g = (Polynomial(CTX, {ExponentVector(CTX, e): v for e, v in t.items()}) for t in (a, b))
+    cases = [(f + g, added(ra, rb)), (f - g, added(ra, rb, -1)), (-f, added({}, ra, -1)),
+             (f * g, multiplied(ra, rb)), (f.scale(c), {ev: v * c for ev, v in ra.items() if c}),
+             (f ** n, power)]
+    for got, want in cases:
+        assert dict(got.terms()) == want
+        assert _canonical(got) == _canonical(Polynomial(CTX, dict(got.terms())))
+
+
+def test_a_lookup_by_coordinates_keeps_the_context():
+    # The integer form keys terms by coordinate tuples: a vector or a
+    # polynomial of another context with the same coordinates still differs.
+    p = parse_polynomial("3*x - 1/2*y^2", CTX)
+    assert p.coeff(ExponentVector(CTX, (1, 0))) == 3
+    assert p.coeff(ExponentVector(TCTX, (1, 0))) == 0
+    assert p.coeff(ExponentVector(CTX, (0, 1))) == 0
+    assert Polynomial.variable(CTX, 0) != Polynomial.variable(TCTX, 0)
+    assert Polynomial(CTX) != Polynomial(TCTX)
+    for zero in (Polynomial(CTX), p - p, p.scale(0), Polynomial._from_ints(CTX, [], 6)):
+        assert _numerators(zero) == ((), 1) and zero == Polynomial.zero(CTX)
 
 
 @st.composite

@@ -36,13 +36,35 @@ def test_gorenstein_scales_no_coset():
 
 
 def test_only_polynomial_reads_a_polynomials_terms():
-    # Polynomial owns its term dict: other modules read terms() or the one
-    # integer form, polynomial._numerators.
+    # Polynomial owns its integer form: other modules read terms() or that
+    # form through polynomial._numerators, never the slot itself.
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py")) if path.name != "polynomial.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+             if isinstance(node, ast.Attribute) and node.attr == "_ints"]
     assert not found, found
+
+
+def test_polynomial_makes_fractions_only_at_its_edges():
+    # A Polynomial holds integers: it calls Fraction only to take coefficients
+    # in (__init__, scale) and to hand them out (terms, coeff), so its
+    # arithmetic stays in integers.  Every listed function must be seen
+    # calling it, so a renamed one fails here rather than passing unseen.
+    allowed = {"__init__", "scale", "terms", "coeff"}
+    seen, found = set(), []
+    tree = ast.parse((SRC / "polynomial.py").read_text())
+    owner = {}  # node -> its innermost enclosing function
+    for f in ast.walk(tree):  # breadth first, so inner functions win
+        if isinstance(f, ast.FunctionDef):
+            owner.update((id(n), f.name) for n in ast.walk(f))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
+            if owner.get(id(node)) in allowed:
+                seen.add(owner[id(node)])
+            else:
+                found.append(f"polynomial.py:{node.lineno} in {owner.get(id(node))}")
+    assert not found, found
+    assert seen == allowed, seen
 
 
 def test_linalg_makes_no_fraction():
@@ -76,14 +98,16 @@ def test_linalg_probes_no_row_shape():
 
 
 def test_each_form_of_a_polynomial_is_written_only_where_it_is_made():
-    # A Polynomial keeps the form it is handed and makes the other on first
-    # read, which is only sound if no form changes once made: each slot is
-    # written only by the two constructors and by the one function that first
-    # makes that form.  Every listed writer must be seen writing its slot, and
-    # the slots must be Polynomial's, so a renamed slot or writer fails here
-    # rather than letting the rule pass unseen.
-    writers = {"_terms": {"__init__", "_from_ints", "_fractions"},
-               "_ints": {"__init__", "_from_ints", "_numerators"},
+    # A Polynomial's integer form is set by its two constructors and never
+    # changes after, so == may compare it and _divided may keep the
+    # divided-power form it makes from it: each slot is written only by the
+    # constructors and, for _div, by _divided.  Every listed writer must be
+    # seen writing its slot, and the slots must be Polynomial's, so a renamed
+    # slot or writer fails here rather than letting the rule pass unseen.
+    # Other modules' classes hold a ctx of their own, so ctx is checked in
+    # polynomial.py alone.
+    writers = {"ctx": {"__init__", "_from_ints"},
+               "_ints": {"__init__", "_from_ints"},
                "_div": {"__init__", "_from_ints", "_divided"}}
     seen, found, slots = set(), [], None
     for path in sorted(SRC.glob("*.py")):
@@ -99,14 +123,15 @@ def test_each_form_of_a_polynomial_is_written_only_where_it_is_made():
         for node in ast.walk(tree):
             targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
                        else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
-            for target in targets:  # f._terms, f._terms[...] and tuples of them
+            for target in targets:  # f._ints, f._ints[...] and tuples of them
                 for t in ast.walk(target):
-                    if isinstance(t, ast.Attribute) and t.attr in writers:
+                    if (isinstance(t, ast.Attribute) and t.attr in writers
+                            and (t.attr != "ctx" or path.name == "polynomial.py")):
                         if owner.get(id(t)) in writers[t.attr]:
                             seen.add((t.attr, owner[id(t)]))
                         else:
                             found.append(f"{path.name}:{t.lineno} {t.attr}")
-    assert slots is not None and set(slots) == {"ctx", *writers}, slots
+    assert slots is not None and set(slots) == set(writers), slots
     assert seen == {(slot, f) for slot, fs in writers.items() for f in fs}, seen
     assert not found, found
 
