@@ -57,7 +57,8 @@ class Antichain:
     @cached_property
     def _inverse_ideal(self) -> "MonomialIdeal":
         """``inverse_ideal(self)``, folded once per antichain."""
-        return _intersection(self.ctx, [tuple(c + 1 for c in s.coords) for s in self.elems])
+        codes = [tuple(c + 1 for c in s.coords) for s in self.elems]
+        return _intersection(MonomialIdeal.unit(self.ctx), codes)
 
 
 @dataclass(frozen=True)
@@ -155,19 +156,13 @@ def _in_upset(gens, c: tuple) -> bool:
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection, via componentwise max (lcm) of generator pairs.  A
-    generator lying in the other ideal divides every lcm pair it is in, so it
-    is kept as it is; lcm pairs are formed only among the rest, and one that a
-    kept generator divides is dropped."""
+    """Intersection: the ideal with more generators cut by the irreducible
+    components of the other, through ``_intersection``."""
     if a.ctx != b.ctx:
         raise AmbientMismatchError("intersection across contexts")
-    ac, bc = [g.coords for g in a.gens], [h.coords for h in b.gens]
-    kept = {g.coords: g for x, y in ((a, bc), (b, ac)) for g in x.gens if _in_upset(y, g.coords)}
-    rest = [h for h in bc if h not in kept]
-    lcms = {tuple(map(max, g, h)) for g in ac if g not in kept for h in rest}
-    new = [c for c in _minimal(lcms) if not _in_upset(kept, c)]
-    gens = [*kept.values(), *(ExponentVector(a.ctx, c) for c in new)]
-    return MonomialIdeal(a.ctx, tuple(sorted(gens, key=lex_key)))
+    if len(a.gens) < len(b.gens):
+        a, b = b, a
+    return _intersection(a, b._components)
 
 
 def _minimal(points) -> list[tuple]:
@@ -235,12 +230,16 @@ def _fold_splits(codes, pivots) -> list[tuple]:
     return codes + retired
 
 
-def _intersection(ctx: Context, codes) -> MonomialIdeal:
-    """The intersection of the m^a over the codes a, folded from the unit ideal
-    with every coordinate negated; negated back, its codes are the minimal generators."""
-    negated = _fold_splits([(0,) * ctx.dim], [tuple(map(neg, a)) for a in codes])
-    gens = [ExponentVector(ctx, tuple(map(neg, c))) for c in negated]
-    return MonomialIdeal(ctx, tuple(sorted(gens, key=lex_key)))
+def _intersection(ideal: MonomialIdeal, codes) -> MonomialIdeal:
+    """``ideal`` cap the m^a over the codes a: the split fold run with every
+    coordinate negated, from the negated generators of ``ideal``.  There the
+    codes stand for the ideal their negations generate, and a pivot -a cuts
+    it down to its intersection with m^a; negated back, they are its minimal
+    generators."""
+    negated = _fold_splits([tuple(map(neg, g.coords)) for g in ideal.gens],
+                           [tuple(map(neg, a)) for a in codes])
+    gens = [ExponentVector(ideal.ctx, tuple(map(neg, c))) for c in negated]
+    return MonomialIdeal(ideal.ctx, tuple(sorted(gens, key=lex_key)))
 
 
 def docle(ideal: MonomialIdeal) -> Antichain:
@@ -292,7 +291,7 @@ def saturate(ideal: MonomialIdeal) -> MonomialIdeal:
         raise DomainError("saturation of the unit ideal is undefined")
     if ideal.is_zero:
         raise DomainError("saturation of the zero ideal is undefined")
-    return _intersection(ideal.ctx, [a for a in ideal._components if inf in a])
+    return _intersection(MonomialIdeal.unit(ideal.ctx), [a for a in ideal._components if inf in a])
 
 
 def decompose(ideal: MonomialIdeal) -> tuple[MonomialIdeal, MonomialIdeal]:

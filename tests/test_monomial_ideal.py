@@ -31,7 +31,7 @@ from apolar import (
     sq_leq,
 )
 from apolar.exponents import lex_key
-from apolar.monomial_ideal import _fold_splits
+from apolar.monomial_ideal import _fold_splits, _intersection
 from apolar.oracle import brute_docle
 
 from support import (
@@ -277,6 +277,7 @@ def test_intersect_matches_the_lcm_pairs_property(pair):
     a, b = pair
     both = intersect(a, b)
     assert both.gens == lcm_intersect(a, b).gens
+    assert intersect(b, a).gens == both.gens
     top = [max((g.coords[i] for g in a.gens + b.gens), default=0) + 1 for i in range(a.ctx.dim)]
     for c in itertools.product(*(range(t + 1) for t in top)):
         m = ExponentVector(a.ctx, c)
@@ -296,8 +297,9 @@ def test_intersect_keeps_generators_lying_in_the_other_ideal():
     outer = ideal(CTX, (1, 0), (0, 3))
     assert intersect(emmy, outer) == emmy
     assert intersect(outer, emmy) == emmy
-    # (1, 1) is in both lists and kept once; (4, 0) and (0, 4) lie in the
-    # other ideal; the one lcm pair left, (3, 2), is a multiple of (1, 1).
+    # The result is (4, 0), (1, 1), (0, 4): (1, 1) is in both ideals, (4, 0)
+    # and (0, 4) each lie in the other ideal, and every other common
+    # multiple, such as (3, 2) = lcm((3, 0), (0, 2)), is a multiple of (1, 1).
     a = ideal(CTX, (3, 0), (1, 1), (0, 4))
     b = ideal(CTX, (4, 0), (1, 1), (0, 2))
     for x, y in ((a, b), (b, a)):
@@ -307,6 +309,51 @@ def test_intersect_keeps_generators_lying_in_the_other_ideal():
         assert intersect(x, zero).is_zero and intersect(zero, x).is_zero
         assert intersect(x, unit) == x and intersect(unit, x) == x
     assert intersect(unit, unit).is_unit
+
+
+def test_intersect_orientation_fixtures():
+    # intersect folds the components of the ideal with fewer generators into
+    # the other's generators; each case is checked in both orders.
+    def check(a, b, expected):
+        want = ideal(a.ctx, *expected)
+        assert len(want.gens) == len(expected)
+        for x, y in ((a, b), (b, a)):
+            assert intersect(x, y) == want == lcm_intersect(x, y)
+
+    # Two generators but four components, (1, inf, 1, inf) and its three
+    # twins, against three generators and one component, (2, 2, 2, inf).
+    ctx4 = Context.of_dim(4)
+    a = ideal(ctx4, (1, 1, 0, 0), (0, 0, 1, 1))
+    b = ideal(ctx4, (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0))
+    assert (len(a.gens), len(a._components)) == (2, 4)
+    assert (len(b.gens), len(b._components)) == (3, 1)
+    check(a, b, [(2, 1, 0, 0), (1, 2, 0, 0), (1, 1, 2, 0),
+                 (2, 0, 1, 1), (0, 2, 1, 1), (0, 0, 2, 1)])
+    # x3 is absent from both sides, so every component has a_3 = inf.
+    ctx3 = Context.of_dim(3)
+    a = ideal(ctx3, (3, 0, 0), (1, 1, 0), (0, 2, 0))
+    b = ideal(ctx3, (2, 0, 0), (0, 3, 0))
+    assert all(c[2] == inf for c in a._components + b._components)
+    check(a, b, [(3, 0, 0), (2, 1, 0), (0, 3, 0)])
+    # Equal generator counts.
+    check(ideal(CTX, (2, 0), (0, 1)), ideal(CTX, (1, 0), (0, 2)), [(2, 0), (1, 1), (0, 2)])
+    check(ideal(CTX, (3, 1), (1, 2)), ideal(CTX, (2, 2), (0, 3)), [(2, 2), (1, 3)])
+
+
+@st.composite
+def ideals_and_codes(draw):
+    """An ideal, zero or unit at times, and codes of irreducible ideals m^a
+    in its context, with some coordinates infinite."""
+    a, _ = draw(ideal_pairs())
+    coord = st.one_of(st.integers(1, 4), st.just(inf))
+    return a, draw(st.lists(st.tuples(*[coord] * a.ctx.dim), max_size=a.ctx.dim + 3))
+
+
+@given(ideals_and_codes())
+def test_intersection_from_an_ideal_matches_the_lcm_pairs_property(case):
+    start, codes = case
+    from_unit = _intersection(MonomialIdeal.unit(start.ctx), codes)
+    assert _intersection(start, codes).gens == lcm_intersect(start, from_unit).gens
 
 
 def fold_in_order(codes, pivots):

@@ -198,3 +198,24 @@ def test_graded_engine_has_one_packed_code_map():
                     found.append(f"graded_engine.py:{node.lineno} {node.id} in {name}")
     assert not found, found
     assert seen == {(n, f) for n, fs in readers.items() for f in fs}, seen
+
+
+def test_monomial_ideal_has_one_path_from_components_to_generators():
+    # Inverse ideal, saturation and intersection all turn components into
+    # generators through _intersection's negated fold: _fold_splits is read
+    # only there and in MonomialIdeal._components, _minimal only in
+    # from_generators, and intersect calls _intersection.  Every listed
+    # reader must be seen, so a renamed one fails here rather than passing.
+    readers = {"_fold_splits": {"_components", "_intersection"}, "_minimal": {"from_generators"}}
+    tree = ast.parse((SRC / "monomial_ideal.py").read_text())
+    owner = {}  # node -> its innermost enclosing function
+    for f in ast.walk(tree):  # breadth first, so inner functions win
+        if isinstance(f, ast.FunctionDef):
+            owner.update((id(n), f.name) for n in ast.walk(f))
+    seen = {(node.id, owner.get(id(node))) for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in readers}
+    found = sorted(f"{name} in {f}" for name, f in seen if f not in readers[name])
+    assert not found, found
+    assert seen == {(n, f) for n, fs in readers.items() for f in fs}, seen
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_intersection"
+               and owner.get(id(node)) == "intersect" for node in ast.walk(tree))
