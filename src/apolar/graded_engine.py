@@ -137,8 +137,9 @@ class _Multiples:
 
 class HomogeneousIdealPresentation:
     """A homogeneous ideal given by generators, with cached graded slices.
-    ``_assemble_minimal``'s build runs through a slice's degree when that
-    slice is first read, and to its end when every generator is needed."""
+    ``_assemble_minimal``'s build runs through a slice's degree (a fresh one's
+    first read settles 0..q, ``_pull``) when it is first read, and to its end
+    when every generator is needed."""
 
     def __init__(self, ctx: Context, generators):
         self.ctx = ctx
@@ -169,14 +170,21 @@ class HomogeneousIdealPresentation:
 
     def _pull(self, e: float = inf) -> None:
         """Run the unfinished build through degree e (all by default); a degree
-        is kept only once complete, so one that raises is run again on read."""
+        is kept only once complete, so one that raises is run again on read.
+        With d >= 2, a fresh build's first read settles 0..q = top // 2 - 1 if I_q = 0."""
+        b, d = self._build, self.ctx.dim
+        q = b.top // 2 - 1 if b and b.next == 0 and d > 1 else 0
+        if q > 0 and not b.kernel_fn(q, range(comb(q + d - 1, q))):
+            self._slices.update({n: GradedSlice(n, monomials_of_degree(self.ctx, n), {})
+                                 for n in range(q + 1)})
+            self._build = b._replace(next=q + 1)
         while self._build and self._build.next <= e:
             b = self._build  # the slice below is None at degree 0
-            gens, sl = _minimal_degree(self.ctx, b.kernel_fn, b.next, self._slices.get(b.next - 1))
+            gens, sl = _minimal_degree(self.ctx, b, self._slices.get(b.next - 1))
             self._gens += gens
             self._degrees += (b.next,) * len(gens)
             self._slices[b.next] = sl
-            self._build = _Build(b.kernel_fn, b.top, b.next + 1) if b.next < b.top else None
+            self._build = b._replace(next=b.next + 1) if b.next < b.top else None
 
     def slice(self, e: int) -> GradedSlice:
         if e < 0:
@@ -323,14 +331,17 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
 
     kernel_fn(e, columns) is a basis of I_e's vectors on the degree-e monomials
     at the given positions (LEX-descending), in the given order, as
-    ``left_kernel`` returns it, keyed by index into ``columns``.  x_i keeps
-    the LEX order, so lifting the slice below shifts its pivots: a stored
-    row leads at its pivot, so x_i's lift of row p leads at s[p], s the
-    shift table, and no row is scanned for its lead.  Each degree reads its
-    lifts from the degree-(e-1) slice the build stored, its unit rows and
-    its other rows in pivot order; the build keeps no rows of its own.
-    Raises ``DomainError`` at the call, before any kernel runs, if degree
-    ``max_degree`` has over ``MAX_SLICE_COLUMNS`` monomials.
+    ``left_kernel`` returns it, keyed by index into ``columns``.  Every build is
+    Ann of a degree-M form, M = max_degree - 1, so degree e maps into S_(M-e)
+    (0 above M): dim I_e >= dim R_e - dim S_(M-e), and I_q = 0 forces I_e = 0
+    for e < q (x_1^(q-e)*I_e lies in I_q).  x_i keeps the LEX order, so lifting
+    the slice below shifts its pivots: a stored row leads at its pivot, so
+    x_i's lift of row p leads at s[p], s the shift table, and no row is scanned
+    for its lead.  Each degree reads its lifts from the degree-(e-1) slice the
+    build stored, its unit rows and its other rows in pivot order; the build
+    keeps no rows of its own.  Raises ``DomainError`` at the call, before any
+    kernel runs, if degree ``max_degree`` has over ``MAX_SLICE_COLUMNS``
+    monomials.
     """
     _check_slice_size(ctx, max_degree)
     ideal = HomogeneousIdealPresentation(ctx, ())
@@ -338,34 +349,35 @@ def _assemble_minimal(ctx: Context, kernel_fn, max_degree: int):
     return ideal
 
 
-def _minimal_degree(ctx: Context, kernel_fn, e: int, below: GradedSlice | None):
-    """Degree e of ``_assemble_minimal``'s build, lifted from ``below``, the
-    degree-(e-1) slice (None at degree 0): the new generators and the slice.
+def _minimal_degree(ctx: Context, b: _Build, below: GradedSlice | None):
+    """Degree b.next of ``_assemble_minimal``'s build b from ``below``, the
+    slice one degree down (None at degree 0, rowless above ``_pull``'s zero
+    prefix): new generators and slice.
 
-    Unit lifts are the rows {u: 1}; the other lifts drop the unit columns.
-    Each lead that is no unit column has one owner lift, by its lead before
-    any column is dropped.  The kernel on the other, free, columns listed
-    highest first is the rest of the slice's RREF (``left_kernel`` read in
-    reverse).  The generators are what I_e adds to R_1*I_(e-1): the kernel
-    pivots that the other lifts, ranked lead-only over the owner lifts,
-    miss.  With at most one, each owner lift reduced against the rows made
-    before it, in descending lead order, is its RREF row, and the one
-    pivot's row is the generator.  Two or more, or a degree with no lifts,
-    take ``_span_read`` of the full kernel over the lifts.
+    Unit lifts are the rows {u: 1}; other lifts drop the unit columns.  Each
+    lead that is no unit column has one owner lift, by its lead before any
+    column is dropped.  The generators are what I_e adds to R_1*I_(e-1).  Unless
+    counts prove two or more (``_lifted_slice``), the kernel on the other,
+    free, columns listed highest first is the rest of the slice's RREF
+    (``left_kernel`` read in reverse), and its pivots the other lifts, ranked
+    lead-only over the owner lifts, miss are the generators.  With at most one,
+    each owner lift reduced against the rows made before it, in descending lead
+    order, is its RREF row.  Two or more take ``_span_read`` of the kernel on
+    the non-unit columns over the lifts; no lifts, of the full kernel.
     """
-    basis = monomials_of_degree(ctx, e)
+    basis = monomials_of_degree(ctx, b.next)
     if below is None or not below._rows:  # no lifts: every kernel vector is a generator
-        rows, found = _span_read(kernel_fn(e, range(len(basis))), (), (), inf)
+        rows, found = _span_read(b.kernel_fn, b.next, range(len(basis)), (), ())
     else:
-        rows, found = _lifted_slice(ctx, kernel_fn, e, len(basis), below)
+        rows, found = _lifted_slice(ctx, b.kernel_fn, b.next, b.top, len(basis), below)
     gens = tuple([Polynomial._from_ints(ctx, [(basis[c].coords, v) for c, v in row.items()], 1)
                   for row in found])
-    return gens, GradedSlice(e, basis, rows)
+    return gens, GradedSlice(b.next, basis, rows)
 
 
-def _lifted_slice(ctx: Context, kernel_fn, e: int, width: int, below: GradedSlice):
-    """``_minimal_degree``'s slice rows of a degree with lifts, and the
-    rows of its generators."""
+def _lifted_slice(ctx: Context, kernel_fn, e: int, top: int, width: int, below: GradedSlice):
+    """``_minimal_degree``'s slice rows of a degree with lifts, and the rows of its
+    generators: two or more if width - dim S_(M-e) >= the number of lifts + 2."""
     shifts = [_shift_table(ctx, e, i) for i in range(ctx.dim)]
     unit_pivots = [p for p in below._pivots if len(below._rows[p]) == 1]
     pivots = [p for p in below._pivots if len(below._rows[p]) > 1]
@@ -377,41 +389,44 @@ def _lifted_slice(ctx: Context, kernel_fn, e: int, width: int, below: GradedSlic
         return {c: v for j, v in row.items() if (c := s[j]) not in units}
 
     owner = {lead: n for n, lead in enumerate(leads) if lead not in units}  # one lift per lead
-    free = [c for c in reversed(range(width)) if c not in owner and c not in units]
-    rows = {}  # the slice's RREF rows: the kernel on the free columns, then the owners
-    for v in kernel_fn(e, free):
-        rows[free[max(v)]] = {free[j]: x for j, x in v.items()}
     owned = {lead: lift(owner[lead]) for lead in sorted(owner, reverse=True)}
-    left = list(rows)  # the kernel pivots, less those the other lifts reach
-    if left:
-        others = (lift(n) for n, lead in enumerate(leads) if owner.get(lead) != n)
-        ranked = new_leads(others, owned, len(left))
+    others = (lift(n) for n, lead in enumerate(leads) if owner.get(lead) != n)
+    if width - comb(top - 2 - e + ctx.dim, ctx.dim - 1) - len(units) - len(leads) >= 2:
+        ranked = new_leads(others, owned, inf)
+    else:
+        free = [c for c in reversed(range(width)) if c not in owner and c not in units]
+        rows = {}  # the slice's RREF rows: the kernel on the free columns, then the owners
+        for v in kernel_fn(e, free):
+            rows[free[max(v)]] = {free[j]: x for j, x in v.items()}
+        left = list(rows)  # the kernel pivots, less those the other lifts reach
+        ranked = new_leads(others, owned, len(left)) if left else {}
         left = [q for q in left if q not in ranked]
-    if len(left) > 1:
-        return _span_read(kernel_fn(e, range(width)), units, (*owned.values(), *ranked.values()),
-                          len(left))
-    for lead, row in owned.items():
-        rows[lead] = reduce_vector(row, rows)
-    for u in units:
-        rows[u] = {u: 1}
-    return rows, [rows[q] for q in left]
+        if len(left) < 2:
+            for lead, row in owned.items():
+                rows[lead] = reduce_vector(row, rows)
+            for u in units:
+                rows[u] = {u: 1}
+            return rows, [rows[q] for q in left]
+    kept = [c for c in range(width) if c not in units]  # a unit column's row is empty
+    return _span_read(kernel_fn, e, kept, units, (*owned.values(), *ranked.values()))
 
 
-def _span_read(kernel, units, seeds, n):
-    """The kernel vectors read in order into a ``SpanBuilder`` seeded with the
-    unit rows at ``units`` and then the ``seeds``, until n of them are new to
-    it: the span's rows, which end as the slice, and the echelon rows it
-    stored for the new vectors, positive at their LEX-leading (lowest)
-    column, which are the generators."""
+def _span_read(kernel_fn, e, columns, units, seeds):
+    """The degree-e kernel on ``columns``, read forward into a ``SpanBuilder``
+    seeded with the unit rows at ``units`` and then the ``seeds``, independent
+    rows of I_e, until the span is I_e: the span's rows, which end as the
+    slice, and the echelon rows it stored for the new vectors, positive at
+    their LEX-leading (lowest) column, which are the generators."""
+    kernel = kernel_fn(e, columns)
     span = SpanBuilder()
     span.add_units(units)
     for row in seeds:
         span.add(row)
     found = []
     for vec in kernel:
-        if len(found) == n:
+        if len(found) == len(kernel) - len(seeds):
             break
-        row = span.add(vec)
+        row = span.add({columns[j]: x for j, x in vec.items()})
         if row:
             found.append(row)
     return span.rows, found

@@ -466,52 +466,158 @@ def _build_text(ideal, top):
 BUILD_DIGEST = "67f4707b0008a41465f2400853db160a4e6dbb087886f8fb4209936a61e97a93"
 
 
-def test_each_build_path_keeps_generators_and_slices(monkeypatch):
-    # Per kernel_fn call: (degree, number of columns, kernel dimension,
-    # whether it is the degree's second call).
-    builds = []
+def _spied(ideal):
+    """The ideal with its build's kernel_fn wrapped to record each call's
+    (degree, column positions, kernel dimension), and the list it fills."""
+    calls, kernel_fn = [], ideal._build.kernel_fn
 
-    def spy(ctx, kernel_fn, max_degree):
-        calls = []
+    def counted(e, columns):
+        kernel = kernel_fn(e, columns)
+        calls.append((e, list(columns), len(kernel)))
+        return kernel
 
-        def counted(e, columns):
-            kernel = kernel_fn(e, columns)
-            again = bool(calls and calls[-1][0] == e)
-            calls.append((e, len(columns), len(kernel), again))
-            return kernel
+    ideal._build = ideal._build._replace(kernel_fn=counted)
+    return ideal, calls
 
-        ideal = _assemble_minimal(ctx, counted, max_degree)
-        builds.append((ideal, calls))
-        return ideal
 
-    monkeypatch.setattr("apolar.graded_engine._assemble_minimal", spy)
+def _probe_degree(ideal):
+    """q = (M - 1) // 2 for a fresh build of Ann(F), deg F = M; 0 for d = 1."""
+    return (ideal._build.top - 2) // 2 if ideal.ctx.dim > 1 else 0
+
+
+def _reads_by_degree(calls):
+    """The recorded kernel reads grouped by degree, each degree's in order;
+    a build runs its degrees once each, upward."""
+    by_degree = {}
+    for e, columns, dim in calls:
+        assert not by_degree or e >= max(by_degree), calls
+        by_degree.setdefault(e, []).append((columns, dim))
+    return by_degree
+
+
+def _kept_columns(ideal, e):
+    """Degree e's columns that are no x_i-multiple of a unit row below."""
+    d, below = ideal.ctx.dim, ideal.slice(e - 1)._rows
+    units = {_shift_table(ideal.ctx, e, i)[p] for i in range(d)
+             for p, row in below.items() if len(row) == 1}
+    return [c for c in range(comb(e + d - 1, e)) if c not in units]
+
+
+def _certified(ideal, e, reads):
+    # The certified path reads the kernel once, forward on the non-unit
+    # columns; the free-column read lists its columns highest first.
+    kept = _kept_columns(ideal, e)
+    return len(kept) > 1 and reads[0][0] == kept
+
+
+def test_each_build_path_keeps_generators_and_slices():
     specs = _build_specs()
-    colon = [_build_text(spec.colon_ideal(), spec.top_degree) for spec in specs]
-    ann = [_build_text(ann_partial(antipodal(spec), spec.ctx), spec.top_degree)
-           for spec in specs]
+    builds = [_spied(spec.colon_ideal()) for spec in specs]
+    builds += [_spied(ann_partial(antipodal(spec), spec.ctx)) for spec in specs]
+    probes = [_probe_degree(ideal) for ideal, _ in builds]
+    colon = [_build_text(ideal, spec.top_degree) for (ideal, _), spec in zip(builds, specs)]
+    ann = [_build_text(ideal, spec.top_degree)
+           for (ideal, _), spec in zip(builds[len(specs):], specs)]
     for text in (colon, ann):
         assert hashlib.sha256(json.dumps(text).encode()).hexdigest() == BUILD_DIGEST
     paths = Counter()
-    for ideal, calls in builds:
+    for (ideal, calls), q in zip(builds, probes):
+        d = ideal.ctx.dim
         gens = Counter(g.homogeneous_degree() for g in ideal.generators)
-        read_again = {e for e, _, _, again in calls if again}
-        for e, width, kernel_dim, again in calls:
-            full = width == comb(e + ideal.ctx.dim - 1, e)
-            if again:
-                assert full and gens[e] >= 2
-                paths["full kernel, two or more generators"] += 1
-            elif full:  # no lifts: every kernel vector is a generator
-                assert kernel_dim == gens[e] and e not in read_again
-            else:  # the full kernel is read only when two or more generators are left
-                assert (e in read_again) == (gens[e] >= 2)
-                if kernel_dim == 0:
+        start = 0
+        if q > 0:  # the probe: one kernel on all of degree q's columns, first
+            (e, columns, dim), *calls = calls
+            assert e == q and columns == list(range(comb(q + d - 1, q)))
+            if dim:
+                paths["probe nonempty, with fallback"] += 1
+                assert calls[0][0] == 0
+            else:
+                paths["probe empty"] += 1
+                start = q + 1
+                assert not any(gens[e] or ideal.slice(e)._rows for e in range(start))
+        by_degree = _reads_by_degree(calls)
+        assert list(by_degree) == list(range(start, max(by_degree) + 1))
+        for e, reads in by_degree.items():
+            if not e or not ideal.slice(e - 1)._rows:  # no lifts: each kernel vector is a generator
+                assert reads == [(list(range(comb(e + d - 1, e))), gens[e])]
+            elif _certified(ideal, e, reads):
+                assert len(reads) == 1 and gens[e] >= 2
+                paths["certified, one non-unit-column read"] += 1
+            else:  # the free columns, highest first, then the non-unit columns if 2+ are left
+                (free, dim), *again = reads
+                assert free == sorted(free, reverse=True)
+                assert set(free) <= set(_kept_columns(ideal, e))
+                assert bool(again) == (gens[e] >= 2)
+                if again:
+                    assert again == [(_kept_columns(ideal, e), again[0][1])]
+                    paths["free columns, then two or more generators"] += 1
+                elif dim == 0:
                     assert gens[e] == 0
-                    paths["no new dimension"] += 1
+                    paths["free columns, no new dimension"] += 1
                 elif gens[e] == 1:
-                    paths["one generator from the free columns"] += 1
-                if kernel_dim > gens[e]:
-                    paths["other lifts add dimensions"] += 1
-    assert len(paths) == 4, paths
+                    paths["free columns, one generator"] += 1
+                if dim > gens[e]:
+                    paths["free columns, other lifts add dimensions"] += 1
+    assert len(paths) == 7, paths
+
+
+def test_probe_fixtures():
+    # (build, probe degree q, whether the probe finds I_q = 0).  With d = 1
+    # there is no probe: the first read is degree 0's own kernel.
+    one, two, three = Context.of_dim(1), Context.of_dim(2), Context.of_dim(3)
+    power_sum = parse_polynomial("t1^6 + t2^6 + t3^6", three.dual())
+    cases = [
+        (lambda: ann_partial(parse_polynomial("t1^7", one.dual()), one), 0, False),
+        (lambda: colon_power_ideal(5, parse_polynomial("x1^3 + x1*x2^2", two)), 2, True),
+        # x1*x2 kills every term, so I_2 != 0 and the build runs from degree 0.
+        (lambda: ann_partial(power_sum, three), 2, False),
+    ]
+    for make, q, empty in cases:
+        ideal, calls = _spied(make())
+        assert _probe_degree(ideal) == q
+        ideal.slice(0)
+        assert sorted(ideal._slices) == (list(range(q + 1)) if empty else [0])
+        assert [(e, dim == 0) for e, _, dim in calls] == (
+            [(q, True)] if empty else [(q, False), (0, True)] if q else [(0, True)])
+        fresh = make()
+        assert ideal.dimension() == fresh.dimension() == brute_quotient_dim(fresh.generators)
+
+
+@st.composite
+def _forms(draw):
+    """A form F of degree M in d = 2..4 dual variables, with up to six terms."""
+    d = draw(st.integers(2, 4))
+    ctx = Context.of_dim(d).dual()
+    pool = monomials_of_degree(ctx, draw(st.integers(1, 9 - d)))
+    support = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    coeff = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    return Polynomial(ctx, {ev: draw(coeff) for ev in support})
+
+
+_SMALL_SPECS = st.one_of(gorenstein_specs(dims=(2,), max_k=6), gorenstein_specs(dims=(3,), max_k=4),
+                         gorenstein_specs(dims=(4,), max_k=3))
+
+
+@settings(max_examples=100)
+@given(st.one_of(_SMALL_SPECS, _forms()))
+def test_counts_settle_only_what_the_kernels_confirm_property(case):
+    # Every degree the probe zero-fills has I_e = 0, and every degree the
+    # count certifies gains two or more generators.
+    if isinstance(case, GorensteinSpec):
+        f, ideal = antipodal(case), colon_power_ideal(case.k, case.p)
+    else:
+        f, ideal = case, ann_partial(case, Context.of_dim(case.ctx.dim))
+    ideal, calls = _spied(ideal)
+    q, m = _probe_degree(ideal), ideal._build.top - 1
+    assert m == f.homogeneous_degree()
+    ideal.slice(0)
+    if len(ideal._slices) > 1:
+        brute = brute_ann(f, m + 1, ideal.ctx)
+        assert all(not brute[e] for e in ideal._slices)
+    gens = Counter(g.homogeneous_degree() for g in ideal.generators)
+    for e, reads in _reads_by_degree(calls[1:] if q else calls).items():
+        if e and ideal.slice(e - 1)._rows and _certified(ideal, e, reads):
+            assert gens[e] >= 2, (e, gens)
 
 
 def test_reads_in_any_order_keep_generators_and_slices():
